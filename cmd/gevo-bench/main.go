@@ -287,7 +287,7 @@ func coreSuite(evals int) ([]benchResult, error) {
 
 // benchCacheHealth runs a small search against an explicit evaluation pool
 // and reports the three cache hit rates of the evaluation path: the
-// single-flight fitness cache (pool), the compiled-program cache and the
+// pool's single-flight program table, the compiled-program cache and the
 // uniform-launch memo (backend counters from the obs registry). Cache decay
 // here flags perf regressions that ns/op alone can hide — a slower hash, a
 // key that stopped matching — before they show up as wall time.

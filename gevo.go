@@ -15,7 +15,7 @@
 //     alignment and the SIMCoV infection model, wired to fitness and
 //     held-out validation;
 //   - internal/core + internal/analysis: the evolutionary engine (with a
-//     sharded single-flight fitness cache) and the Section V edit-analysis
+//     content-addressed single-flight evaluation pool) and the Section V edit-analysis
 //     algorithms.
 //
 // This package re-exports the types a downstream user needs; examples/ holds

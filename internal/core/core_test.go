@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -70,6 +71,49 @@ func TestGenomeKeyDistinguishes(t *testing.T) {
 	}
 	if GenomeKey(a) != GenomeKey([]Edit{a[0]}) {
 		t.Fatal("equal genomes have distinct keys")
+	}
+}
+
+// TestGenomeKeyGolden freezes the key format byte for byte: genome keys are
+// hashed into lineage records, checkpoints name genomes by them, and the
+// benchmark's result digests contain them. The Sprintf line is the format as
+// first written; the literals pin the cases a rewrite gets wrong (negative
+// ints, all 64 constant bits, the operand Index that is deliberately not
+// part of the key, the empty genome).
+func TestGenomeKeyGolden(t *testing.T) {
+	viaFmt := func(e Edit) string {
+		return fmt.Sprintf("%d:%s:%d:%d:%d:%d:%d:%d:%d:%d:%d",
+			e.Kind, e.Func, e.Target, e.Anchor, e.Other, e.Slot,
+			e.NewOperand.Kind, e.NewOperand.Typ, e.NewOperand.Const,
+			e.NewOperand.Ref, e.KeepSucc)
+	}
+	neg := Edit{Kind: EditReplaceOperand, Func: "sw_forward", Target: -1, Anchor: -22, Other: 333, Slot: -4,
+		NewOperand: ir.Operand{Kind: ir.OperInstr, Typ: ir.I64, Const: math.MaxUint64, Ref: -5, Index: 9}, KeepSucc: -1}
+	del := Edit{Kind: EditDelete, Func: "k", Target: 38}
+	for _, c := range []struct {
+		e    Edit
+		want string
+	}{
+		{neg, "5:sw_forward:-1:-22:333:-4:1:4:18446744073709551615:-5:-1"},
+		{del, "0:k:38:0:0:0:0:0:0:0:0"},
+		{Edit{}, "0::0:0:0:0:0:0:0:0:0"},
+	} {
+		if got := c.e.Key(); got != c.want || got != viaFmt(c.e) {
+			t.Errorf("Key() = %q, want %q (fmt form %q)", got, c.want, viaFmt(c.e))
+		}
+	}
+	if got := GenomeKey(nil); got != "" {
+		t.Errorf("empty genome key = %q, want empty", got)
+	}
+	if got, want := GenomeKey([]Edit{del, neg}), del.Key()+"|"+neg.Key()+"|"; got != want {
+		t.Errorf("GenomeKey = %q, want %q", got, want)
+	}
+	r := rng.New(5)
+	base := kernels.ADEPTModule(kernels.ADEPTV0)
+	for i := 0; i < 500; i++ {
+		if e, ok := RandomEdit(base, r); ok && e.Key() != viaFmt(e) {
+			t.Fatalf("Key() = %q, fmt form %q", e.Key(), viaFmt(e))
+		}
 	}
 }
 

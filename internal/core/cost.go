@@ -10,13 +10,15 @@ import (
 // Cost is a per-job cost account: the attribution target the evaluation
 // pool charges when an engine evaluates genomes on a job's behalf. Engines
 // carry one through Config.Cost (island searches fan it out to every deme),
-// and the pool charges the account that *requested* each evaluation — cache
-// hits are charged to the requester, compute costs (launches, dynamic
-// instructions, program-cache outcomes) to the account whose request ran
-// the simulation. Requests with no account charge the pool's built-in
-// unattributed account, so summing every account always reconciles exactly
-// with the pool-wide counters (the TestCostReconciliation invariant,
-// DESIGN.md §12).
+// and the pool charges the account that *requested* each evaluation: one
+// eval per request; a hit (the program was already measured, or the request
+// waited on its simulation) to the requester; compute costs (launches,
+// dynamic instructions, program-cache outcomes) to the account whose request
+// ran the simulation. A genome an engine has bred before is answered from
+// the engine's own memo and reaches neither the pool nor the account.
+// Requests with no account charge the pool's built-in unattributed account,
+// so summing every account always reconciles exactly with the pool-wide
+// counters (the TestCostReconciliation invariant, DESIGN.md §3).
 //
 // All fields are atomics: many workers charge one account concurrently.
 // The account only observes — nothing reads it back into scheduling or
@@ -70,11 +72,13 @@ func (c *Cost) AddSliceNs(ns int64) {
 // CostTotals is a point-in-time copy of an account's counters (also the
 // shape of the pool-wide charge counters, see EvalPool.ChargedTotals).
 type CostTotals struct {
-	// Evals counts evaluation requests (hits + computes).
+	// Evals counts evaluation requests that reached the pool (hits +
+	// computes): one per distinct genome per engine.
 	Evals int64 `json:"evals"`
 	// Completed counts simulations this account's requests actually ran.
 	Completed int64 `json:"completed"`
-	// CacheHits counts requests served from the single-flight fitness cache.
+	// CacheHits counts requests answered from a program already measured or
+	// in flight — no verify, compile or launch was paid for them.
 	CacheHits int64 `json:"cache_hits"`
 	// Slices and SliceCPUNs are the orchestrator-charged executor slices and
 	// their wall time (0 for accounts never driven through serve).

@@ -34,7 +34,7 @@ func addTotals(ts ...CostTotals) CostTotals {
 	return out
 }
 
-// TestCostReconciliation pins the accounting invariant (DESIGN.md §12):
+// TestCostReconciliation pins the accounting invariant (DESIGN.md §3):
 // every evaluation the pool serves is charged to exactly one account — the
 // requester for cache hits, the account whose request ran the simulation
 // for computes — so at quiescence the field-wise sum of every account,

@@ -8,7 +8,7 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"gevo/internal/ir"
 )
@@ -86,22 +86,34 @@ func (e Edit) String() string {
 	}
 }
 
-// Key returns a canonical string for genome caching.
-func (e Edit) Key() string {
-	return fmt.Sprintf("%d:%s:%d:%d:%d:%d:%d:%d:%d:%d:%d",
-		e.Kind, e.Func, e.Target, e.Anchor, e.Other, e.Slot,
-		e.NewOperand.Kind, e.NewOperand.Typ, e.NewOperand.Const,
-		e.NewOperand.Ref, e.KeepSucc)
+// appendKey appends the edit's canonical key: the decimal fields
+// kind:func:target:anchor:other:slot:operand-kind:operand-type:const:ref:keep.
+// The format is frozen — genome keys are hashed into lineage records,
+// checkpoints and result digests.
+func (e Edit) appendKey(b []byte) []byte {
+	b = strconv.AppendUint(b, uint64(e.Kind), 10)
+	b = append(append(b, ':'), e.Func...)
+	for _, v := range [...]int{e.Target, e.Anchor, e.Other, e.Slot, int(e.NewOperand.Kind), int(e.NewOperand.Typ)} {
+		b = strconv.AppendInt(append(b, ':'), int64(v), 10)
+	}
+	b = strconv.AppendUint(append(b, ':'), e.NewOperand.Const, 10)
+	b = strconv.AppendInt(append(b, ':'), int64(e.NewOperand.Ref), 10)
+	return strconv.AppendInt(append(b, ':'), int64(e.KeepSucc), 10)
 }
 
-// GenomeKey returns a canonical cache key for an edit list.
-func GenomeKey(genome []Edit) string {
-	var sb strings.Builder
+// Key returns a canonical string identifying the edit.
+func (e Edit) Key() string { return string(e.appendKey(nil)) }
+
+// GenomeKey returns the canonical key of an edit list: every edit's key
+// followed by '|'.
+func GenomeKey(genome []Edit) string { return string(appendGenomeKey(genome)) }
+
+func appendGenomeKey(genome []Edit) []byte {
+	b := make([]byte, 0, 40*len(genome))
 	for _, e := range genome {
-		sb.WriteString(e.Key())
-		sb.WriteByte('|')
+		b = append(e.appendKey(b), '|')
 	}
-	return sb.String()
+	return b
 }
 
 // Apply performs the edit on the module in place, reporting whether it was

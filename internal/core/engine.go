@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"gevo/internal/gpu"
 	"gevo/internal/obs"
@@ -130,40 +129,8 @@ type Result struct {
 	Speedup float64
 	// History records the per-generation trajectory.
 	History *History
-	// Evaluations counts fitness evaluations performed (cache misses).
+	// Evaluations counts the distinct genomes the engine had evaluated.
 	Evaluations int
-}
-
-// fitnessShards is the shard count of the fitness cache. Sharding keeps
-// concurrent workers off one mutex; each shard is single-flight per key.
-const fitnessShards = 16
-
-// fitnessEntry is one cache slot. done is closed once ms is set; concurrent
-// requesters of an in-flight genome block on it instead of racing duplicate
-// simulations.
-type fitnessEntry struct {
-	done chan struct{}
-	ms   float64
-}
-
-// seenShard is one shard of the engine's distinct-genome set, backing the
-// per-engine Evaluations counter. Fitness values themselves live in the
-// pool's single-flight cache — keeping them here too would store every
-// result twice.
-type seenShard struct {
-	mu sync.Mutex
-	// m is the shard's distinct-genome set; guarded by mu.
-	m map[string]struct{}
-}
-
-// shardOf maps a genome key to its shard (FNV-1a).
-func shardOf(key string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h & (fitnessShards - 1)
 }
 
 // Engine runs the GEVO search over one workload. Beyond the one-shot Run,
@@ -172,11 +139,16 @@ func shardOf(key string) uint32 {
 // a serializable state (Snapshot/RestoreEngine in state.go) so a search can
 // be checkpointed and resumed bit-identically.
 type Engine struct {
-	w     workload.Workload
-	cfg   Config
-	r     *rng.R
-	seen  [fitnessShards]seenShard
-	evals atomic.Int64
+	w   workload.Workload
+	cfg Config
+	r   *rng.R
+	// seen is the genome -> fitness memo: "have I bred this genome". It is
+	// read and written only from the serial parts of evaluateAll, so it needs
+	// no lock; what the pool is asked is always a genome new to this engine.
+	seen map[string]float64
+	// evals counts the distinct genomes this engine requested (plus the
+	// count carried over by a restore, whose memo starts cold).
+	evals int64
 
 	// Steppable search state. pop is unevaluated right after Init and
 	// evaluated+sorted after every Step. provs parallels pop with breeding
@@ -203,58 +175,53 @@ func NewEngine(w workload.Workload, cfg Config) *Engine {
 		w:     w,
 		cfg:   cfg,
 		r:     rng.New(cfg.Seed),
+		seen:  make(map[string]float64),
 		opAgg: make(map[string]*OpStats),
-	}
-	for i := range e.seen {
-		e.seen[i].m = make(map[string]struct{})
 	}
 	return e
 }
 
-// fitness evaluates a genome through the shared evaluation pool's
-// single-flight cache: concurrent duplicate genomes — within this engine or
-// across engines sharing the pool — block on one simulation instead of
-// racing N. Each distinct genome counts exactly one evaluation for this
-// engine, whether or not the pool had the result already, so Evaluations
-// keeps a deterministic per-engine meaning under cross-deme deduplication.
+// fitness evaluates one genome (the base program, a test probe) the way
+// evaluateAll evaluates a population.
 func (e *Engine) fitness(genome []Edit) float64 {
-	return e.fitnessKeyed(GenomeKey(genome), genome)
+	ind := []Individual{{Genome: genome}}
+	e.evaluateAll(ind)
+	return ind[0].Fitness
 }
 
-func (e *Engine) fitnessKeyed(key string, genome []Edit) float64 {
-	ms := e.cfg.Pool.evaluateGenome(e.w, e.cfg.Arch, genome, key, e.cfg.Cost)
-	sh := &e.seen[shardOf(key)]
-	sh.mu.Lock()
-	if _, ok := sh.m[key]; !ok {
-		sh.m[key] = struct{}{}
-		e.evals.Add(1)
-	}
-	sh.mu.Unlock()
-	return ms
-}
-
-// evaluateAll fills in fitness for the population in parallel. Identical
-// genomes are collapsed up front — crossover and elitism make duplicates
-// common — so the pool sees each distinct genome once and the duplicates
-// share the result without even entering the single-flight path.
+// evaluateAll fills in fitness for the population. Genomes this engine has
+// bred before — crossover and elitism make repeats common — are answered
+// from its memo; each new distinct genome is sent to the shared pool once,
+// in parallel, and counts one evaluation whether the pool simulated it or
+// already knew its program, so Evaluations keeps a deterministic per-engine
+// meaning under cross-deme sharing. The memo is touched only before dispatch
+// and after the wait.
 func (e *Engine) evaluateAll(pop []Individual) {
-	groups := make(map[string][]int, len(pop))
+	keys := make([]string, len(pop))
+	var fresh []int // first index of each genome new to this engine
 	for i := range pop {
-		key := GenomeKey(pop[i].Genome)
-		groups[key] = append(groups[key], i)
+		keys[i] = GenomeKey(pop[i].Genome)
+		if _, ok := e.seen[keys[i]]; !ok {
+			e.seen[keys[i]] = math.NaN() // claimed; measured below
+			fresh = append(fresh, i)
+		}
 	}
 	var wg sync.WaitGroup
-	for key, idxs := range groups {
+	for _, i := range fresh {
 		wg.Add(1)
-		go func(key string, idxs []int) {
+		go func(ind *Individual) {
 			defer wg.Done()
-			ms := e.fitnessKeyed(key, pop[idxs[0]].Genome)
-			for _, i := range idxs {
-				pop[i].Fitness = ms
-			}
-		}(key, idxs)
+			ind.Fitness = e.cfg.Pool.evaluateGenome(e.w, e.cfg.Arch, ind.Genome, e.cfg.Cost)
+		}(&pop[i])
 	}
 	wg.Wait()
+	for _, i := range fresh {
+		e.seen[keys[i]] = pop[i].Fitness
+	}
+	e.evals += int64(len(fresh))
+	for i := range pop {
+		pop[i].Fitness = e.seen[keys[i]]
+	}
 }
 
 // tournament picks the best of K random individuals.
@@ -389,7 +356,7 @@ func (e *Engine) emitGen() {
 		obs.AF("mean_ms", rec.MeanFitness),
 		obs.AF("valid_frac", rec.ValidFrac),
 		obs.AF("speedup", speedupOf(e.base, e.hist.BestEver())),
-		obs.AI("evals", e.evals.Load()),
+		obs.AI("evals", e.evals),
 	})
 }
 
@@ -432,7 +399,7 @@ func (e *Engine) History() *History { return e.hist }
 
 // Evaluations returns the number of distinct-genome fitness evaluations so
 // far.
-func (e *Engine) Evaluations() int { return int(e.evals.Load()) }
+func (e *Engine) Evaluations() int { return int(e.evals) }
 
 // Arch returns the architecture the engine evaluates fitness on.
 func (e *Engine) Arch() *gpu.Arch { return e.cfg.Arch }
@@ -504,7 +471,7 @@ func (e *Engine) Result() *Result {
 		BaseFitness: e.base,
 		Speedup:     speedupOf(e.base, best),
 		History:     e.hist,
-		Evaluations: int(e.evals.Load()),
+		Evaluations: int(e.evals),
 	}
 }
 

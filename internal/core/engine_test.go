@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"gevo/internal/gpu"
 	"gevo/internal/ir"
@@ -117,7 +118,7 @@ func TestFitnessCacheAgreesWithUncached(t *testing.T) {
 	if first != cached && !(math.IsInf(first, 1) && math.IsInf(cached, 1)) {
 		t.Errorf("cached fitness %v != first evaluation %v", cached, first)
 	}
-	if got := e1.evals.Load(); got != 1 {
+	if got := e1.evals; got != 1 {
 		t.Errorf("evals = %d after two identical requests, want 1", got)
 	}
 
@@ -128,12 +129,13 @@ func TestFitnessCacheAgreesWithUncached(t *testing.T) {
 	}
 }
 
-// TestFitnessSingleFlight checks that concurrent duplicate genomes block on
-// one evaluation: the evaluation counter must not be double-counted on
-// concurrent misses.
+// TestFitnessSingleFlight checks that concurrent requests for one program
+// block on one simulation, on the tightest pool there is: with a single
+// worker slot, a duplicate that kept its slot while waiting would deadlock
+// against the evaluation it waits for.
 func TestFitnessSingleFlight(t *testing.T) {
 	a := smallADEPT(t)
-	eng := NewEngine(a, Config{Pop: 4, Generations: 1, Seed: 5, Arch: gpu.P100, CrossoverRate: 0.8, MutationRate: 0.3})
+	p := NewEvalPool(1)
 
 	const n = 8
 	results := make([]float64, n)
@@ -142,17 +144,24 @@ func TestFitnessSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = eng.fitness(nil)
+			results[i] = p.evaluateGenome(a, gpu.P100, nil, nil)
 		}(i)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		t.Fatal("deadlock: duplicates on a 1-worker pool never returned")
+	}
 	for i := 1; i < n; i++ {
 		if results[i] != results[0] {
 			t.Errorf("concurrent fitness diverged: %v vs %v", results[i], results[0])
 		}
 	}
-	if got := eng.evals.Load(); got != 1 {
-		t.Errorf("evals = %d after %d concurrent requests for one genome, want 1", got, n)
+	if st := p.Stats(); st.Completed != 1 || st.CacheHits != n-1 {
+		t.Errorf("completed %d, hits %d after %d concurrent requests for one program, want 1 and %d",
+			st.Completed, st.CacheHits, n, n-1)
 	}
 }
 

@@ -34,7 +34,7 @@ type prov struct {
 // hashGenome returns a short, stable content hash of a genome — the
 // lineage-facing identity of an individual.
 func hashGenome(genome []Edit) string {
-	sum := sha256.Sum256([]byte(GenomeKey(genome)))
+	sum := sha256.Sum256(appendGenomeKey(genome))
 	return hex.EncodeToString(sum[:6])
 }
 

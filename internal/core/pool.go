@@ -7,33 +7,51 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"sync"
 
 	"gevo/internal/fault"
 	"gevo/internal/gpu"
+	"gevo/internal/ir"
 	"gevo/internal/obs"
 	"gevo/internal/workload"
 )
 
 // EvalPool is a shared fitness-evaluation pool: one worker budget and one
-// single-flight result cache serving any number of engines. Island searches
-// hand every deme the same pool, so heterogeneous rings draw from a single
-// GOMAXPROCS-sized budget instead of oversubscribing the machine with
-// per-deme worker shares, and a genome that several demes breed in the same
-// generation is simulated once per (workload, architecture) rather than
-// once per deme.
+// single-flight table of measured programs serving any number of engines.
+// Island searches hand every deme the same pool, so heterogeneous rings draw
+// from a single GOMAXPROCS-sized budget instead of oversubscribing the
+// machine with per-deme worker shares.
+//
+// The table answers "has anyone run this program on this architecture": it
+// is keyed by the content of the materialised variant (gpu.ModuleKey), not
+// by the edit list that bred it, so two genomes that collapse to one program
+// — an inapplicable edit, an edit on a vanished target, the same genome in
+// another deme or another job — cost one simulation per (workload instance,
+// architecture). Engines answer "have I bred this genome" themselves
+// (Engine.seen) and never ask the pool twice.
 //
 // Determinism: the pool only affects *which goroutine* runs a simulation
-// and *whether* a duplicate simulation is skipped. Fitness itself is a pure
-// function of (workload, architecture, genome), so results are bit-identical
-// for any worker count and any scheduling, and each engine's Evaluations
-// counter keeps its per-deme meaning (distinct genomes the deme requested)
-// regardless of which deme's request reached the simulator first.
+// and *whether* a duplicate simulation is skipped. Fitness is a pure
+// function of (workload instance, architecture, module content) — the
+// program cache relies on the same purity for compilation — so results are
+// bit-identical for any worker count and any scheduling.
 type EvalPool struct {
-	sem    chan struct{}
-	shards [fitnessShards]poolShard
+	sem chan struct{}
+
+	mu sync.Mutex
+	// settled holds the fitness of every program measured so far;
+	// guarded by mu.
+	settled map[evalKey]float64
+	// flights holds the evaluations running right now, for duplicates to
+	// wait on; an entry moves to settled when its simulation returns;
+	// guarded by mu.
+	flights map[evalKey]*flight
+	// spaces assigns each (workload instance, architecture) a table
+	// namespace. Workload names identify content shape, not datasets: two
+	// ADEPT workloads built with different seeds share a name but must
+	// never share fitness entries; guarded by mu.
+	spaces map[evalSpace]uint32
 
 	// Instrumentation gauges/counters (obs instruments, so Register can
 	// attach them to a metrics registry), read via Stats. They never
@@ -48,7 +66,7 @@ type EvalPool struct {
 
 	// Pool-wide simulator charge counters, incremented in the same fold that
 	// charges the per-job account — so the sum over every account (including
-	// unattributed) reconciles exactly with these (DESIGN.md §12).
+	// unattributed) reconciles exactly with these (DESIGN.md §3).
 	launches   obs.Counter
 	dynInstrs  obs.Counter
 	progHits   obs.Counter
@@ -71,22 +89,28 @@ type EvalPool struct {
 	qMu sync.Mutex
 	// quarantined is the log of contained evaluation panics; guarded by qMu.
 	quarantined []*EvalPanicError
-
-	// ids assigns each workload *instance* a distinct cache namespace.
-	// Workload names identify content shape, not datasets: two ADEPT
-	// workloads built with different seeds share a name but must never
-	// share fitness entries.
-	idMu sync.Mutex
-	// ids is the instance -> namespace table; guarded by idMu.
-	ids map[workload.Workload]string
-	// nextID numbers the next namespace; guarded by idMu.
-	nextID int
 }
 
-type poolShard struct {
-	mu sync.Mutex
-	// m is the shard's key -> entry table; guarded by mu.
-	m map[string]*fitnessEntry
+// evalSpace names one fitness function: a workload instance measured on an
+// architecture.
+type evalSpace struct {
+	w    workload.Workload
+	arch string
+}
+
+// evalKey identifies one measured program: the namespace of its fitness
+// function and the content of its module.
+type evalKey struct {
+	space uint32
+	mod   gpu.ModuleKey
+}
+
+// flight is one evaluation in progress. done is closed once ms is set;
+// duplicates of an in-flight program wait on it instead of racing a second
+// simulation.
+type flight struct {
+	done chan struct{}
+	ms   float64
 }
 
 // NewEvalPool creates a pool bounding concurrent evaluations at workers
@@ -95,25 +119,25 @@ func NewEvalPool(workers int) *EvalPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &EvalPool{sem: make(chan struct{}, workers), ids: make(map[workload.Workload]string)}
-	p.unattributed.label = "unattributed"
-	for i := range p.shards {
-		p.shards[i].m = make(map[string]*fitnessEntry)
+	p := &EvalPool{
+		sem:     make(chan struct{}, workers),
+		settled: make(map[evalKey]float64),
+		flights: make(map[evalKey]*flight),
+		spaces:  make(map[evalSpace]uint32),
 	}
+	p.unattributed.label = "unattributed"
 	return p
 }
 
-// workloadID returns the pool-local namespace of a workload instance,
-// assigning one on first sight. Only key strings depend on the first-seen
-// order, never results.
-func (p *EvalPool) workloadID(w workload.Workload) string {
-	p.idMu.Lock()
-	defer p.idMu.Unlock()
-	id, ok := p.ids[w]
+// spaceLocked returns the table namespace of a fitness function, assigning
+// one on first sight. Only key values depend on the first-seen order, never
+// results. Caller holds p.mu.
+func (p *EvalPool) spaceLocked(w workload.Workload, arch *gpu.Arch) uint32 {
+	sp := evalSpace{w: w, arch: arch.Name}
+	id, ok := p.spaces[sp]
 	if !ok {
-		id = strconv.Itoa(p.nextID)
-		p.nextID++
-		p.ids[w] = id
+		id = uint32(len(p.spaces))
+		p.spaces[sp] = id
 	}
 	return id
 }
@@ -130,10 +154,13 @@ type PoolStats struct {
 	// InFlight is the number of simulations running right now.
 	InFlight int `json:"in_flight"`
 	// Completed counts simulations finished since the pool was created
-	// (cache misses only — each distinct key simulates once).
+	// (each distinct program simulates once per workload instance and
+	// architecture).
 	Completed int64 `json:"completed"`
-	// CacheHits counts evaluations served from the single-flight cache,
-	// including waits on an in-flight entry.
+	// CacheHits counts requests answered without a simulation because the
+	// program had been measured already or was being measured (the request
+	// waited): another engine's genome, or a different genome of the same
+	// engine that materialised to the same module.
 	CacheHits int64 `json:"cache_hits"`
 	// EvalPanics counts evaluations whose fn panicked and was quarantined
 	// (scored +Inf instead of tearing down the process).
@@ -171,9 +198,9 @@ func (p *EvalPool) Register(r *obs.Registry) {
 		func() float64 { return float64(p.queued.Value()) })
 	r.GaugeFunc("gevo_pool_in_flight", "Simulations running right now.",
 		func() float64 { return float64(p.inFlight.Value()) })
-	r.CounterFunc("gevo_pool_evals_completed_total", "Simulations finished (cache misses; each distinct key simulates once).",
+	r.CounterFunc("gevo_pool_evals_completed_total", "Simulations finished (each distinct program simulates once per workload instance and architecture).",
 		func() float64 { return float64(p.completed.Value()) })
-	r.CounterFunc("gevo_pool_cache_hits_total", "Evaluations served from the single-flight fitness cache.",
+	r.CounterFunc("gevo_pool_cache_hits_total", "Evaluation requests answered from an already measured (or in-flight) program instead of a simulation.",
 		func() float64 { return float64(p.hits.Value()) })
 	r.CounterFunc("gevo_pool_eval_panics_total", "Evaluation panics recovered and quarantined (scored +Inf).",
 		func() float64 { return float64(p.panics.Value()) })
@@ -238,8 +265,10 @@ type EvalPanicError struct {
 	// Workload and Arch name the evaluation that panicked.
 	Workload string
 	Arch     string
-	// Genome is a short content digest of the panicking genome.
-	Genome string
+	// Module is the short content key (gpu.ModuleKey.Short) of the program
+	// that panicked; empty when the panic came out of building the variant,
+	// before there was a program to name.
+	Module string
 	// Value is the stringified panic value.
 	Value string
 	// StackDigest is a short digest over the panic stack's file:line
@@ -249,8 +278,8 @@ type EvalPanicError struct {
 }
 
 func (e *EvalPanicError) Error() string {
-	return fmt.Sprintf("core: eval panic quarantined (workload %s, arch %s, genome %s, stack %s): %s",
-		e.Workload, e.Arch, e.Genome, e.StackDigest, e.Value)
+	return fmt.Sprintf("core: eval panic quarantined (workload %s, arch %s, module %s, stack %s): %s",
+		e.Workload, e.Arch, e.Module, e.StackDigest, e.Value)
 }
 
 // Quarantined returns a copy of the pool's eval-panic quarantine log.
@@ -260,13 +289,6 @@ func (p *EvalPool) Quarantined() []*EvalPanicError {
 	out := make([]*EvalPanicError, len(p.quarantined))
 	copy(out, p.quarantined)
 	return out
-}
-
-// evalMeta identifies an evaluation for quarantine records.
-type evalMeta struct {
-	workload string
-	arch     string
-	genome   string
 }
 
 // maxRedispatch bounds how many consecutive injected worker faults the
@@ -279,47 +301,77 @@ type evalMeta struct {
 // would just panic again.
 const maxRedispatch = 8
 
-// evaluate returns the fitness for the key, computing it via fn at most
-// once across every engine sharing the pool. Concurrent requesters of an
-// in-flight key block on the first; the worker budget bounds how many fn
-// calls run simultaneously.
+// evaluateGenome returns the fitness of a genome of a workload on an
+// architecture, simulating each distinct *program* at most once across every
+// engine sharing the pool. It takes a worker slot, materialises the variant
+// and hashes it (~45 µs), and looks the content key up: a program already
+// measured returns its recorded fitness with no verify, compile, device or
+// launch; a duplicate of a running one gives its slot back and waits for it;
+// a new one runs in the slot, its key riding the stats handle into the
+// program cache so the module is hashed once, not twice.
 //
-// Cost attribution: every request charges one eval to its account; cache
-// hits (including waits on an in-flight entry) charge the requester, while
-// compute costs (the EvalStats handle fn fills) charge the account whose
-// request ran the simulation. When the account carries a span context and
-// the pool has a sink, the compute is wrapped in a pool.eval span parented
-// under it, and the handle carries the span IDs down into compile events.
+// Cost attribution: every request charges one eval to its account (nil = the
+// pool's unattributed account). Hits — settled or waited for — charge the
+// requester; compute costs (the EvalStats handle the workload fills) charge
+// the account whose request ran the simulation. Workloads implementing
+// workload.Costed get the handle, others evaluate uninstrumented (their
+// launches simply go uncharged — fitness is identical either way). When the
+// account carries a span context and the pool has a sink, the compute is
+// wrapped in a pool.eval span parented under it, and the handle carries the
+// span IDs down into compile events.
 //
-// Failure containment: fn runs behind a recover. However it exits — value,
-// injected fault, panic — the deferred block releases the worker slot,
-// settles the gauges and closes ent.done, so waiters on the in-flight
-// entry can never hang and the semaphore can never leak. A panicking fn
-// poisons the entry at +Inf (see EvalPanicError).
-func (p *EvalPool) evaluate(key string, meta evalMeta, acct *Cost, fn func(*gpu.EvalStats) float64) float64 {
+// Failure containment: the workload runs behind a recover. However it exits
+// — value, injected fault, panic — the deferred block settles the entry and
+// the gauges, releases the worker slot and closes the flight, so waiters can
+// never hang and the semaphore can never leak. A panicking evaluation
+// poisons its program at +Inf (see EvalPanicError).
+func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []Edit, acct *Cost) float64 {
 	acct = p.account(acct)
 	acct.evals.Add(1)
-	sh := &p.shards[shardOf(key)]
-	sh.mu.Lock()
-	if ent, ok := sh.m[key]; ok {
-		sh.mu.Unlock()
-		p.hits.Add(1)
-		acct.hits.Add(1)
-		<-ent.done
-		return ent.ms
-	}
-	ent := &fitnessEntry{done: make(chan struct{})}
-	sh.m[key] = ent
-	sh.mu.Unlock()
+	// id names the evaluation, for its span and for a quarantine record.
+	id := EvalPanicError{Workload: w.Name(), Arch: arch.Name}
 
 	p.queued.Add(1)
 	p.sem <- struct{}{}
 	p.queued.Add(-1)
-	p.inFlight.Add(1)
-	st := &gpu.EvalStats{}
+
+	m, mod, rec := materialise(w.Base(), genome)
+	if rec != nil {
+		// No program, so nothing to file the failure under: charge it as a
+		// compute that never launched, and let a repeat fail the same way.
+		<-p.sem
+		p.completed.Add(1)
+		acct.completed.Add(1)
+		p.quarantine(id, rec)
+		return math.Inf(1)
+	}
+
+	p.mu.Lock()
+	key := evalKey{space: p.spaceLocked(w, arch), mod: mod}
+	ms, settled := p.settled[key]
+	fl := p.flights[key]
+	if settled || fl != nil {
+		p.mu.Unlock()
+		// A repeat does no simulator work: it returns its slot before
+		// waiting, so a flight can never be starved by its own waiters.
+		<-p.sem
+		p.hits.Add(1)
+		acct.hits.Add(1)
+		if !settled {
+			<-fl.done
+			ms = fl.ms
+		}
+		return ms
+	}
 	// Poisoned default: should anything below escape past run's recover,
 	// waiters still observe worst fitness, never a hang.
-	ent.ms = math.Inf(1)
+	fl = &flight{done: make(chan struct{}), ms: math.Inf(1)}
+	p.flights[key] = fl
+	p.mu.Unlock()
+
+	p.inFlight.Add(1)
+	id.Module = mod.Short()
+	st := &gpu.EvalStats{Module: mod}
 	defer func() {
 		p.inFlight.Add(-1)
 		p.completed.Add(1)
@@ -329,25 +381,53 @@ func (p *EvalPool) evaluate(key string, meta evalMeta, acct *Cost, fn func(*gpu.
 		p.progHits.Add(st.ProgramHits)
 		p.progMisses.Add(st.ProgramMisses)
 		p.memoHits.Add(st.MemoHits)
+		p.mu.Lock()
+		p.settled[key] = fl.ms
+		delete(p.flights, key)
+		p.mu.Unlock()
 		<-p.sem
-		close(ent.done)
+		close(fl.done)
 	}()
 	var sp *obs.Span
 	if parent := acct.Span(); parent.Valid() {
 		sp = obs.StartSpanFrom(parent, p.sink, "pool.eval",
-			obs.A("workload", meta.workload), obs.A("arch", meta.arch), obs.A("genome", meta.genome))
+			obs.A("workload", id.Workload), obs.A("arch", id.Arch), obs.A("module", id.Module))
 		sc := sp.Context()
 		st.Trace, st.Span = sc.TraceID, sc.SpanID
 	}
-	ent.ms = p.run(meta, func() float64 { return fn(st) })
+	fl.ms = p.run(id, func() float64 {
+		var ms float64
+		var err error
+		if cw, ok := w.(workload.Costed); ok {
+			ms, err = cw.EvaluateCosted(m, arch, st)
+		} else {
+			ms, err = w.Evaluate(m, arch)
+		}
+		if err != nil {
+			return math.Inf(1)
+		}
+		return ms
+	})
 	sp.End()
-	return ent.ms
+	return fl.ms
+}
+
+// materialise builds the variant and its content key behind a recover, so a
+// panic out of edit application is contained like one out of the workload.
+func materialise(base *ir.Module, genome []Edit) (m *ir.Module, key gpu.ModuleKey, rec *panicRecord) {
+	defer func() {
+		if r := recover(); r != nil {
+			rec = newPanicRecord(r)
+		}
+	}()
+	m = Variant(base, genome)
+	return m, gpu.HashModule(m), nil
 }
 
 // run executes one evaluation with panic containment: injected worker
 // faults are redispatched (bounded by maxRedispatch), real panics are
 // quarantined and scored +Inf.
-func (p *EvalPool) run(meta evalMeta, fn func() float64) float64 {
+func (p *EvalPool) run(id EvalPanicError, fn func() float64) float64 {
 	for attempt := 0; ; attempt++ {
 		ms, rec, injected := p.runOnce(fn)
 		if injected {
@@ -360,21 +440,24 @@ func (p *EvalPool) run(meta evalMeta, fn func() float64) float64 {
 		if rec == nil {
 			return ms
 		}
-		q := &EvalPanicError{
-			Workload: meta.workload, Arch: meta.arch, Genome: meta.genome,
-			Value: rec.value, StackDigest: rec.stackDigest,
-		}
-		p.qMu.Lock()
-		p.quarantined = append(p.quarantined, q)
-		p.qMu.Unlock()
-		p.panics.Add(1)
-		if s := p.sink; s != nil {
-			s.Emit(obs.Event{Type: "pool.quarantine", Attrs: []obs.Attr{
-				obs.A("workload", q.Workload), obs.A("arch", q.Arch),
-				obs.A("genome", q.Genome), obs.A("stack", q.StackDigest),
-			}})
-		}
+		p.quarantine(id, rec)
 		return math.Inf(1)
+	}
+}
+
+// quarantine logs one contained panic of the evaluation id names.
+func (p *EvalPool) quarantine(id EvalPanicError, rec *panicRecord) {
+	q := &id
+	q.Value, q.StackDigest = rec.value, rec.stackDigest
+	p.qMu.Lock()
+	p.quarantined = append(p.quarantined, q)
+	p.qMu.Unlock()
+	p.panics.Add(1)
+	if s := p.sink; s != nil {
+		s.Emit(obs.Event{Type: "pool.quarantine", Attrs: []obs.Attr{
+			obs.A("workload", q.Workload), obs.A("arch", q.Arch),
+			obs.A("module", q.Module), obs.A("stack", q.StackDigest),
+		}})
 	}
 }
 
@@ -382,6 +465,12 @@ func (p *EvalPool) run(meta evalMeta, fn func() float64) float64 {
 type panicRecord struct {
 	value       string
 	stackDigest string
+}
+
+// newPanicRecord describes the panic value r; call it inside the recovering
+// deferred function, while the panicking frames are still on the stack.
+func newPanicRecord(r any) *panicRecord {
+	return &panicRecord{value: fmt.Sprint(r), stackDigest: stackDigest(debug.Stack())}
 }
 
 // runOnce runs fn behind the eval-dispatch fault site and a recover.
@@ -395,7 +484,7 @@ func (p *EvalPool) runOnce(fn func() float64) (ms float64, rec *panicRecord, inj
 				injected = true
 				return
 			}
-			rec = &panicRecord{value: fmt.Sprint(r), stackDigest: stackDigest(debug.Stack())}
+			rec = newPanicRecord(r)
 		}
 	}()
 	if f := p.inj.Hit(fault.SiteEvalDispatch); f.Kind != "" {
@@ -420,35 +509,4 @@ func stackDigest(stack []byte) string {
 	}
 	sum := sha256.Sum256([]byte(b.String()))
 	return hex.EncodeToString(sum[:6])
-}
-
-// genomeDigest is the short content digest quarantine records carry.
-func genomeDigest(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:6])
-}
-
-// evaluateGenome runs one genome of a workload on an architecture through
-// the pool, with the cross-engine cache keyed by workload instance,
-// architecture and genome content. Costs are charged to acct (nil = the
-// pool's unattributed account); workloads implementing workload.Costed get
-// the per-evaluation stats handle, others evaluate uninstrumented (their
-// launches simply go uncharged — fitness is identical either way).
-func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []Edit, key string, acct *Cost) float64 {
-	full := p.workloadID(w) + "\x00" + arch.Name + "\x00" + key
-	meta := evalMeta{workload: w.Name(), arch: arch.Name, genome: genomeDigest(key)}
-	return p.evaluate(full, meta, acct, func(st *gpu.EvalStats) float64 {
-		m := Variant(w.Base(), genome)
-		var ms float64
-		var err error
-		if cw, ok := w.(workload.Costed); ok {
-			ms, err = cw.EvaluateCosted(m, arch, st)
-		} else {
-			ms, err = w.Evaluate(m, arch)
-		}
-		if err != nil {
-			return math.Inf(1)
-		}
-		return ms
-	})
 }

@@ -51,7 +51,7 @@ func TestEvalPanicContainment(t *testing.T) {
 	results := make(chan float64, waiters)
 	for i := 0; i < waiters; i++ {
 		go func() {
-			results <- p.evaluateGenome(w, gpu.P100, nil, GenomeKey(nil), nil)
+			results <- p.evaluateGenome(w, gpu.P100, nil, nil)
 		}()
 	}
 	for i := 0; i < waiters; i++ {
@@ -77,7 +77,7 @@ func TestEvalPanicContainment(t *testing.T) {
 		t.Fatalf("quarantine has %d records, want 1", len(q))
 	}
 	rec := q[0]
-	if rec.Workload != w.Name() || rec.Arch != "P100" || rec.Genome == "" || rec.StackDigest == "" ||
+	if rec.Workload != w.Name() || rec.Arch != "P100" || rec.Module == "" || rec.StackDigest == "" ||
 		!strings.Contains(rec.Value, "deliberate eval panic") {
 		t.Fatalf("quarantine record incomplete: %+v", rec)
 	}
@@ -92,7 +92,7 @@ func TestEvalPanicContainment(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if ms := p.evaluateGenome(good, gpu.P100, nil, GenomeKey(nil), nil); math.IsInf(ms, 1) {
+			if ms := p.evaluateGenome(good, gpu.P100, nil, nil); math.IsInf(ms, 1) {
 				t.Error("healthy workload scored +Inf after quarantine")
 			}
 		}()
@@ -169,7 +169,7 @@ func TestRedispatchBudgetExhaustion(t *testing.T) {
 	p.SetInjector(fault.MustNew(
 		fault.Rule{Site: fault.SiteEvalDispatch, Kind: fault.KindError, Every: 1},
 	))
-	ms := p.evaluateGenome(tinyADEPT(t), gpu.P100, nil, GenomeKey(nil), nil)
+	ms := p.evaluateGenome(tinyADEPT(t), gpu.P100, nil, nil)
 	if !math.IsInf(ms, 1) {
 		t.Fatalf("exhausted redispatch scored %v, want +Inf", ms)
 	}

@@ -169,10 +169,10 @@ func HistoryFromState(st HistoryState) *History {
 // fresh process needs to continue the search bit-identically — population
 // genomes with fitness, RNG stream position, generation counter and
 // history. It deliberately excludes the workload and the architecture
-// (supplied by the caller on restore) and the fitness cache — it is
+// (supplied by the caller on restore) and the genome memo — it is
 // rebuilt warm by the deterministic evaluator, so resumed fitness values
 // are identical. The Evals counter carries over as total work across
-// processes: because the resumed cache starts cold, genomes evaluated both
+// processes: because the resumed memo starts cold, genomes evaluated both
 // before and after the snapshot count once per process, so a resumed
 // search can report more Evaluations than an uninterrupted one even though
 // its results are bit-identical.
@@ -206,7 +206,7 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		Gen:     e.gen,
 		RNG:     e.r.State(),
 		Base:    InfFloat(e.base),
-		Evals:   e.evals.Load(),
+		Evals:   e.evals,
 		Pop:     make([]IndividualState, len(e.pop)),
 		History: e.hist.State(),
 		Ops:     opStatsSorted(e.opAgg),
@@ -239,7 +239,7 @@ func RestoreEngine(w workload.Workload, cfg Config, st *EngineState) (*Engine, e
 	e.r = rng.FromState(st.RNG)
 	e.gen = st.Gen
 	e.base = float64(st.Base)
-	e.evals.Store(st.Evals)
+	e.evals = st.Evals
 	e.hist = HistoryFromState(st.History)
 	e.pop = make([]Individual, len(st.Pop))
 	for i, ind := range st.Pop {

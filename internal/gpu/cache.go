@@ -10,9 +10,9 @@ import (
 )
 
 // The compiled-program cache: the front end of the fast evaluation pipeline.
-// The evolutionary search evaluates the same program content many times — the
-// base module on every arch, duplicate genomes produced by crossover, and
-// distinct edit lists that collapse to the same phenotype — and verification
+// The evolutionary search meets the same program content many times — the
+// same variant on every arch of a heterogeneous ring, on every engine's own
+// workload instance, and again at held-out validation — and verification
 // plus compilation are pure functions of module content. Prepare hashes the
 // module's executable form and compiles each distinct program exactly once;
 // concurrent requests for the same content single-flight behind the first.
@@ -101,11 +101,11 @@ func appendModule(b []byte, m *ir.Module) []byte {
 const (
 	cacheShards = 16
 	// shardCapacity bounds each shard's LRU, so the cache holds at most
-	// cacheShards*shardCapacity compiled programs. The engine's fitness cache
-	// already deduplicates genomes, so hits come from re-evaluations of the
-	// same phenotype (base program across archs, validation re-runs, distinct
-	// edit lists collapsing to one program); a small bound captures those
-	// without letting a week-long search grow the cache unboundedly.
+	// cacheShards*shardCapacity compiled programs. The evaluation pool
+	// already runs each program once per (workload, arch), so hits come from
+	// the same program on another arch or workload instance and from
+	// validation re-runs; a small bound captures those without letting a
+	// week-long search grow the cache unboundedly.
 	shardCapacity = 16
 )
 
@@ -156,9 +156,16 @@ func (c *ProgramCache) Prepare(m *ir.Module) (*Program, error) { return c.Prepar
 // PrepareStats is Prepare with a per-evaluation stats handle: cache
 // outcomes are charged to st, and when st carries span linkage the compile
 // events are stamped with it, tying the compile slice into the eval span's
-// trace. A nil st is the plain Prepare path.
+// trace. A handle that already carries the module's content key (the
+// evaluation pool hashed the variant to look its fitness up) spares the
+// second hash; a nil st, or one without a key, is the plain Prepare path.
 func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, error) {
-	key := HashModule(m)
+	var key ModuleKey
+	if st != nil && st.Module != (ModuleKey{}) {
+		key = st.Module
+	} else {
+		key = HashModule(m)
+	}
 	sh := &c.shards[key[0]&(cacheShards-1)]
 
 	sh.mu.Lock()
@@ -170,7 +177,7 @@ func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, erro
 			st.ProgramHits++
 		}
 		if s := sink(); s != nil {
-			s.Emit(obs.Event{Type: "gpu.cache.hit", Attrs: []obs.Attr{obs.A("module", moduleAttr(key))}})
+			s.Emit(obs.Event{Type: "gpu.cache.hit", Attrs: []obs.Attr{obs.A("module", key.Short())}})
 		}
 		<-e.done
 		return e.prog, e.err
@@ -222,7 +229,7 @@ func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, erro
 // compileAttrs builds the compile event payload: the module identity, plus
 // span linkage when the evaluation that triggered the compile is traced.
 func compileAttrs(key ModuleKey, st *EvalStats) []obs.Attr {
-	attrs := []obs.Attr{obs.A("module", moduleAttr(key))}
+	attrs := []obs.Attr{obs.A("module", key.Short())}
 	if st != nil && st.Trace != "" {
 		attrs = append(attrs, obs.A("trace", st.Trace), obs.A("parent", st.Span))
 	}

@@ -1751,6 +1751,9 @@ func lowerStore(in *cinstr) execFn {
 				a := int64(src[l])
 				c.addrs[l] = a
 				if a < 0 || a > hi {
+					if !shared {
+						return stepNext, c.globalStoreFault(a, maxEnd, size, uid)
+					}
 					return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
 				}
 				write(mem, a, vals[l])
@@ -1764,6 +1767,9 @@ func lowerStore(in *cinstr) execFn {
 			for i := 0; i < n; i++ {
 				a := c.addrs[i]
 				if a < 0 || a > hi {
+					if !shared {
+						return stepNext, c.globalStoreFault(a, maxEnd, size, uid)
+					}
 					return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
 				}
 				write(mem, a, vals[c.lanes[i]])

@@ -694,6 +694,19 @@ func (c *blockCtx) execStore(w *warp, e *simtEntry, in *cinstr) error {
 	return nil
 }
 
+// globalStoreFault builds the fault for a global store whose lane at address
+// a is out of range, after recording what the warp's earlier lanes already
+// wrote (their highest address is maxEnd, -1 when none did). The threaded
+// store loops mark the arena dirty once per warp, after the loop; a fault
+// that skipped the mark would leave those bytes above it, Reset would not
+// clear them, and the pool would hand the next launch a non-zero arena.
+func (c *blockCtx) globalStoreFault(a, maxEnd, size int64, uid int) error {
+	if maxEnd >= 0 {
+		c.d.touch(maxEnd + size)
+	}
+	return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global store", UID: uid}
+}
+
 func (c *blockCtx) execAtomic(w *warp, e *simtEntry, in *cinstr) error {
 	mask := e.mask
 	n := c.gatherAddrs(w, &in.args[0], mask)
@@ -798,22 +811,35 @@ func (c *blockCtx) sharedReplays(n int) int {
 	return 1
 }
 
-// sharedReplaysSlow counts replays for conflicting access patterns. It keeps
-// the original model bit-identical: a lane's replay count includes every
-// earlier same-bank lane with a different word, so duplicate broadcast lanes
-// in a conflicted bank weigh into the count.
+// sharedReplaysSlow counts replays for conflicting access patterns in one
+// pass. A lane replays once per earlier lane in its bank on a different word
+// (so duplicate broadcast lanes in a conflicted bank weigh into the count):
+// 1 + earlier lanes in its bank − earlier lanes on its word. Each bank keeps
+// a chain of the lanes that introduced its distinct words, with a running
+// lane count per word.
 func (c *blockCtx) sharedReplaysSlow(n int) int {
+	var (
+		inBank [warpSize]uint8 // per bank: lanes seen so far
+		head   [warpSize]uint8 // per bank: 1 + newest chain lane (0 = empty)
+		next   [warpSize]uint8 // per chain lane: 1 + the bank's previous chain lane
+		onWord [warpSize]uint8 // per chain lane: lanes seen so far on its word
+	)
 	maxReplay := 1
 	for i := 0; i < n; i++ {
 		word := c.addrs[i] >> 2
-		bank := word & 31
-		replays := 1
-		for j := 0; j < i; j++ {
-			wj := c.addrs[j] >> 2
-			if wj&31 == bank && wj != word {
-				replays++
-			}
+		b := word & 31
+		j := head[b]
+		for j != 0 && c.addrs[j-1]>>2 != word {
+			j = next[j-1]
 		}
+		replays := 1 + int(inBank[b])
+		if j == 0 {
+			next[i], head[b], onWord[i] = head[b], uint8(i+1), 1
+		} else {
+			replays -= int(onWord[j-1])
+			onWord[j-1]++
+		}
+		inBank[b]++
 		if replays > maxReplay {
 			maxReplay = replays
 		}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"gevo/internal/ir"
+	"gevo/internal/rng"
 )
 
 // runScalarKernel executes a single-thread kernel writing one i64 result to
@@ -167,6 +168,117 @@ func TestSharedOOBFaults(t *testing.T) {
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("want shared fault, got %v", err)
+	}
+}
+
+// sharedReplaysQuadratic is the bank-conflict model as first written — a
+// pairwise scan per lane — kept as the oracle for the one-pass count.
+func sharedReplaysQuadratic(addrs []int64) int {
+	maxReplay := 1
+	for i := range addrs {
+		word := addrs[i] >> 2
+		replays := 1
+		for j := 0; j < i; j++ {
+			if wj := addrs[j] >> 2; wj&31 == word&31 && wj != word {
+				replays++
+			}
+		}
+		if replays > maxReplay {
+			maxReplay = replays
+		}
+	}
+	return maxReplay
+}
+
+// TestSharedReplaysMatchesQuadratic pins the one-pass bank-conflict count to
+// the pairwise model bit for bit — including its quirk that duplicate
+// broadcast lanes in a conflicted bank weigh into the count — on adversarial
+// address sets and on random ones of every warp occupancy.
+func TestSharedReplaysMatchesQuadratic(t *testing.T) {
+	check := func(label string, addrs []int64) {
+		t.Helper()
+		var c blockCtx
+		n := copy(c.addrs[:], addrs)
+		if got, want := c.sharedReplays(n), sharedReplaysQuadratic(addrs); got != want {
+			t.Errorf("%s: replays = %d, pairwise model says %d (addrs %v)", label, got, want, addrs)
+		}
+	}
+	fill := func(n int, f func(i int) int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	check("empty", nil)
+	check("conflict-free", fill(32, func(i int) int64 { return int64(4 * i) }))
+	check("all one word", fill(32, func(int) int64 { return 64 }))
+	check("all one bank, distinct words", fill(32, func(i int) int64 { return int64(128 * i) }))
+	check("all one bank, two words alternating", fill(32, func(i int) int64 { return int64(128 * (i % 2)) }))
+	check("broadcast pairs inside a conflicted bank", fill(32, func(i int) int64 { return int64(128 * (i / 2)) }))
+	check("sub-word offsets share a word", fill(32, func(i int) int64 { return int64(128*(i%4) + i%3) }))
+	check("partial warp, 2-way", fill(7, func(i int) int64 { return int64(128*(i%2) + 4*(i/2)) }))
+	check("single lane", []int64{12})
+	check("conflict appears at the last lane", append(fill(31, func(i int) int64 { return int64(4 * i) }), 128))
+
+	r := rng.New(77)
+	for trial := 0; trial < 4000; trial++ {
+		n := 1 + r.Intn(warpSize)
+		banks, rows := 1+r.Intn(32), 1+r.Intn(6)
+		check("random", fill(n, func(int) int64 {
+			return int64(128*r.Intn(rows) + 4*r.Intn(banks) + r.Intn(4))
+		}))
+	}
+}
+
+// TestFaultingStoreStaysInsideDirtyMark is the regression test for a pooled
+// device coming back with stale bytes: a global store whose lane 0 lands high
+// in the arena and whose lane 1 faults must leave lane 0's bytes under the
+// dirty mark, so Release scrubs them and the next tenant gets an all-zero
+// arena. The threaded store loops used to mark only after the loop, which a
+// fault skips. Covers the micro-op stores (i64/i32/i8) and the closure store
+// (i1), full-warp and partial-warp masks, and the reference interpreter.
+func TestFaultingStoreStaysInsideDirtyMark(t *testing.T) {
+	const arena = 1 << 16
+	const hi = arena - 64
+	for _, tc := range []struct {
+		name string
+		val  ir.Operand
+	}{
+		{"i64", ir.ConstInt(ir.I64, -1)},
+		{"i32", ir.ConstInt(ir.I32, -1)},
+		{"i8", ir.ConstInt(ir.I8, -1)},
+		{"i1", ir.ConstBool(true)},
+	} {
+		b := ir.NewBuilder("faultstore_" + tc.name)
+		hiArg := b.Param("hi", ir.I64)
+		b.Block("entry")
+		lane0 := b.ICmp(ir.PredEQ, b.Special(ir.SpecialTID), b.I32(0))
+		b.Store(ir.SpaceGlobal, tc.val, b.Select(lane0, hiArg, b.I64(-1)))
+		b.Ret()
+		k := mustCompile(t, b.Finish())
+		for _, backend := range []Backend{BackendInterp, BackendThreaded} {
+			for _, block := range []int{3, warpSize} {
+				d := AcquireDeviceWithMem(P100, arena)
+				_, err := d.Launch(k, LaunchConfig{Grid: 1, Block: block, Backend: backend, Args: []uint64{hi}})
+				var fe *FaultError
+				if !errors.As(err, &fe) {
+					t.Fatalf("%s backend %v block %d: want a store fault, got %v", tc.name, backend, block, err)
+				}
+				if d.mem[hi] == 0 {
+					t.Fatalf("%s backend %v block %d: lane 0's store did not land before the fault", tc.name, backend, block)
+				}
+				d.Release()
+				// d.mem is now what the pool hands out; check it directly,
+				// since sync.Pool need not return this device next.
+				for i, v := range d.mem {
+					if v != 0 {
+						t.Fatalf("%s backend %v block %d: released arena has %#x at %d (dirty mark missed it)",
+							tc.name, backend, block, v, i)
+					}
+				}
+			}
+		}
 	}
 }
 

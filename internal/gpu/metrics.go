@@ -44,5 +44,6 @@ func sink() obs.Sink {
 	return nil
 }
 
-// moduleAttr renders a module key as a short stable identifier.
-func moduleAttr(key ModuleKey) string { return hex.EncodeToString(key[:6]) }
+// Short renders a module key as a short stable identifier, the form trace
+// events, spans and quarantine records carry.
+func (k ModuleKey) Short() string { return hex.EncodeToString(k[:6]) }

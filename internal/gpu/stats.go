@@ -17,6 +17,12 @@ type EvalStats struct {
 	Trace string
 	Span  string
 
+	// Module, when non-zero, is the content key of the module this
+	// evaluation runs — set by a caller that has already hashed it, and
+	// trusted by PrepareStats for that module only. The zero key means
+	// "not hashed yet": PrepareStats hashes for itself.
+	Module ModuleKey
+
 	// ProgramHits / ProgramMisses count program-cache outcomes; a miss is a
 	// verify+compile this evaluation paid for.
 	ProgramHits   int64

@@ -2020,7 +2020,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 						a := int64(src[l])
 						c.addrs[l] = a
 						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global store", UID: int(u.uid)}
+							return c.globalStoreFault(a, maxEnd, 8, int(u.uid))
 						}
 						binary.LittleEndian.PutUint64(mem[a:], vals[l])
 						if a > maxEnd {
@@ -2038,7 +2038,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					for i := 0; i < n; i++ {
 						a := c.addrs[i]
 						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global store", UID: int(u.uid)}
+							return c.globalStoreFault(a, maxEnd, 8, int(u.uid))
 						}
 						binary.LittleEndian.PutUint64(mem[a:], vals[c.lanes[i]])
 						if a > maxEnd {
@@ -2065,7 +2065,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 						a := int64(src[l])
 						c.addrs[l] = a
 						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global store", UID: int(u.uid)}
+							return c.globalStoreFault(a, maxEnd, 4, int(u.uid))
 						}
 						binary.LittleEndian.PutUint32(mem[a:], uint32(vals[l]))
 						if a > maxEnd {
@@ -2083,7 +2083,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					for i := 0; i < n; i++ {
 						a := c.addrs[i]
 						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global store", UID: int(u.uid)}
+							return c.globalStoreFault(a, maxEnd, 4, int(u.uid))
 						}
 						binary.LittleEndian.PutUint32(mem[a:], uint32(vals[c.lanes[i]]))
 						if a > maxEnd {
@@ -2110,7 +2110,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 						a := int64(src[l])
 						c.addrs[l] = a
 						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global store", UID: int(u.uid)}
+							return c.globalStoreFault(a, maxEnd, 1, int(u.uid))
 						}
 						mem[a] = byte(vals[l])
 						if a > maxEnd {
@@ -2128,7 +2128,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					for i := 0; i < n; i++ {
 						a := c.addrs[i]
 						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global store", UID: int(u.uid)}
+							return c.globalStoreFault(a, maxEnd, 1, int(u.uid))
 						}
 						mem[a] = byte(vals[c.lanes[i]])
 						if a > maxEnd {

@@ -86,6 +86,33 @@ func TestVerifyRejectsUseBeforeDef(t *testing.T) {
 	}
 }
 
+// TestVerifyUIDTables walks the edges of the UID-indexed tables: a UID at or
+// past NextUID, a negative one, a duplicate, and operands referring outside
+// the table or to a UID nothing carries must each fail cleanly, never index
+// out of range.
+func TestVerifyUIDTables(t *testing.T) {
+	firstArg := func(f *Function) *Operand { return &f.Blocks[0].Instrs[0].Args[0] }
+	for _, c := range []struct {
+		name   string
+		mutate func(f *Function)
+		want   string
+	}{
+		{"UID past NextUID", func(f *Function) { f.Blocks[0].Instrs[0].UID = f.NextUID }, ">= NextUID"},
+		{"negative UID", func(f *Function) { f.Blocks[0].Instrs[0].UID = -1 }, "negative UID"},
+		{"duplicate UID", func(f *Function) { f.Blocks[0].Instrs[1].UID = f.Blocks[0].Instrs[0].UID }, "duplicate UID"},
+		{"ref past the table", func(f *Function) { *firstArg(f) = Reg(f.NextUID+7, I32) }, "does not dominate"},
+		{"negative ref", func(f *Function) { *firstArg(f) = Reg(-3, I32) }, "does not dominate"},
+		{"ref to an unused UID", func(f *Function) { f.NextUID++; *firstArg(f) = Reg(f.NextUID-1, I32) }, "does not dominate"},
+	} {
+		f := buildSample()
+		c.mutate(f)
+		err := f.Verify()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Verify() = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 func TestVerifyRejectsTypeMismatch(t *testing.T) {
 	f := buildSample()
 	// Claim an i32 value is i1 in a branch condition.

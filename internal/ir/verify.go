@@ -32,8 +32,11 @@ func (f *Function) Verify() error {
 		return verifyErr("no blocks")
 	}
 	names := make(map[string]bool, len(f.Blocks))
-	uids := make(map[int]*Instr)
-	defPos := make(map[int]Pos)
+	// UIDs are dense below NextUID (checked below), so the per-UID tables are
+	// slices: defs[uid] is the instruction carrying the UID (nil = none),
+	// defPos[uid] its position when it produces a value.
+	defs := make([]*Instr, max(f.NextUID, 0))
+	defPos := make([]Pos, len(defs))
 	for _, b := range f.Blocks {
 		if b.Name == "" {
 			return verifyErr("unnamed block")
@@ -49,10 +52,13 @@ func (f *Function) Verify() error {
 			if in.UID >= f.NextUID {
 				return verifyErr("block %q: UID %d >= NextUID %d", b.Name, in.UID, f.NextUID)
 			}
-			if prev, dup := uids[in.UID]; dup {
+			if in.UID < 0 {
+				return verifyErr("block %q: negative UID %d", b.Name, in.UID)
+			}
+			if prev := defs[in.UID]; prev != nil {
 				return verifyErr("duplicate UID %d (%s and %s)", in.UID, prev.Op, in.Op)
 			}
-			uids[in.UID] = in
+			defs[in.UID] = in
 			if in.Typ != Void {
 				defPos[in.UID] = Pos{Block: b.Name, Index: i}
 			}
@@ -85,13 +91,13 @@ func (f *Function) Verify() error {
 		if o.Kind != OperInstr {
 			return true
 		}
-		def, ok := defPos[o.Ref]
-		if !ok {
+		if o.Ref < 0 || o.Ref >= len(defs) {
 			return false
 		}
-		if uids[o.Ref].Typ != o.Typ {
+		if d := defs[o.Ref]; d == nil || d.Typ == Void || d.Typ != o.Typ {
 			return false
 		}
+		def := defPos[o.Ref]
 		if def.Block == use.Block {
 			return def.Index < use.Index
 		}

@@ -1,6 +1,8 @@
 package island
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"path/filepath"
 	"reflect"
@@ -59,6 +61,32 @@ func sameResults(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// searchDigest hashes what a finished ring leaves behind: every deme's
+// serialized engine state (population, RNG position, history with lineage,
+// Evals, operator counters) and its last GenStats.
+func searchDigest(t *testing.T, s *Search) string {
+	t.Helper()
+	cp, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(struct {
+		Demes []*core.EngineState
+		Stats []core.GenStats
+	}{cp.Demes, s.DemeStats()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:12])
+}
+
+// ringGolden is searchDigest of ringConfig's search as the commit before
+// content-addressed evaluation produced it (PR 12, bdca9b1), on any worker
+// count: keying the shared pool by program instead of by genome moved no
+// deme's Evaluations, History, GenStats or snapshot by a byte.
+const ringGolden = "2909b074980e153b8b229db9"
+
 // TestIslandsDeterministic is the subsystem's acceptance test: a 4-deme
 // ring with a fixed seed produces bit-identical best genome and history
 // whether evaluations run on 1 worker or 8, and a mid-search checkpoint
@@ -73,6 +101,9 @@ func TestIslandsDeterministic(t *testing.T) {
 		res, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := searchDigest(t, s); got != ringGolden {
+			t.Errorf("%d workers: end-state digest = %s, want %s", workers, got, ringGolden)
 		}
 		return res
 	}
