@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -69,8 +68,6 @@ const (
 	// stepCtl signals the SIMT stack was modified (branch/ret); the driver
 	// re-reads the top entry.
 	stepCtl
-	// stepBarrier signals the warp parked at a barrier.
-	stepBarrier
 )
 
 // execFn executes one instruction under the entry's mask.
@@ -331,12 +328,6 @@ func fuseCmpBranches(k *Kernel) {
 // is a bug the differential backend test exists to catch.
 func lowerInstr(cb *cblock, in *cinstr) execFn {
 	switch in.op {
-	case ir.OpBarrier:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			e.pc++
-			w.waiting = true
-			return stepBarrier, nil
-		}
 	case ir.OpRet:
 		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
 			c.accountT(w, c.costs[costBranch], e.mask)
@@ -1593,31 +1584,10 @@ func lowerWarpPrim(in *cinstr) execFn {
 	}
 }
 
-// gatherAddrsT is gatherAddrs with the operand image passed in and a dense
-// fast path for converged warps.
-func (c *blockCtx) gatherAddrsT(src []uint64, mask uint32) int {
-	if mask == fullMask && len(src) >= warpSize {
-		src := src[:warpSize]
-		for l := 0; l < warpSize; l++ {
-			c.addrs[l] = int64(src[l])
-			c.lanes[l] = l
-		}
-		return warpSize
-	}
-	n := 0
-	for m := mask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m) & 31
-		c.addrs[n] = int64(src[lane])
-		c.lanes[n] = lane
-		n++
-	}
-	return n
-}
-
-// lowerLoad lowers a load with space and element type specialized (the
-// per-lane loadMem type switch runs at lowering time). In fast-replay mode
-// (see uniform.go) the cost model is skipped: the launch's cycle count is
-// already known and only the functional effect is needed.
+// lowerLoad lowers a load of a type the micro-ops do not cover (i1; every
+// wider load is a uLoad*). In fast-replay mode (see uniform.go) the cost
+// model is skipped: the launch's cycle count is already known and only the
+// functional effect is needed.
 func lowerLoad(in *cinstr) execFn {
 	ra := in.args[0].ebase
 	dst := int(in.dst) * warpSize
@@ -1628,166 +1598,77 @@ func lowerLoad(in *cinstr) execFn {
 	if shared {
 		opName = "shared load"
 	}
-	var read func(mem []byte, a int64) uint64
-	switch t {
-	case ir.I64, ir.F64:
-		read = func(mem []byte, a int64) uint64 { return binary.LittleEndian.Uint64(mem[a:]) }
-	case ir.I32:
-		read = func(mem []byte, a int64) uint64 {
-			return uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-		}
-	case ir.I8:
-		read = func(mem []byte, a int64) uint64 { return uint64(int64(int8(mem[a]))) }
-	default:
-		read = func(mem []byte, a int64) uint64 { return loadMem(mem, t, a) }
-	}
 	size := int64(t.Size())
 	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
 		mask := e.mask
-		var mem []byte
+		mem := c.d.mem
 		if shared {
 			mem = c.shared
-		} else {
-			mem = c.d.mem
 		}
 		hi := int64(len(mem)) - size
-		var n int
 		src := lanesAt(w, ra)
-		if mask == fullMask && len(src) >= warpSize {
-			// Converged warp: load lanes directly, recording addresses for
-			// the cost model only when this launch is being timed.
-			src := src[:warpSize]
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if c.fast {
-				for l := 0; l < warpSize; l++ {
-					a := int64(src[l])
-					if a < 0 || a > hi {
-						return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
-					}
-					dl[l] = read(mem, a)
-				}
-				return stepNext, nil
+		n := c.gatherAddrs(src, mask)
+		for i := 0; i < n; i++ {
+			a := c.addrs[i]
+			if a < 0 || a > hi {
+				return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
 			}
-			for l := 0; l < warpSize; l++ {
-				a := int64(src[l])
-				c.addrs[l] = a
-				if a < 0 || a > hi {
-					return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
-				}
-				dl[l] = read(mem, a)
-			}
-			n = warpSize
-		} else {
-			n = c.gatherAddrsT(src, mask)
-			for i := 0; i < n; i++ {
-				a := c.addrs[i]
-				if a < 0 || a > hi {
-					return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
-				}
-				w.regs[dst+c.lanes[i]] = read(mem, a)
-			}
-			if c.fast {
-				return stepNext, nil
-			}
+			w.regs[dst+c.lanes[i]] = loadMem(mem, t, a)
 		}
+		if c.fast {
+			return stepNext, nil
+		}
+		shape := shapeOf(src, mask, shared)
 		if shared {
-			c.accountT(w, c.sharedCost(n)+c.memPenalty(w), mask)
+			c.accountT(w, c.sharedCost(n, shape)+c.memPenalty(w), mask)
 		} else {
-			c.accountT(w, c.globalCost(n)+c.memPenalty(w), mask)
+			c.accountT(w, c.globalCost(n, shape)+c.memPenalty(w), mask)
 		}
 		return stepNext, nil
 	}
 }
 
-// lowerStore lowers a store with space and element type specialized.
+// lowerStore lowers a store of a type the micro-ops do not cover (i1).
 func lowerStore(in *cinstr) execFn {
 	rv := in.args[0].ebase
 	ra := in.args[1].ebase
 	t := in.args[0].typ
 	uid := int(in.uid)
 	shared := in.space == ir.SpaceShared
-	opName := "global store"
-	if shared {
-		opName = "shared store"
-	}
-	var write func(mem []byte, a int64, v uint64)
-	switch t {
-	case ir.I64, ir.F64:
-		write = func(mem []byte, a int64, v uint64) { binary.LittleEndian.PutUint64(mem[a:], v) }
-	case ir.I32:
-		write = func(mem []byte, a int64, v uint64) { binary.LittleEndian.PutUint32(mem[a:], uint32(v)) }
-	case ir.I8:
-		write = func(mem []byte, a int64, v uint64) { mem[a] = byte(v) }
-	default:
-		write = func(mem []byte, a int64, v uint64) { storeMem(mem, t, a, v) }
-	}
 	size := int64(t.Size())
 	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
 		mask := e.mask
-		var mem []byte
+		mem := c.d.mem
 		if shared {
 			mem = c.shared
-		} else {
-			mem = c.d.mem
 		}
 		hi := int64(len(mem)) - size
 		vals := lanesAt(w, rv)
-		var n int
-		var maxEnd int64 = -1
 		src := lanesAt(w, ra)
-		if mask == fullMask && len(src) >= warpSize && len(vals) >= warpSize {
-			src, vals := src[:warpSize], vals[:warpSize]
-			if c.fast && shared {
-				for l := 0; l < warpSize; l++ {
-					a := int64(src[l])
-					if a < 0 || a > hi {
-						return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
-					}
-					write(mem, a, vals[l])
+		var maxEnd int64 = -1
+		n := c.gatherAddrs(src, mask)
+		for i := 0; i < n; i++ {
+			a := c.addrs[i]
+			if a < 0 || a > hi {
+				if !shared {
+					return stepNext, c.globalStoreFault(a, maxEnd, size, uid)
 				}
-				return stepNext, nil
+				return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: uid}
 			}
-			for l := 0; l < warpSize; l++ {
-				a := int64(src[l])
-				c.addrs[l] = a
-				if a < 0 || a > hi {
-					if !shared {
-						return stepNext, c.globalStoreFault(a, maxEnd, size, uid)
-					}
-					return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
-				}
-				write(mem, a, vals[l])
-				if a > maxEnd {
-					maxEnd = a
-				}
-			}
-			n = warpSize
-		} else {
-			n = c.gatherAddrsT(src, mask)
-			for i := 0; i < n; i++ {
-				a := c.addrs[i]
-				if a < 0 || a > hi {
-					if !shared {
-						return stepNext, c.globalStoreFault(a, maxEnd, size, uid)
-					}
-					return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
-				}
-				write(mem, a, vals[c.lanes[i]])
-				if a > maxEnd {
-					maxEnd = a
-				}
-			}
+			storeMem(mem, t, a, vals[c.lanes[i]])
+			maxEnd = max(maxEnd, a)
 		}
-		if !shared && maxEnd >= 0 {
+		if !shared {
 			c.d.touch(maxEnd + size)
 		}
 		if c.fast {
 			return stepNext, nil
 		}
+		shape := shapeOf(src, mask, shared)
 		if shared {
-			c.accountT(w, c.sharedCost(n), mask)
+			c.accountT(w, c.sharedCost(n, shape), mask)
 		} else {
-			c.accountT(w, c.globalCost(n), mask)
+			c.accountT(w, c.globalCost(n, shape), mask)
 		}
 		return stepNext, nil
 	}
@@ -1810,7 +1691,7 @@ func lowerAtomic(in *cinstr) execFn {
 	uid := int(in.uid)
 	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
 		mask := e.mask
-		n := c.gatherAddrsT(lanesAt(w, ra), mask)
+		n := c.gatherAddrs(lanesAt(w, ra), mask)
 		arg1 := lanesAt(w, r1)
 		var arg2 []uint64
 		if op == ir.OpAtomicCAS {

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -485,5 +486,140 @@ func TestVerifyKernelCatchesCorruption(t *testing.T) {
 				t.Fatalf("verifier reported %q, want mention of %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// buildBarrierLoop is the ADEPT-V0 bottleneck in miniature, with the barrier
+// in the three places the solo-warp release has to get right: as the
+// kernel's very first micro-op (the warp's cycle count is still zero), in a
+// loop behind a same-word store, and under a diverged stack entry.
+func buildBarrierLoop() *ir.Function {
+	b := ir.NewBuilder("barrier_loop")
+	out := b.Param("out", ir.I64)
+	sh := b.SharedArray("sh", 64, 4)
+	b.Block("entry")
+	b.Barrier()
+	tid := b.Special(ir.SpecialTID)
+	b.Br("loop")
+	b.Block("loop")
+	i := b.Phi(ir.I32)
+	b.Store(ir.SpaceShared, i.Result(), b.SharedAddr(sh, b.I32(0), 4))
+	b.Barrier()
+	v := b.Load(ir.I32, ir.SpaceShared, b.SharedAddr(sh, b.I32(0), 4))
+	odd := b.ICmp(ir.PredNE, b.And(tid, b.I32(1)), b.I32(0))
+	b.CondBr(odd, "oddside", "latch")
+	b.Block("oddside")
+	b.Barrier()
+	b.Store(ir.SpaceShared, b.Add(v, tid), b.SharedAddr(sh, tid, 4))
+	b.Br("latch")
+	b.Block("latch")
+	i1 := b.Add(i.Result(), b.I32(1))
+	b.CondBr(b.ICmp(ir.PredLT, i1, b.I32(5)), "loop", "exit")
+	b.AddIncoming(i, "entry", b.I32(0))
+	b.AddIncoming(i, "latch", i1)
+	b.Block("exit")
+	b.Store(ir.SpaceGlobal, b.Load(ir.I32, ir.SpaceShared, b.SharedAddr(sh, tid, 4)), b.GlobalIdx(out, tid, 4))
+	b.Ret()
+	return b.Finish()
+}
+
+// barrierRun is what one launch of buildBarrierLoop leaves behind.
+type barrierRun struct {
+	res      *Result
+	err      error
+	budget   int64
+	mem      []byte
+	shared   []byte
+	releases int
+}
+
+func runBarrierLoop(t *testing.T, k *Kernel, backend Backend, block int, maxDyn int64) barrierRun {
+	t.Helper()
+	d := NewDeviceWithMem(P100, 1<<12)
+	out, err := d.Alloc(4 * 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r barrierRun
+	testBarrierRelease = func() { r.releases++ }
+	defer func() { testBarrierRelease = nil }()
+	r.res, r.err = d.Launch(k, LaunchConfig{Grid: 2, Block: block, Backend: backend, MaxDynInstr: maxDyn, Args: []uint64{uint64(out)}})
+	r.budget = *d.launch.ctx.budget
+	r.mem = append([]byte(nil), d.mem...)
+	r.shared = append([]byte(nil), d.launch.shared...)
+	return r
+}
+
+// TestSoloWarpBarrier pins the in-place barrier release of a one-warp block
+// to the scheduler's park-and-release: same cycles bit for bit, same dynamic
+// instruction count, same global and shared bytes as the reference
+// interpreter (which always parks), for a full and a ragged single warp —
+// and checks the shortcut is taken exactly when the block has one warp.
+func TestSoloWarpBarrier(t *testing.T) {
+	k := mustCompile(t, buildBarrierLoop())
+	for _, block := range []int{32, 20, 64, 40} {
+		want := runBarrierLoop(t, k, BackendInterp, block, 0)
+		got := runBarrierLoop(t, k, BackendThreaded, block, 0)
+		if want.err != nil || got.err != nil {
+			t.Fatalf("block %d: interp %v, threaded %v", block, want.err, got.err)
+		}
+		if got.res.Cycles != want.res.Cycles || got.res.DynInstrs != want.res.DynInstrs {
+			t.Errorf("block %d: threaded %v cycles / %d instrs, interp %v / %d",
+				block, got.res.Cycles, got.res.DynInstrs, want.res.Cycles, want.res.DynInstrs)
+		}
+		if !bytes.Equal(got.mem, want.mem) || !bytes.Equal(got.shared, want.shared) {
+			t.Errorf("block %d: memory images differ", block)
+		}
+		if want.releases == 0 {
+			t.Fatalf("block %d: the interpreter released no barrier; the kernel is not testing anything", block)
+		}
+		if solo := block <= warpSize; solo && got.releases != 0 {
+			t.Errorf("block %d: one warp, yet the scheduler released %d barriers", block, got.releases)
+		} else if !solo && got.releases != want.releases {
+			t.Errorf("block %d: %d barrier releases threaded, %d interpreted", block, got.releases, want.releases)
+		}
+	}
+}
+
+// TestBudgetWrittenBackOnEveryExit sweeps the dynamic-instruction budget over
+// every value up to what buildBarrierLoop needs, so the timeout lands on every
+// micro-op in turn — plain, fused, behind a barrier park, behind an in-place
+// release — and a normal finish closes the sweep. The driver keeps the budget
+// in a local and writes it back by hand on each exit; one forgotten exit would
+// hand the next warp or block a stale count, and the launch would stop on
+// another instruction than the reference interpreter's. (The memory-op fault
+// exit is pinned by TestCollectiveShapesKeepFaultsAndBytes.)
+func TestBudgetWrittenBackOnEveryExit(t *testing.T) {
+	k := mustCompile(t, buildBarrierLoop())
+	for _, block := range []int{32, 64} {
+		full := runBarrierLoop(t, k, BackendInterp, block, 0)
+		if full.err != nil {
+			t.Fatal(full.err)
+		}
+		finished := 0
+		for maxDyn := int64(1); maxDyn <= full.res.DynInstrs+2; maxDyn++ {
+			want := runBarrierLoop(t, k, BackendInterp, block, maxDyn)
+			got := runBarrierLoop(t, k, BackendThreaded, block, maxDyn)
+			var wt, gt *TimeoutError
+			if errors.As(want.err, &wt) != errors.As(got.err, &gt) || (want.err == nil) != (got.err == nil) {
+				t.Fatalf("block %d budget %d: interp %v, threaded %v", block, maxDyn, want.err, got.err)
+			}
+			if got.budget != want.budget {
+				t.Errorf("block %d budget %d: %d left threaded, %d interpreted", block, maxDyn, got.budget, want.budget)
+			}
+			if !bytes.Equal(got.mem, want.mem) || !bytes.Equal(got.shared, want.shared) {
+				t.Errorf("block %d budget %d: memory images differ", block, maxDyn)
+			}
+			if want.err == nil {
+				finished++
+				if got.res.DynInstrs != want.res.DynInstrs || got.res.Cycles != want.res.Cycles {
+					t.Errorf("block %d budget %d: threaded %v cycles / %d instrs, interp %v / %d",
+						block, maxDyn, got.res.Cycles, got.res.DynInstrs, want.res.Cycles, want.res.DynInstrs)
+				}
+			}
+		}
+		if finished == 0 {
+			t.Errorf("block %d: no budget in the sweep let the kernel finish", block)
+		}
 	}
 }

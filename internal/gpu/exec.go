@@ -631,7 +631,9 @@ func (c *blockCtx) execInstr(w *warp, e *simtEntry, in *cinstr) error {
 func (c *blockCtx) execLoad(w *warp, e *simtEntry, in *cinstr) error {
 	mask := e.mask
 	dst := int(in.dst) * warpSize
-	n := c.gatherAddrs(w, &in.args[0], mask)
+	src := c.argLanes(w, &in.args[0])
+	n := c.gatherAddrs(src, mask)
+	shape := shapeOf(src, mask, in.space == ir.SpaceShared)
 	if in.space == ir.SpaceShared {
 		size := int64(in.typ.Size())
 		for i := 0; i < n; i++ {
@@ -641,7 +643,7 @@ func (c *blockCtx) execLoad(w *warp, e *simtEntry, in *cinstr) error {
 			}
 			w.regs[dst+c.lanes[i]] = loadMem(c.shared, in.typ, a)
 		}
-		c.account(w, in, c.sharedCost(n)+c.memPenalty(w), mask)
+		c.account(w, in, c.sharedCost(n, shape)+c.memPenalty(w), mask)
 		if c.prof != nil {
 			c.prof.recordMem(in.uid, int64(n), int64(c.sharedReplays(n)))
 		}
@@ -654,7 +656,7 @@ func (c *blockCtx) execLoad(w *warp, e *simtEntry, in *cinstr) error {
 		}
 		w.regs[dst+c.lanes[i]] = v
 	}
-	c.account(w, in, c.globalCost(n)+c.memPenalty(w), mask)
+	c.account(w, in, c.globalCost(n, shape)+c.memPenalty(w), mask)
 	if c.prof != nil {
 		c.prof.recordMem(in.uid, int64(n), int64(c.globalSegs(n)))
 	}
@@ -664,7 +666,9 @@ func (c *blockCtx) execLoad(w *warp, e *simtEntry, in *cinstr) error {
 func (c *blockCtx) execStore(w *warp, e *simtEntry, in *cinstr) error {
 	mask := e.mask
 	valArg := &in.args[0]
-	n := c.gatherAddrs(w, &in.args[1], mask)
+	src := c.argLanes(w, &in.args[1])
+	n := c.gatherAddrs(src, mask)
+	shape := shapeOf(src, mask, in.space == ir.SpaceShared)
 	vals := c.argLanes(w, valArg)
 	t := valArg.typ
 	if in.space == ir.SpaceShared {
@@ -676,7 +680,7 @@ func (c *blockCtx) execStore(w *warp, e *simtEntry, in *cinstr) error {
 			}
 			storeMem(c.shared, t, a, vals[c.lanes[i]])
 		}
-		c.account(w, in, c.sharedCost(n), mask)
+		c.account(w, in, c.sharedCost(n, shape), mask)
 		if c.prof != nil {
 			c.prof.recordMem(in.uid, int64(n), int64(c.sharedReplays(n)))
 		}
@@ -687,7 +691,7 @@ func (c *blockCtx) execStore(w *warp, e *simtEntry, in *cinstr) error {
 			return &FaultError{Kernel: c.k.Name, Addr: c.addrs[i], Op: "global store", UID: int(in.uid)}
 		}
 	}
-	c.account(w, in, c.globalCost(n), mask)
+	c.account(w, in, c.globalCost(n, shape), mask)
 	if c.prof != nil {
 		c.prof.recordMem(in.uid, int64(n), int64(c.globalSegs(n)))
 	}
@@ -709,7 +713,7 @@ func (c *blockCtx) globalStoreFault(a, maxEnd, size int64, uid int) error {
 
 func (c *blockCtx) execAtomic(w *warp, e *simtEntry, in *cinstr) error {
 	mask := e.mask
-	n := c.gatherAddrs(w, &in.args[0], mask)
+	n := c.gatherAddrs(c.argLanes(w, &in.args[0]), mask)
 	arg1 := c.argLanes(w, &in.args[1])
 	var arg2 []uint64
 	if in.op == ir.OpAtomicCAS {
@@ -766,13 +770,21 @@ func (c *blockCtx) execAtomic(w *warp, e *simtEntry, in *cinstr) error {
 	return nil
 }
 
-// gatherAddrs collects the addresses of active lanes into c.addrs/c.lanes
-// and returns the count.
-func (c *blockCtx) gatherAddrs(w *warp, addrArg *carg, mask uint32) int {
-	src := c.argLanes(w, addrArg)
+// gatherAddrs collects the addresses src holds for the active lanes into
+// c.addrs/c.lanes and returns the count, with a dense path for converged
+// warps.
+func (c *blockCtx) gatherAddrs(src []uint64, mask uint32) int {
+	if mask == fullMask && len(src) >= warpSize {
+		src := src[:warpSize]
+		for l := 0; l < warpSize; l++ {
+			c.addrs[l] = int64(src[l])
+			c.lanes[l] = l
+		}
+		return warpSize
+	}
 	n := 0
 	for m := mask; m != 0; m &= m - 1 {
-		lane := bits.TrailingZeros32(m)
+		lane := bits.TrailingZeros32(m) & 31
 		c.addrs[n] = int64(src[lane])
 		c.lanes[n] = lane
 		n++
@@ -780,11 +792,63 @@ func (c *blockCtx) gatherAddrs(w *warp, addrArg *carg, mask uint32) int {
 	return n
 }
 
+// addrShape is what a warp's memory access does as one, read off the active
+// lanes' addresses before the per-lane loop runs. Both backends classify with
+// shapeOf and charge through sharedCost/globalCost, so a collective shape
+// costs the same float in each by construction.
+type addrShape uint8
+
+const (
+	// shapeOther is every access the two rules below do not claim; its cost
+	// comes from walking the gathered addresses (sharedReplays, globalSegs).
+	shapeOther addrShape = iota
+	// shapeBroadcast: every active lane holds one address. One word in one
+	// bank, so no bank sees two distinct words; one 128-byte segment.
+	shapeBroadcast
+	// shapeUnitStride: active lane l is on 4-byte word w0+l. Thirty-two
+	// consecutive words fall in thirty-two different banks, so again no bank
+	// sees two distinct words — which is exactly when sharedReplays returns 1.
+	shapeUnitStride
+)
+
+// shapeOf classifies the addresses src holds for the lanes in mask (not
+// empty). wantUnit asks for the unit-stride rule too; only the shared-memory
+// charge can use it. Each rule gives up at the first lane that breaks it, so
+// an access of neither shape pays for a lane or two.
+func shapeOf(src []uint64, mask uint32, wantUnit bool) addrShape {
+	first := bits.TrailingZeros32(mask) & 31
+	rest := mask & (mask - 1)
+	a0 := src[first]
+	m := rest
+	for m != 0 && src[bits.TrailingZeros32(m)&31] == a0 {
+		m &= m - 1
+	}
+	if m == 0 {
+		return shapeBroadcast
+	}
+	if !wantUnit {
+		return shapeOther
+	}
+	w0 := int64(a0)>>2 - int64(first)
+	for m = rest; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m) & 31
+		if int64(src[l])>>2-int64(l) != w0 {
+			return shapeOther
+		}
+	}
+	return shapeUnitStride
+}
+
 // sharedCost models shared-memory bank conflicts: 32 banks of 4-byte words;
 // lanes hitting distinct words in the same bank serialize into replays.
-// Lanes hitting the same word broadcast (no replay).
-func (c *blockCtx) sharedCost(n int) float64 {
-	r := c.sharedReplays(n)
+// Lanes hitting the same word broadcast (no replay). A collective shape is
+// conflict-free without looking; any other is counted from the n gathered
+// addresses.
+func (c *blockCtx) sharedCost(n int, shape addrShape) float64 {
+	r := 1
+	if shape == shapeOther {
+		r = c.sharedReplays(n)
+	}
 	if r == 1 {
 		return c.arch.SharedLatency
 	}
@@ -848,9 +912,14 @@ func (c *blockCtx) sharedReplaysSlow(n int) int {
 }
 
 // globalCost models coalescing: the warp pays for the number of distinct
-// 128-byte segments its active lanes touch.
-func (c *blockCtx) globalCost(n int) float64 {
-	return c.arch.GlobalLatency + float64(c.globalSegs(n)-1)*c.arch.GlobalTxCost
+// 128-byte segments its active lanes touch — one for a broadcast, counted
+// from the n gathered addresses otherwise.
+func (c *blockCtx) globalCost(n int, shape addrShape) float64 {
+	segs := 1
+	if shape != shapeBroadcast {
+		segs = c.globalSegs(n)
+	}
+	return c.arch.GlobalLatency + float64(segs-1)*c.arch.GlobalTxCost
 }
 
 // globalSegs counts the distinct 128-byte segments the gathered access

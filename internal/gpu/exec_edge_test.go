@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -454,5 +455,333 @@ func TestLaunchValidation(t *testing.T) {
 	}
 	if _, err := d.Launch(k, LaunchConfig{Grid: 1, Block: 32, Args: []uint64{1}}); err == nil {
 		t.Error("wrong arg count should fail")
+	}
+}
+
+// memOpCase is one memory micro-op of the collective-shape table: a load or
+// a store of one width in one space.
+type memOpCase struct {
+	name   string
+	store  bool
+	space  ir.MemSpace
+	typ    ir.Type
+	stored ir.Operand // store only: a per-lane distinct value is built from it
+}
+
+// buildMemOpKernel builds the probe for one memory micro-op. Every lane first
+// fills a 256-byte shared array; the lanes whose bit is set in the mask
+// parameter then fetch their own address from a 32-entry table in global
+// memory and apply the op to it (a load's result, plus the one four lanes up,
+// goes to out[tid]). The
+// addresses are data, so any shape — and any fault — can be dialled in from
+// the host, and the lanes' stored values are all different, so the image says
+// which lane wrote last.
+func buildMemOpKernel(tc memOpCase) *ir.Function {
+	b := ir.NewBuilder("memop_" + tc.name)
+	tab := b.Param("tab", ir.I64)
+	out := b.Param("out", ir.I64)
+	mask := b.Param("mask", ir.I64)
+	sh := b.SharedArray("sh", 64, 4)
+	b.Block("entry")
+	tid := b.Special(ir.SpecialTID)
+	fill := b.Add(b.Mul(tid, b.I32(0x01010101)), b.I32(0x10))
+	b.Store(ir.SpaceShared, fill, b.SharedAddr(sh, tid, 4))
+	b.Store(ir.SpaceShared, b.Xor(fill, b.I32(-1)), b.SharedAddr(sh, b.Add(tid, b.I32(32)), 4))
+	on := b.ICmp(ir.PredNE, b.And(b.AShr(mask, b.ToI64(tid)), b.I64(1)), b.I64(0))
+	b.CondBr(on, "body", "exit")
+	b.Block("body")
+	addr := b.Load(ir.I64, ir.SpaceGlobal, b.GlobalIdx(tab, tid, 8))
+	if tc.store {
+		v := b.Mul(b.Add(b.ToI64(tid), b.I64(1)), b.I64(0x0102030405060708))
+		switch tc.typ {
+		case ir.I32, ir.I8:
+			b.Store(tc.space, b.Trunc(tc.typ, v), addr)
+		default:
+			b.Store(tc.space, v, addr)
+		}
+	} else {
+		// The shfl reads lanes the mask may have switched off: a load that
+		// wrote their registers too would show here.
+		v := b.Load(tc.typ, tc.space, addr)
+		b.Store(ir.SpaceGlobal, b.Add(v, b.Shfl(v, b.Add(tid, b.I32(4)))), b.GlobalIdx(out, tid, 8))
+	}
+	b.Br("exit")
+	b.Block("exit")
+	b.Ret()
+	return b.Finish()
+}
+
+// memOpOutcome is everything a backend leaves behind after the probe.
+type memOpOutcome struct {
+	err     error
+	cycles  uint64 // the warp's cycle counter, also after a fault
+	budget  int64
+	dirtyHi int64
+	mem     []byte
+	shared  []byte
+}
+
+// TestCollectiveShapesKeepFaultsAndBytes pins the warp-collective memory
+// paths to the per-lane reference on everything a caller or a later launch
+// can see: for every memory micro-op, under a full, a partial and a
+// single-lane mask, over broadcast, unit-stride and general address vectors
+// with and without out-of-range lanes, both backends must return the same
+// error (Addr, Op, UID), leave the same cycle count and budget, the same
+// global and shared bytes — a fault stops the warp after the lanes below it
+// have written — and the same dirty mark, under which Release must find every
+// byte (the check of TestFaultingStoreStaysInsideDirtyMark).
+func TestCollectiveShapesKeepFaultsAndBytes(t *testing.T) {
+	const arena = 1 << 14
+	const sharedBytes = 256
+	var ops []memOpCase
+	for _, sp := range []ir.MemSpace{ir.SpaceGlobal, ir.SpaceShared} {
+		for _, ty := range []ir.Type{ir.I64, ir.I32, ir.I8} {
+			ops = append(ops,
+				memOpCase{name: "load_" + sp.String() + "_" + ty.String(), space: sp, typ: ty},
+				memOpCase{name: "store_" + sp.String() + "_" + ty.String(), store: true, space: sp, typ: ty})
+		}
+	}
+	masks := []struct {
+		name string
+		bits uint32
+	}{{"full", fullMask}, {"partial", 0x00F0F0F0}, {"single", 1 << 9}}
+
+	// A pattern maps a lane to its address, given the lowest, a middle and
+	// the highest active lane, the base of the in-range region and the
+	// highest address at which the access still fits.
+	type env struct{ lo, mid, last, base, hi int64 }
+	r := rng.New(41)
+	const (
+		either = iota
+		faults
+		lands
+	)
+	patterns := []struct {
+		name    string
+		outcome int
+		addr    func(l int64, e env) int64
+	}{
+		{"broadcast", lands, func(l int64, e env) int64 { return e.base + 8 }},
+		{"broadcast unaligned", lands, func(l int64, e env) int64 { return e.base + 5 }},
+		{"broadcast below range", faults, func(l int64, e env) int64 { return -8 }},
+		{"broadcast above range", faults, func(l int64, e env) int64 { return e.hi + 1 }},
+		{"unit stride", lands, func(l int64, e env) int64 { return e.base + 4*l }},
+		{"unit stride, first active lane below range", faults, func(l int64, e env) int64 { return 4*(l-e.lo) - 4 }},
+		{"unit stride, above range from a middle lane on", faults, func(l int64, e env) int64 { return e.hi + 4 + 4*(l-e.mid) }},
+		{"unit stride, last active lane above range", faults, func(l int64, e env) int64 { return e.hi + 4 + 4*(l-e.last) }},
+		{"unit stride but one lane poked out", faults, func(l int64, e env) int64 {
+			if l == e.mid {
+				return -1
+			}
+			return e.base + 4*l
+		}},
+		{"broadcast but the last lane elsewhere", lands, func(l int64, e env) int64 {
+			if l == e.last {
+				return e.base + 64
+			}
+			return e.base + 8
+		}},
+		{"stride of two words", lands, func(l int64, e env) int64 { return e.base + 8*l }},
+		{"reversed unit stride", lands, func(l int64, e env) int64 { return e.base + 4*(31-l) }},
+		{"random in range", lands, func(l int64, e env) int64 { return e.base + int64(r.Intn(sharedBytes-8)) }},
+		{"random, some out of range", either, func(l int64, e env) int64 {
+			if r.Intn(8) == 0 {
+				return e.hi + 1 + int64(r.Intn(64))
+			}
+			return e.base + int64(r.Intn(sharedBytes-8))
+		}},
+	}
+
+	run := func(k *Kernel, backend Backend, mask uint32, addrs []int64) memOpOutcome {
+		d := AcquireDeviceWithMem(P100, arena)
+		tab, _ := d.Alloc(8 * warpSize)
+		out, _ := d.Alloc(8 * warpSize)
+		data, _ := d.Alloc(sharedBytes)
+		fill := make([]byte, sharedBytes)
+		for i := range fill {
+			fill[i] = byte(0xA0 + i%89)
+		}
+		if err := d.WriteBytes(data, fill); err != nil {
+			t.Fatal(err)
+		}
+		raw := make([]byte, 8*warpSize)
+		for l, a := range addrs {
+			for i := 0; i < 8; i++ {
+				raw[8*l+i] = byte(uint64(a) >> (8 * i))
+			}
+		}
+		if err := d.WriteBytes(tab, raw); err != nil {
+			t.Fatal(err)
+		}
+		_, err := d.Launch(k, LaunchConfig{
+			Grid: 1, Block: warpSize, Backend: backend,
+			Args: []uint64{uint64(tab), uint64(out), uint64(mask)},
+		})
+		o := memOpOutcome{
+			err:     err,
+			cycles:  math.Float64bits(d.launch.warps[0].cycles),
+			budget:  *d.launch.ctx.budget,
+			dirtyHi: d.dirtyHi,
+			mem:     append([]byte(nil), d.mem...),
+			shared:  append([]byte(nil), d.launch.shared...),
+		}
+		d.Release()
+		for i, v := range d.mem {
+			if v != 0 {
+				t.Fatalf("%s backend %v: released arena has %#x at %d (dirty mark %d missed it)", k.Name, backend, v, i, o.dirtyHi)
+			}
+		}
+		return o
+	}
+
+	for _, op := range ops {
+		k := mustCompile(t, buildMemOpKernel(op))
+		width := int64(op.typ.Size())
+		for _, m := range masks {
+			var active []int64
+			for l := int64(0); l < warpSize; l++ {
+				if m.bits>>l&1 != 0 {
+					active = append(active, l)
+				}
+			}
+			for _, p := range patterns {
+				// The in-range region of a shared op is the array itself; a
+				// global load's is the data buffer (the third allocation) and
+				// a global store's lies above everything the host wrote, so
+				// that the dirty mark is the kernel's doing.
+				e := env{lo: active[0], mid: active[len(active)/2], last: active[len(active)-1]}
+				switch {
+				case op.space == ir.SpaceShared:
+					e.base, e.hi = 0, sharedBytes-width
+				case op.store:
+					e.base, e.hi = arena/2, arena-width
+				default:
+					e.base, e.hi = 2*256, arena-width
+				}
+				addrs := make([]int64, warpSize)
+				for l := range addrs {
+					addrs[l] = p.addr(int64(l), e)
+				}
+				want := run(k, BackendInterp, m.bits, addrs)
+				got := run(k, BackendThreaded, m.bits, addrs)
+				label := op.name + "/" + m.name + "/" + p.name
+
+				var wf, gf *FaultError
+				switch {
+				case errors.As(want.err, &wf) != errors.As(got.err, &gf) || (want.err == nil) != (got.err == nil):
+					t.Fatalf("%s: interp error %v, threaded error %v", label, want.err, got.err)
+				case wf != nil && *wf != *gf:
+					t.Errorf("%s: interp fault %+v, threaded fault %+v", label, *wf, *gf)
+				}
+				if p.outcome != either && (p.outcome == faults) != (wf != nil) {
+					t.Errorf("%s: error %v, but the pattern %s", label, want.err, [...]string{faults: "faults", lands: "lands"}[p.outcome])
+				}
+				if op.store && p.name == "broadcast" {
+					// Ascending lane order: the highest active lane's value
+					// is the one a same-address store leaves behind.
+					image := want.shared
+					if op.space == ir.SpaceGlobal {
+						image = want.mem
+					}
+					v := uint64(e.last+1) * 0x0102030405060708
+					for i := int64(0); i < width; i++ {
+						if image[e.base+8+i] != byte(v>>(8*i)) {
+							t.Errorf("%s: byte %d of the broadcast store is %#x, the last active lane stored %#x", label, i, image[e.base+8+i], byte(v>>(8*i)))
+						}
+					}
+				}
+				if got.cycles != want.cycles {
+					t.Errorf("%s: warp cycles %x (threaded) != %x (interp)", label, got.cycles, want.cycles)
+				}
+				if got.budget != want.budget {
+					t.Errorf("%s: budget left %d (threaded) != %d (interp)", label, got.budget, want.budget)
+				}
+				if got.dirtyHi != want.dirtyHi {
+					t.Errorf("%s: dirty mark %d (threaded) != %d (interp)", label, got.dirtyHi, want.dirtyHi)
+				}
+				if !bytes.Equal(got.mem, want.mem) {
+					t.Errorf("%s: global memory images differ", label)
+				}
+				if !bytes.Equal(got.shared, want.shared) {
+					t.Errorf("%s: shared memory images differ", label)
+				}
+			}
+		}
+	}
+}
+
+// TestCollectiveShapesChargeWhatTheWalkWould pins the two shortcuts in
+// sharedCost and globalCost to the models they skip: whenever shapeOf names a
+// collective shape, the pairwise bank model must call the access
+// conflict-free, and a broadcast must touch one 128-byte segment — so the
+// charge is the float the address walk would have produced. Adversarial
+// vectors first, then random ones of every occupancy, many of them one lane
+// away from a collective shape.
+func TestCollectiveShapesChargeWhatTheWalkWould(t *testing.T) {
+	seen := map[addrShape]int{}
+	check := func(label string, src [warpSize]uint64, mask uint32) {
+		t.Helper()
+		var c blockCtx
+		n := c.gatherAddrs(src[:], mask)
+		shape := shapeOf(src[:], mask, true)
+		seen[shape]++
+		if got := shapeOf(src[:], mask, false); got != shape && !(shape == shapeUnitStride && got == shapeOther) {
+			t.Errorf("%s: shape %d without the unit-stride rule, %d with it", label, got, shape)
+		}
+		if shape != shapeOther {
+			if r := sharedReplaysQuadratic(c.addrs[:n]); r != 1 {
+				t.Errorf("%s: shape %d, but the pairwise model counts %d replays (mask %#x, addrs %v)", label, shape, r, mask, c.addrs[:n])
+			}
+		}
+		if shape == shapeBroadcast {
+			if segs := c.globalSegs(n); segs != 1 {
+				t.Errorf("%s: broadcast touching %d segments (addrs %v)", label, segs, c.addrs[:n])
+			}
+		}
+	}
+	vec := func(f func(l int) int64) (v [warpSize]uint64) {
+		for l := range v {
+			v[l] = uint64(f(l))
+		}
+		return v
+	}
+	for _, mask := range []uint32{fullMask, 0x00F0F0F0, 1 << 9, 1<<31 | 1, 0xFFFF0000} {
+		check("broadcast", vec(func(int) int64 { return 72 }), mask)
+		check("broadcast, unaligned", vec(func(int) int64 { return 127 }), mask)
+		check("one word, different bytes", vec(func(l int) int64 { return int64(64 + l%4) }), mask)
+		check("unit stride", vec(func(l int) int64 { return int64(4 * l) }), mask)
+		check("unit stride off a bank boundary", vec(func(l int) int64 { return int64(52 + 4*l) }), mask)
+		check("unit stride, unaligned", vec(func(l int) int64 { return int64(3 + 4*l) }), mask)
+		check("unit stride from below zero", vec(func(l int) int64 { return int64(4*l - 20) }), mask)
+		check("stride of two words", vec(func(l int) int64 { return int64(8 * l) }), mask)
+		check("bytes", vec(func(l int) int64 { return int64(l) }), mask)
+		check("reversed", vec(func(l int) int64 { return int64(4 * (31 - l)) }), mask)
+		check("one bank", vec(func(l int) int64 { return int64(128 * l) }), mask)
+	}
+	if shapeOf(make([]uint64, warpSize), fullMask, true) != shapeBroadcast ||
+		shapeOf(laneLanes[:], fullMask, true) != shapeOther {
+		t.Error("shapeOf misreads the all-zero or the byte-stride vector")
+	}
+
+	r := rng.New(99)
+	for trial := 0; trial < 20000; trial++ {
+		mask := uint32(r.Uint64())
+		if r.Intn(4) == 0 {
+			mask = fullMask
+		}
+		if mask == 0 {
+			continue
+		}
+		base, stride := int64(r.Intn(512)-64), int64([]int{0, 4, 4, 8, 1}[r.Intn(5)])
+		v := vec(func(l int) int64 { return base + stride*int64(l) })
+		if r.Intn(2) == 0 {
+			v[r.Intn(warpSize)] += uint64(int64(r.Intn(9) - 4))
+		}
+		check("random", v, mask)
+	}
+	for _, s := range []addrShape{shapeOther, shapeBroadcast, shapeUnitStride} {
+		if seen[s] < 1000 {
+			t.Errorf("shape %d classified only %d times: the table is not exercising it", s, seen[s])
+		}
 	}
 }

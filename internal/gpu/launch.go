@@ -267,6 +267,10 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	return res, nil
 }
 
+// testBarrierRelease, when a test sets it, is called once per barrier release
+// pass of runBlock's scheduler loop.
+var testBarrierRelease func()
+
 // runBlock executes one thread block to completion and returns its cycle
 // count (the max across its warps, with barrier phases aligned).
 func (c *blockCtx) runBlock(blockID int32) (float64, error) {
@@ -309,6 +313,27 @@ func (c *blockCtx) runBlock(blockID int32) (float64, error) {
 		}
 	}
 
+	if c.threaded && len(c.warps) == 1 {
+		// A block's only warp has nobody to wait for: each time the driver
+		// comes back parked, release it on the spot. The scan below would
+		// align it to the slowest parked warp — itself — at max(0, cycles),
+		// and cycles are never negative, so this is the same float. A
+		// multi-warp block cannot be released by its last arriver like this:
+		// that would run the warps between barriers in another order, which
+		// a racy mutant can observe.
+		w := c.warps[0]
+		for {
+			if err := c.runWarpU(w); err != nil {
+				return 0, err
+			}
+			if w.done {
+				return w.cycles, nil
+			}
+			w.cycles += c.arch.BarrierCost
+			w.waiting = false
+		}
+	}
+
 	for {
 		ran := false
 		for _, w := range c.warps {
@@ -346,6 +371,9 @@ func (c *blockCtx) runBlock(blockID int32) (float64, error) {
 		if anyWaiting {
 			// Barrier release: all parked warps align to the slowest and
 			// pay the barrier cost (Section VI-C's bottleneck mechanism).
+			if testBarrierRelease != nil {
+				testBarrierRelease()
+			}
 			for _, w := range c.warps {
 				if w.waiting {
 					w.cycles = maxWaiting + c.arch.BarrierCost

@@ -13,9 +13,10 @@ import (
 // one jump-table switch over a contiguous []uop array, keeping the budget,
 // register file and active mask in locals across instructions — no closure
 // call, no operand-kind resolution and no per-lane type switch remain for
-// the hot set. Shapes outside it keep their specialized closure from
-// dispatch.go (uEscape): the switch is purely an accelerator with
-// identical semantics.
+// the hot set — except the twelve memory micro-ops, which the switch hands to
+// loadU/storeU at the end of this file. Shapes outside the hot set keep their
+// specialized closure from dispatch.go (uEscape): the switch is purely an
+// accelerator with identical semantics.
 
 type uopCode uint8
 
@@ -298,20 +299,26 @@ func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 // runWarpU executes the warp through the uop jump table, falling back to
 // the escape closures for shapes outside the hot set. It is the threaded
 // backend's driver; semantics mirror runWarp instruction for instruction.
-// (Generated-style expansion: every case keeps the dense full-warp loop
-// next to the masked bit-iteration loop.)
+// (Generated-style expansion: every ALU case keeps the dense full-warp loop
+// next to the masked bit-iteration loop; the memory micro-ops live in
+// loadU/storeU, below.)
+//
+// The budget lives in a local for the whole run and is written back by hand
+// on each of the few exits: a deferred write-back would make it a by-reference
+// capture, in memory for every instruction.
 func (c *blockCtx) runWarpU(w *warp) error {
 	bud := *c.budget
-	defer func() { *c.budget = bud }()
 	regs := w.regs
 	costs := &c.costs
 	arch := c.arch
 	for {
 		if len(w.stack) == 0 {
 			w.done = true
+			*c.budget = bud
 			return nil
 		}
 		if len(w.stack) > maxStackDepth {
+			*c.budget = bud
 			return &ExecError{Kernel: c.k.Name, Msg: "SIMT stack overflow (malformed control flow)"}
 		}
 		ei := len(w.stack) - 1
@@ -333,11 +340,12 @@ func (c *blockCtx) runWarpU(w *warp) error {
 	straight:
 		for {
 			if int(pc) >= len(uops) {
+				*c.budget = bud
 				return &ExecError{Kernel: c.k.Name, Msg: "fell off block " + blk.name}
 			}
 			bud--
 			if bud <= 0 {
-				return &TimeoutError{Kernel: c.k.Name}
+				goto timeout
 			}
 			u := &uops[pc]
 			switch u.code {
@@ -345,16 +353,13 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				e.pc = pc
 				st, err := blk.fns[pc](c, w, e)
 				if err != nil {
+					*c.budget = bud
 					return err
-				}
-				if st == stepNext {
-					pc++
-					continue
 				}
 				if st == stepCtl {
 					break straight
 				}
-				return nil // stepBarrier: closure advanced e.pc and parked
+				pc++
 			case uMulAdd64:
 				s1, s2, s3 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize], regs[u.s3:u.s3+warpSize]
 				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
@@ -372,7 +377,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				w.cycles += costs[u.cls2] + skew
 				pc += 2
@@ -382,6 +387,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			case uBarrier:
 				e.pc = pc + 1
 				w.waiting = true
+				*c.budget = bud
 				return nil
 			case uRet:
 				w.cycles += costs[costBranch] + skew
@@ -1351,7 +1357,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1387,7 +1393,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1423,7 +1429,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1459,7 +1465,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1495,7 +1501,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1531,7 +1537,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1567,7 +1573,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1603,7 +1609,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1639,7 +1645,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1675,7 +1681,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1711,7 +1717,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1747,7 +1753,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				bud--
 				if bud <= 0 {
-					return &TimeoutError{Kernel: c.k.Name}
+					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1762,484 +1768,304 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
 				}
 				break straight
-			case uLoadG8:
-				mem := c.d.mem
-				hi := int64(len(mem)) - 8
-				src := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					src := src[:warpSize]
-					if c.fast {
-						for l := 0; l < warpSize; l++ {
-							a := int64(src[l])
-							if a < 0 || a > hi {
-								return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-							}
-							dl[l] = binary.LittleEndian.Uint64(mem[a:])
-						}
-						pc++
-						continue
-					}
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-						}
-						dl[l] = binary.LittleEndian.Uint64(mem[a:])
-					}
-					w.cycles += c.globalCost(warpSize) + c.memPenalty(w) + skew
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-						}
-						dl[c.lanes[i]] = binary.LittleEndian.Uint64(mem[a:])
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(n) + c.memPenalty(w) + skew
-					}
+			case uLoadG8, uLoadG4, uLoadG1, uLoadS8, uLoadS4, uLoadS1:
+				if err := c.loadU(w, u, mask, skew); err != nil {
+					*c.budget = bud
+					return err
 				}
 				pc++
-			case uLoadG4:
-				mem := c.d.mem
-				hi := int64(len(mem)) - 4
-				src := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					src := src[:warpSize]
-					if c.fast {
-						for l := 0; l < warpSize; l++ {
-							a := int64(src[l])
-							if a < 0 || a > hi {
-								return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-							}
-							dl[l] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-						}
-						pc++
-						continue
-					}
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-						}
-						dl[l] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-					}
-					w.cycles += c.globalCost(warpSize) + c.memPenalty(w) + skew
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-						}
-						dl[c.lanes[i]] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(n) + c.memPenalty(w) + skew
-					}
-				}
-				pc++
-			case uLoadG1:
-				mem := c.d.mem
-				hi := int64(len(mem)) - 1
-				src := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					src := src[:warpSize]
-					if c.fast {
-						for l := 0; l < warpSize; l++ {
-							a := int64(src[l])
-							if a < 0 || a > hi {
-								return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-							}
-							dl[l] = uint64(int64(int8(mem[a])))
-						}
-						pc++
-						continue
-					}
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-						}
-						dl[l] = uint64(int64(int8(mem[a])))
-					}
-					w.cycles += c.globalCost(warpSize) + c.memPenalty(w) + skew
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "global load", UID: int(u.uid)}
-						}
-						dl[c.lanes[i]] = uint64(int64(int8(mem[a])))
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(n) + c.memPenalty(w) + skew
-					}
-				}
-				pc++
-			case uLoadS8:
-				mem := c.shared
-				hi := int64(len(mem)) - 8
-				src := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					src := src[:warpSize]
-					if c.fast {
-						for l := 0; l < warpSize; l++ {
-							a := int64(src[l])
-							if a < 0 || a > hi {
-								return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-							}
-							dl[l] = binary.LittleEndian.Uint64(mem[a:])
-						}
-						pc++
-						continue
-					}
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-						}
-						dl[l] = binary.LittleEndian.Uint64(mem[a:])
-					}
-					w.cycles += c.sharedCost(warpSize) + c.memPenalty(w) + skew
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-						}
-						dl[c.lanes[i]] = binary.LittleEndian.Uint64(mem[a:])
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(n) + c.memPenalty(w) + skew
-					}
-				}
-				pc++
-			case uLoadS4:
-				mem := c.shared
-				hi := int64(len(mem)) - 4
-				src := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					src := src[:warpSize]
-					if c.fast {
-						for l := 0; l < warpSize; l++ {
-							a := int64(src[l])
-							if a < 0 || a > hi {
-								return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-							}
-							dl[l] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-						}
-						pc++
-						continue
-					}
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-						}
-						dl[l] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-					}
-					w.cycles += c.sharedCost(warpSize) + c.memPenalty(w) + skew
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-						}
-						dl[c.lanes[i]] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(n) + c.memPenalty(w) + skew
-					}
-				}
-				pc++
-			case uLoadS1:
-				mem := c.shared
-				hi := int64(len(mem)) - 1
-				src := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					src := src[:warpSize]
-					if c.fast {
-						for l := 0; l < warpSize; l++ {
-							a := int64(src[l])
-							if a < 0 || a > hi {
-								return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-							}
-							dl[l] = uint64(int64(int8(mem[a])))
-						}
-						pc++
-						continue
-					}
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-						}
-						dl[l] = uint64(int64(int8(mem[a])))
-					}
-					w.cycles += c.sharedCost(warpSize) + c.memPenalty(w) + skew
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared load", UID: int(u.uid)}
-						}
-						dl[c.lanes[i]] = uint64(int64(int8(mem[a])))
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(n) + c.memPenalty(w) + skew
-					}
-				}
-				pc++
-			case uStoreG8:
-				mem := c.d.mem
-				hi := int64(len(mem)) - 8
-				vals := regs[u.s1 : u.s1+warpSize]
-				src := regs[u.s2 : u.s2+warpSize]
-				var maxEnd int64 = -1
-				if mask == fullMask {
-					src, vals := src[:warpSize], vals[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return c.globalStoreFault(a, maxEnd, 8, int(u.uid))
-						}
-						binary.LittleEndian.PutUint64(mem[a:], vals[l])
-						if a > maxEnd {
-							maxEnd = a
-						}
-					}
-					if maxEnd >= 0 {
-						c.d.touch(maxEnd + 8)
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(warpSize) + skew
-					}
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return c.globalStoreFault(a, maxEnd, 8, int(u.uid))
-						}
-						binary.LittleEndian.PutUint64(mem[a:], vals[c.lanes[i]])
-						if a > maxEnd {
-							maxEnd = a
-						}
-					}
-					if maxEnd >= 0 {
-						c.d.touch(maxEnd + 8)
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(n) + skew
-					}
-				}
-				pc++
-			case uStoreG4:
-				mem := c.d.mem
-				hi := int64(len(mem)) - 4
-				vals := regs[u.s1 : u.s1+warpSize]
-				src := regs[u.s2 : u.s2+warpSize]
-				var maxEnd int64 = -1
-				if mask == fullMask {
-					src, vals := src[:warpSize], vals[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return c.globalStoreFault(a, maxEnd, 4, int(u.uid))
-						}
-						binary.LittleEndian.PutUint32(mem[a:], uint32(vals[l]))
-						if a > maxEnd {
-							maxEnd = a
-						}
-					}
-					if maxEnd >= 0 {
-						c.d.touch(maxEnd + 4)
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(warpSize) + skew
-					}
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return c.globalStoreFault(a, maxEnd, 4, int(u.uid))
-						}
-						binary.LittleEndian.PutUint32(mem[a:], uint32(vals[c.lanes[i]]))
-						if a > maxEnd {
-							maxEnd = a
-						}
-					}
-					if maxEnd >= 0 {
-						c.d.touch(maxEnd + 4)
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(n) + skew
-					}
-				}
-				pc++
-			case uStoreG1:
-				mem := c.d.mem
-				hi := int64(len(mem)) - 1
-				vals := regs[u.s1 : u.s1+warpSize]
-				src := regs[u.s2 : u.s2+warpSize]
-				var maxEnd int64 = -1
-				if mask == fullMask {
-					src, vals := src[:warpSize], vals[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return c.globalStoreFault(a, maxEnd, 1, int(u.uid))
-						}
-						mem[a] = byte(vals[l])
-						if a > maxEnd {
-							maxEnd = a
-						}
-					}
-					if maxEnd >= 0 {
-						c.d.touch(maxEnd + 1)
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(warpSize) + skew
-					}
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return c.globalStoreFault(a, maxEnd, 1, int(u.uid))
-						}
-						mem[a] = byte(vals[c.lanes[i]])
-						if a > maxEnd {
-							maxEnd = a
-						}
-					}
-					if maxEnd >= 0 {
-						c.d.touch(maxEnd + 1)
-					}
-					if !c.fast {
-						w.cycles += c.globalCost(n) + skew
-					}
-				}
-				pc++
-			case uStoreS8:
-				mem := c.shared
-				hi := int64(len(mem)) - 8
-				vals := regs[u.s1 : u.s1+warpSize]
-				src := regs[u.s2 : u.s2+warpSize]
-				if mask == fullMask {
-					src, vals := src[:warpSize], vals[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: int(u.uid)}
-						}
-						binary.LittleEndian.PutUint64(mem[a:], vals[l])
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(warpSize) + skew
-					}
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: int(u.uid)}
-						}
-						binary.LittleEndian.PutUint64(mem[a:], vals[c.lanes[i]])
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(n) + skew
-					}
-				}
-				pc++
-			case uStoreS4:
-				mem := c.shared
-				hi := int64(len(mem)) - 4
-				vals := regs[u.s1 : u.s1+warpSize]
-				src := regs[u.s2 : u.s2+warpSize]
-				if mask == fullMask {
-					src, vals := src[:warpSize], vals[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: int(u.uid)}
-						}
-						binary.LittleEndian.PutUint32(mem[a:], uint32(vals[l]))
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(warpSize) + skew
-					}
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: int(u.uid)}
-						}
-						binary.LittleEndian.PutUint32(mem[a:], uint32(vals[c.lanes[i]]))
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(n) + skew
-					}
-				}
-				pc++
-			case uStoreS1:
-				mem := c.shared
-				hi := int64(len(mem)) - 1
-				vals := regs[u.s1 : u.s1+warpSize]
-				src := regs[u.s2 : u.s2+warpSize]
-				if mask == fullMask {
-					src, vals := src[:warpSize], vals[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						a := int64(src[l])
-						c.addrs[l] = a
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: int(u.uid)}
-						}
-						mem[a] = byte(vals[l])
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(warpSize) + skew
-					}
-				} else {
-					n := c.gatherAddrsT(src, mask)
-					for i := 0; i < n; i++ {
-						a := c.addrs[i]
-						if a < 0 || a > hi {
-							return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: int(u.uid)}
-						}
-						mem[a] = byte(vals[c.lanes[i]])
-					}
-					if !c.fast {
-						w.cycles += c.sharedCost(n) + skew
-					}
+			case uStoreG8, uStoreG4, uStoreG1, uStoreS8, uStoreS4, uStoreS1:
+				if err := c.storeU(w, u, mask, skew); err != nil {
+					*c.budget = bud
+					return err
 				}
 				pc++
 			}
 		}
 	}
+timeout:
+	*c.budget = bud
+	return &TimeoutError{Kernel: c.k.Name}
+}
+
+// The twelve memory micro-ops, uLoad{G,S}{8,4,1} and uStore{G,S}{8,4,1}.
+// They live outside runWarpU because the compiler treats a function of that
+// size as "big" and inlines only trivial callees into it: a
+// binary.LittleEndian accessor in the driver is a real call per lane, here it
+// is one move (scripts/check_inlining.sh holds that in CI).
+//
+// Both first ask shapeOf what the warp is doing as one. A broadcast is one
+// access: one bounds check — every lane would fault, so the lowest active
+// one does, on that address, before anything is written — and one read that
+// fills the lanes, or one write of the value that survives ascending-lane
+// order, the highest active lane's. Every other shape runs the per-lane
+// loop, where lane order decides which bytes land before a fault and which
+// fault is reported; the loop records the addresses for the cost helpers,
+// which is all that reads c.addrs afterwards (a broadcast leaves it stale,
+// and its charge never looks). In a memoized replay (c.fast) the loops are
+// the same and only the charge is skipped.
+
+// loadU executes one load micro-op under mask and charges it.
+func (c *blockCtx) loadU(w *warp, u *uop, mask uint32, skew float64) error {
+	k := u.code - uLoadG8
+	shared := k >= uLoadS8-uLoadG8
+	mem := c.d.mem
+	if shared {
+		mem = c.shared
+		k -= uLoadS8 - uLoadG8
+	}
+	src := w.regs[u.s1 : u.s1+warpSize]
+	dl := w.regs[u.d : u.d+warpSize : u.d+warpSize]
+	shape := shapeOf(src, mask, shared && !c.fast)
+	n := 0
+	switch {
+	case shape == shapeBroadcast:
+		a := int64(src[bits.TrailingZeros32(mask)&31])
+		var v uint64
+		switch {
+		case a < 0 || a > int64(len(mem))-memWidth[k]:
+			return c.loadFault(a, shared, u)
+		case k == 0:
+			v = binary.LittleEndian.Uint64(mem[a:])
+		case k == 1:
+			v = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
+		default:
+			v = uint64(int64(int8(mem[a])))
+		}
+		for m := mask; m != 0; m &= m - 1 {
+			dl[bits.TrailingZeros32(m)&31] = v
+		}
+	case k == 0:
+		hi := int64(len(mem)) - 8
+		if mask == fullMask {
+			src := src[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				a := int64(src[l])
+				c.addrs[l] = a
+				if a < 0 || a > hi {
+					return c.loadFault(a, shared, u)
+				}
+				dl[l] = binary.LittleEndian.Uint64(mem[a:])
+			}
+			n = warpSize
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				a := int64(src[l])
+				c.addrs[n&31] = a
+				n++
+				if a < 0 || a > hi {
+					return c.loadFault(a, shared, u)
+				}
+				dl[l] = binary.LittleEndian.Uint64(mem[a:])
+			}
+		}
+	case k == 1:
+		hi := int64(len(mem)) - 4
+		if mask == fullMask {
+			src := src[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				a := int64(src[l])
+				c.addrs[l] = a
+				if a < 0 || a > hi {
+					return c.loadFault(a, shared, u)
+				}
+				dl[l] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
+			}
+			n = warpSize
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				a := int64(src[l])
+				c.addrs[n&31] = a
+				n++
+				if a < 0 || a > hi {
+					return c.loadFault(a, shared, u)
+				}
+				dl[l] = uint64(int64(int32(binary.LittleEndian.Uint32(mem[a:]))))
+			}
+		}
+	default:
+		hi := int64(len(mem)) - 1
+		if mask == fullMask {
+			src := src[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				a := int64(src[l])
+				c.addrs[l] = a
+				if a < 0 || a > hi {
+					return c.loadFault(a, shared, u)
+				}
+				dl[l] = uint64(int64(int8(mem[a])))
+			}
+			n = warpSize
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				a := int64(src[l])
+				c.addrs[n&31] = a
+				n++
+				if a < 0 || a > hi {
+					return c.loadFault(a, shared, u)
+				}
+				dl[l] = uint64(int64(int8(mem[a])))
+			}
+		}
+	}
+	if c.fast {
+		return nil
+	}
+	if shared {
+		w.cycles += c.sharedCost(n, shape) + c.memPenalty(w) + skew
+	} else {
+		w.cycles += c.globalCost(n, shape) + c.memPenalty(w) + skew
+	}
+	return nil
+}
+
+// memWidth is the access width in bytes by micro-op position within its
+// space ({8, 4, 1}, the order of the uLoad*/uStore* codes).
+var memWidth = [3]int64{8, 4, 1}
+
+func (c *blockCtx) loadFault(a int64, shared bool, u *uop) error {
+	op := "global load"
+	if shared {
+		op = "shared load"
+	}
+	return &FaultError{Kernel: c.k.Name, Addr: a, Op: op, UID: int(u.uid)}
+}
+
+// storeU executes one store micro-op under mask and charges it. A global
+// store marks the arena dirty up to its highest written byte once, after the
+// loop or on the way out of a fault (see globalStoreFault).
+func (c *blockCtx) storeU(w *warp, u *uop, mask uint32, skew float64) error {
+	k := u.code - uStoreG8
+	shared := k >= uStoreS8-uStoreG8
+	mem := c.d.mem
+	if shared {
+		mem = c.shared
+		k -= uStoreS8 - uStoreG8
+	}
+	vals := w.regs[u.s1 : u.s1+warpSize]
+	src := w.regs[u.s2 : u.s2+warpSize]
+	shape := shapeOf(src, mask, shared && !c.fast)
+	n := 0
+	var maxEnd int64 = -1
+	switch {
+	case shape == shapeBroadcast:
+		a := int64(src[bits.TrailingZeros32(mask)&31])
+		v := vals[(31-bits.LeadingZeros32(mask))&31]
+		switch {
+		case a < 0 || a > int64(len(mem))-memWidth[k]:
+			return c.storeFault(a, maxEnd, shared, k, u)
+		case k == 0:
+			binary.LittleEndian.PutUint64(mem[a:], v)
+		case k == 1:
+			binary.LittleEndian.PutUint32(mem[a:], uint32(v))
+		default:
+			mem[a] = byte(v)
+		}
+		maxEnd = a
+	case k == 0:
+		hi := int64(len(mem)) - 8
+		if mask == fullMask {
+			src, vals := src[:warpSize], vals[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				a := int64(src[l])
+				c.addrs[l] = a
+				if a < 0 || a > hi {
+					return c.storeFault(a, maxEnd, shared, k, u)
+				}
+				binary.LittleEndian.PutUint64(mem[a:], vals[l])
+				maxEnd = max(maxEnd, a)
+			}
+			n = warpSize
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				a := int64(src[l])
+				c.addrs[n&31] = a
+				n++
+				if a < 0 || a > hi {
+					return c.storeFault(a, maxEnd, shared, k, u)
+				}
+				binary.LittleEndian.PutUint64(mem[a:], vals[l])
+				maxEnd = max(maxEnd, a)
+			}
+		}
+	case k == 1:
+		hi := int64(len(mem)) - 4
+		if mask == fullMask {
+			src, vals := src[:warpSize], vals[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				a := int64(src[l])
+				c.addrs[l] = a
+				if a < 0 || a > hi {
+					return c.storeFault(a, maxEnd, shared, k, u)
+				}
+				binary.LittleEndian.PutUint32(mem[a:], uint32(vals[l]))
+				maxEnd = max(maxEnd, a)
+			}
+			n = warpSize
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				a := int64(src[l])
+				c.addrs[n&31] = a
+				n++
+				if a < 0 || a > hi {
+					return c.storeFault(a, maxEnd, shared, k, u)
+				}
+				binary.LittleEndian.PutUint32(mem[a:], uint32(vals[l]))
+				maxEnd = max(maxEnd, a)
+			}
+		}
+	default:
+		hi := int64(len(mem)) - 1
+		if mask == fullMask {
+			src, vals := src[:warpSize], vals[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				a := int64(src[l])
+				c.addrs[l] = a
+				if a < 0 || a > hi {
+					return c.storeFault(a, maxEnd, shared, k, u)
+				}
+				mem[a] = byte(vals[l])
+				maxEnd = max(maxEnd, a)
+			}
+			n = warpSize
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				a := int64(src[l])
+				c.addrs[n&31] = a
+				n++
+				if a < 0 || a > hi {
+					return c.storeFault(a, maxEnd, shared, k, u)
+				}
+				mem[a] = byte(vals[l])
+				maxEnd = max(maxEnd, a)
+			}
+		}
+	}
+	if !shared {
+		c.d.touch(maxEnd + memWidth[k])
+	}
+	if c.fast {
+		return nil
+	}
+	if shared {
+		w.cycles += c.sharedCost(n, shape) + skew
+	} else {
+		w.cycles += c.globalCost(n, shape) + skew
+	}
+	return nil
+}
+
+// storeFault builds the fault for a store whose lane at address a is out of
+// range; a global one first records what the warp's earlier lanes wrote.
+func (c *blockCtx) storeFault(a, maxEnd int64, shared bool, k uopCode, u *uop) error {
+	if !shared {
+		return c.globalStoreFault(a, maxEnd, memWidth[k], int(u.uid))
+	}
+	return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: int(u.uid)}
 }
