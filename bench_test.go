@@ -230,13 +230,13 @@ func BenchmarkSimulator_SIMCoVStep_Interp(b *testing.B) {
 	}
 }
 
-// BenchmarkKernels_Compile measures the module compile (mutation -> PTX
-// analog) path that runs once per distinct variant.
+// BenchmarkKernels_Compile measures the cold hash+verify+compile (mutation
+// -> PTX analog) path that runs once per distinct variant.
 func BenchmarkKernels_Compile(b *testing.B) {
 	m := kernels.ADEPTModule(kernels.ADEPTV1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gpu.CompileAll(m); err != nil {
+		if _, err := gpu.NewProgramCache().Prepare(m); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -121,6 +121,10 @@ func appendGenomeKey(genome []Edit) []byte {
 // are skipped without error; semantically broken results are left for the
 // verifier and the fitness evaluation to reject, mirroring GEVO mutants that
 // fail to compile or fail their test cases.
+//
+// "In place" means the module's block lists: instructions may be shared with
+// the base module (see Variant), so an edit that changes one installs an
+// edited copy and never writes through the pointer it found.
 func (e Edit) Apply(m *ir.Module) bool {
 	f := m.Func(e.Func)
 	if f == nil {
@@ -139,9 +143,11 @@ func (e Edit) Apply(m *ir.Module) bool {
 			if keep < 0 || keep >= len(target.Succs) {
 				keep = 0
 			}
-			target.Op = ir.OpBr
-			target.Args = nil
-			target.Succs = []string{target.Succs[keep]}
+			br := *target
+			br.Op = ir.OpBr
+			br.Args = nil
+			br.Succs = []string{target.Succs[keep]}
+			f.BlockByName(pos.Block).Instrs[pos.Index] = &br
 			return true
 		}
 		if target.Op.IsTerminator() {
@@ -204,7 +210,10 @@ func (e Edit) Apply(m *ir.Module) bool {
 		if e.Slot < 0 || e.Slot >= len(target.Args) {
 			return false
 		}
-		target.Args[e.Slot] = e.NewOperand
+		cp := *target
+		cp.Args = append([]ir.Operand(nil), target.Args...)
+		cp.Args[e.Slot] = e.NewOperand
+		f.BlockByName(pos.Block).Instrs[pos.Index] = &cp
 		return true
 	}
 	return false
@@ -222,9 +231,14 @@ func ApplyAll(m *ir.Module, genome []Edit) int {
 	return n
 }
 
-// Variant clones the base module and applies the genome.
+// Variant applies the genome to a copy-on-write copy of the base module. The
+// cost is proportional to the genome, not to the module: the result has its
+// own block lists but shares every instruction no edit changed with base, so
+// it must be treated like base itself — read, hashed, compiled, edited
+// further through Apply, never written through an *ir.Instr. Callers that
+// want to patch instructions by hand start from base.Clone() instead.
 func Variant(base *ir.Module, genome []Edit) *ir.Module {
-	m := base.Clone()
+	m := base.Share()
 	ApplyAll(m, genome)
 	return m
 }

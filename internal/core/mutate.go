@@ -141,9 +141,11 @@ func RandomEdit(m *ir.Module, r *rng.R) (Edit, bool) {
 // constant pool — GEVO's "replace the operands between instructions".
 func operandCandidates(f *ir.Function, t ir.Type) []ir.Operand {
 	var out []ir.Operand
-	for _, in := range f.Instructions() {
-		if in.Typ == t {
-			out = append(out, ir.Reg(in.UID, t))
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Typ == t {
+				out = append(out, ir.Reg(in.UID, t))
+			}
 		}
 	}
 	for i, pt := range f.Params {

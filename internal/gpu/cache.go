@@ -3,7 +3,9 @@ package gpu
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"strconv"
 	"sync"
+	"time"
 
 	"gevo/internal/ir"
 	"gevo/internal/obs"
@@ -203,27 +205,68 @@ func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, erro
 	if s != nil {
 		s.Emit(obs.Event{Type: "gpu.compile.begin", Attrs: compileAttrs(key, st)})
 	}
-	if err := m.Verify(); err != nil {
-		e.err = err
-	} else if ks, err := CompileAll(m); err != nil {
-		e.err = err
-	} else {
-		e.prog = &Program{Kernels: ks}
-		if verifyCompiled.Load() {
-			if verr := VerifyProgram(e.prog); verr != nil {
-				e.prog, e.err = nil, verr
-			}
-		}
-	}
+	var stages stageTimes
+	e.prog, stages, e.err = build(m, s != nil)
 	if s != nil {
 		ok := "1"
 		if e.err != nil {
 			ok = "0"
 		}
-		s.Emit(obs.Event{Type: "gpu.compile.end", Attrs: append(compileAttrs(key, st), obs.A("ok", ok))})
+		s.Emit(obs.Event{Type: "gpu.compile.end", Attrs: append(compileAttrs(key, st), obs.A("ok", ok),
+			obs.A("verify_us", micros(stages.verify)),
+			obs.A("lower_us", micros(stages.lower)),
+			obs.A("finalize_us", micros(stages.finalize)))})
 	}
 	close(e.done)
 	return e.prog, e.err
+}
+
+// stageTimes splits one build's wall time by stage for the gpu.compile.end
+// event: verification (with the CFG analysis), lowering to decoded
+// instructions, and finalization (slot layout, threaded code, taint).
+type stageTimes struct {
+	verify, lower, finalize time.Duration
+}
+
+func micros(d time.Duration) string { return strconv.FormatInt(d.Microseconds(), 10) }
+
+// build verifies and compiles every kernel of the module. Each function's
+// CFG is analysed once, by the verifier, and handed to the compiler. The
+// clock is read only when timed is set (a sink is attached), so an untraced
+// run pays nothing for the stage account.
+func build(m *ir.Module, timed bool) (*Program, stageTimes, error) {
+	var stages stageTimes
+	lap := func(*time.Duration) {}
+	if timed {
+		last := time.Now() //gevo:allow stage times go to the trace sink only; no result reads them
+		lap = func(d *time.Duration) {
+			now := time.Now() //gevo:allow stage times go to the trace sink only; no result reads them
+			*d += now.Sub(last)
+			last = now
+		}
+	}
+	cfgs, err := m.Analyze()
+	lap(&stages.verify)
+	if err != nil {
+		return nil, stages, err
+	}
+	prog := &Program{Kernels: make(map[string]*Kernel, len(m.Funcs))}
+	for i, f := range m.Funcs {
+		k, err := lowerFunction(f, cfgs[i])
+		lap(&stages.lower)
+		if err != nil {
+			return nil, stages, err
+		}
+		finalizeKernel(k)
+		lap(&stages.finalize)
+		prog.Kernels[f.Name] = k
+	}
+	if verifyCompiled.Load() {
+		if err := VerifyProgram(prog); err != nil {
+			return nil, stages, err
+		}
+	}
+	return prog, stages, nil
 }
 
 // compileAttrs builds the compile event payload: the module identity, plus

@@ -1,10 +1,14 @@
 package gpu
 
 import (
+	"encoding/json"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
 	"gevo/internal/ir"
+	"gevo/internal/obs"
 )
 
 func vecAddModule() *ir.Module {
@@ -33,6 +37,67 @@ func TestHashModuleContentAddressed(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCompileEventCarriesStageTimes: with a sink attached, gpu.compile.end
+// splits the build into verify, lower and finalize, and the trace export's
+// gpu.compile slice shows the split in its args — "which stage of prepare
+// regressed" is answerable from a shipped trace.
+func TestCompileEventCarriesStageTimes(t *testing.T) {
+	c := obs.NewCollector(obs.NewRegistry(), 64)
+	SetSink(c)
+	defer SetSink(nil)
+	if _, err := NewProgramCache().Prepare(vecAddModule()); err != nil {
+		t.Fatal(err)
+	}
+	SetSink(nil)
+
+	stages := []string{"verify_us", "lower_us", "finalize_us"}
+	var end *obs.Record
+	for _, rec := range c.Records() {
+		if rec.Type == "gpu.compile.end" {
+			end = &rec
+		}
+	}
+	if end == nil {
+		t.Fatal("no gpu.compile.end event")
+	}
+	have := map[string]string{}
+	for _, a := range end.Attrs {
+		have[a.K] = a.V
+	}
+	for _, k := range stages {
+		if us, err := strconv.ParseInt(have[k], 10, 64); err != nil || us < 0 {
+			t.Errorf("gpu.compile.end attr %s = %q, want a non-negative integer", k, have[k])
+		}
+	}
+
+	var trace strings.Builder
+	if err := c.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	var evs []struct {
+		Name string            `json:"name"`
+		Args map[string]string `json:"args"`
+	}
+	if err := json.Unmarshal([]byte(trace.String()), &evs); err != nil {
+		t.Fatal(err)
+	}
+	slices := 0
+	for _, ev := range evs {
+		if ev.Name != "gpu.compile" {
+			continue
+		}
+		slices++
+		for _, k := range stages {
+			if ev.Args[k] != have[k] {
+				t.Errorf("gpu.compile slice arg %s = %q, event has %q", k, ev.Args[k], have[k])
+			}
+		}
+	}
+	if slices != 1 {
+		t.Errorf("%d gpu.compile slices in the trace, want 1", slices)
 	}
 }
 

@@ -16,7 +16,7 @@ type Kernel struct {
 	SharedBytes int
 	blocks      []cblock
 	nslots      int
-	src         *ir.Function
+	nextUID     int // the source function's NextUID: bounds the UIDs a profile sees
 	// constLanes backs the pre-broadcast lane images of constant operands:
 	// 32 identical words per distinct constant value (see carg.pre).
 	constLanes []uint64
@@ -216,38 +216,42 @@ type cblock struct {
 // Compile lowers a verified function to executable form. It returns an error
 // for structural problems verification does not cover.
 func Compile(f *ir.Function) (*Kernel, error) {
-	k := &Kernel{
-		Name:        f.Name,
-		Params:      append([]ir.Type(nil), f.Params...),
-		SharedBytes: f.SharedBytes,
-		src:         f,
+	k, err := lowerFunction(f, ir.NewCFG(f))
+	if err != nil {
+		return nil, err
 	}
-	blockIdx := make(map[string]int32, len(f.Blocks))
-	for i, b := range f.Blocks {
-		blockIdx[b.Name] = int32(i)
-	}
+	finalizeKernel(k)
+	return k, nil
+}
 
-	// Assign register slots to every value-producing instruction.
-	slots := make(map[int]int32)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Typ != ir.Void {
-				slots[in.UID] = int32(k.nslots)
-				k.nslots++
-			}
-		}
+// value is the compiler's per-UID record. UIDs are dense below NextUID, so
+// the table is a slice.
+type value struct {
+	def  *ir.Instr // the instruction carrying the UID; nil = none
+	slot int32     // register slot, meaningful when def produces a value
+	live bool      // see liveValues
+}
+
+// lowerFunction decodes f into a kernel: register slots assigned, dead code
+// dropped, operands resolved, phis lowered to edge copies, reconvergence
+// points taken from the function's CFG. finalizeKernel completes it.
+func lowerFunction(f *ir.Function, g *ir.CFG) (*Kernel, error) {
+	k := &Kernel{Name: f.Name, Params: f.Params, SharedBytes: f.SharedBytes, nextUID: f.NextUID}
+	vals, n, err := liveValues(f)
+	if err != nil {
+		return nil, err
 	}
+	k.nslots = n.slots
 
 	resolve := func(o ir.Operand) (carg, error) {
 		switch o.Kind {
 		case ir.OperConst:
 			return carg{kind: argConst, typ: o.Typ, cval: normValue(o.Typ, o.Const)}, nil
 		case ir.OperInstr:
-			s, ok := slots[o.Ref]
-			if !ok {
+			if o.Ref < 0 || o.Ref >= len(vals) || vals[o.Ref].def == nil || vals[o.Ref].def.Typ == ir.Void {
 				return carg{}, fmt.Errorf("gpu: compile %s: use of undefined value %%%d", f.Name, o.Ref)
 			}
-			return carg{kind: argReg, typ: o.Typ, slot: s}, nil
+			return carg{kind: argReg, typ: o.Typ, slot: vals[o.Ref].slot}, nil
 		case ir.OperParam:
 			if o.Index < 0 || o.Index >= len(f.Params) {
 				return carg{}, fmt.Errorf("gpu: compile %s: parameter %d out of range", f.Name, o.Index)
@@ -260,21 +264,21 @@ func Compile(f *ir.Function) (*Kernel, error) {
 		}
 	}
 
-	live := liveValues(f)
-
-	pdom := ir.ComputePostDom(f)
-	k.blocks = make([]cblock, len(f.Blocks))
+	// One arena each for the kernel's instructions, their operands and the
+	// block-by-block edge table, sized by the liveness pass.
+	nb := len(f.Blocks)
+	k.blocks = make([]cblock, nb)
+	ins := make([]cinstr, 0, n.ins)
+	args := make([]carg, 0, n.args)
+	edges := make([]phiEdge, nb*nb)
 	for bi, b := range f.Blocks {
 		cb := &k.blocks[bi]
 		cb.name = b.Name
-		cb.phiFrom = make([]phiEdge, len(f.Blocks))
-		if ip := pdom.IPdom(b.Name); ip != "" {
-			cb.ipdom = blockIdx[ip]
-		} else {
-			cb.ipdom = -1
-		}
+		cb.phiFrom = edges[bi*nb : (bi+1)*nb : (bi+1)*nb]
+		cb.ipdom = g.IPdom(int32(bi))
+		first := len(ins)
 		for _, in := range b.Instrs {
-			if !live[in.UID] {
+			if !vals[in.UID].live {
 				// Dead code elimination: the backend codegen step of the
 				// paper's pipeline (Fig 1, LLVM-IR -> PTX) removes pure
 				// computations whose results are unused. This is what makes
@@ -283,9 +287,9 @@ func Compile(f *ir.Function) (*Kernel, error) {
 				continue
 			}
 			if in.Op == ir.OpPhi {
-				dst := slots[in.UID]
+				dst := vals[in.UID].slot
 				for _, inc := range in.Inc {
-					pi, ok := blockIdx[inc.Block]
+					pi, ok := g.BlockIndex(inc.Block)
 					if !ok {
 						continue // stale incoming after mutation; harmless
 					}
@@ -303,18 +307,20 @@ func Compile(f *ir.Function) (*Kernel, error) {
 				dst:  -1, uid: int32(in.UID), loc: int32(in.Loc),
 			}
 			if in.Typ != ir.Void {
-				ci.dst = slots[in.UID]
+				ci.dst = vals[in.UID].slot
 			}
+			a0 := len(args)
 			for _, a := range in.Args {
 				ra, err := resolve(a)
 				if err != nil {
 					return nil, err
 				}
-				ci.args = append(ci.args, ra)
+				args = append(args, ra)
 			}
+			ci.args = args[a0:len(args):len(args)]
 			ci.succs = [2]int32{-1, -1}
 			for si, s := range in.Succs {
-				ti, ok := blockIdx[s]
+				ti, ok := g.BlockIndex(s)
 				if !ok {
 					return nil, fmt.Errorf("gpu: compile %s: branch to unknown block %q", f.Name, s)
 				}
@@ -322,13 +328,13 @@ func Compile(f *ir.Function) (*Kernel, error) {
 					ci.succs[si] = ti
 				}
 			}
-			cb.ins = append(cb.ins, ci)
+			ins = append(ins, ci)
 		}
+		cb.ins = ins[first:len(ins):len(ins)]
 		if len(cb.ins) == 0 || !cb.ins[len(cb.ins)-1].op.IsTerminator() {
 			return nil, fmt.Errorf("gpu: compile %s: block %q lacks a terminator", f.Name, b.Name)
 		}
 	}
-	finalizeKernel(k)
 	return k, nil
 }
 
@@ -344,73 +350,73 @@ func finalizeKernel(k *Kernel) {
 		}
 	}
 
-	constOff := make(map[uint64]int)
+	// Distinct constants in first-use order. A kernel has a few dozen at
+	// most, so a scan of the list beats hashing; each constant operand parks
+	// its list index in ebase until the extended slots are assigned below.
+	var consts []uint64
 	walkArgs(k, func(a *carg) {
-		if a.kind == argConst {
-			if _, ok := constOff[a.cval]; !ok {
-				constOff[a.cval] = len(constOff)
+		if a.kind != argConst {
+			return
+		}
+		for i, v := range consts {
+			if v == a.cval {
+				a.ebase = int32(i)
+				return
 			}
 		}
+		a.ebase = int32(len(consts))
+		consts = append(consts, a.cval)
 	})
-	k.constLanes = make([]uint64, len(constOff)*warpSize)
-	for v, off := range constOff {
-		lanes := k.constLanes[off*warpSize : (off+1)*warpSize]
+	k.constLanes = make([]uint64, len(consts)*warpSize)
+	for i, v := range consts {
+		lanes := k.constLanes[i*warpSize : (i+1)*warpSize]
 		for l := range lanes {
 			lanes[l] = v
 		}
 	}
-	walkArgs(k, func(a *carg) {
-		if a.kind == argConst {
-			off := constOff[a.cval] * warpSize
-			a.pre = k.constLanes[off : off+warpSize : off+warpSize]
-		}
-	})
 
 	// Extended register file: give every distinct constant, parameter and
 	// special register its own slot past the real registers, so threaded
-	// operands are uniformly register offsets.
+	// operands are uniformly register offsets. The fill tables double as the
+	// "already has a slot" index: parameters and specials number a handful.
 	k.totalSlots = k.nslots
-	constSlot := make(map[uint64]int32)
-	paramSlot := make(map[int32]int32)
-	specSlot := make(map[int32]int32)
 	alloc := func() int32 {
 		base := int32(k.totalSlots * warpSize)
 		k.totalSlots++
 		return base
 	}
+	slotOf := func(fills *[]extIdxFill, idx int32) int32 {
+		for _, f := range *fills {
+			if f.idx == idx {
+				return f.base
+			}
+		}
+		*fills = append(*fills, extIdxFill{base: alloc(), idx: idx})
+		return (*fills)[len(*fills)-1].base
+	}
+	k.extConst = make([]extConstFill, 0, len(consts))
 	walkArgs(k, func(a *carg) {
 		switch a.kind {
 		case argReg:
 			a.ebase = a.slot * warpSize
 		case argConst:
-			base, ok := constSlot[a.cval]
-			if !ok {
-				base = alloc()
-				constSlot[a.cval] = base
-				k.extConst = append(k.extConst, extConstFill{base: base, lanes: a.pre})
+			i := int(a.ebase)
+			a.pre = k.constLanes[i*warpSize : (i+1)*warpSize : (i+1)*warpSize]
+			if i == len(k.extConst) { // first use: this walk meets constants in the order that numbered them
+				k.extConst = append(k.extConst, extConstFill{base: alloc(), lanes: a.pre})
 			}
-			a.ebase = base
+			a.ebase = k.extConst[i].base
 		case argParam:
-			base, ok := paramSlot[a.idx]
-			if !ok {
-				base = alloc()
-				paramSlot[a.idx] = base
-				k.extParam = append(k.extParam, extIdxFill{base: base, idx: a.idx})
-			}
-			a.ebase = base
+			a.ebase = slotOf(&k.extParam, a.idx)
 		default: // argSpecial
-			base, ok := specSlot[a.idx]
-			if !ok {
-				base = alloc()
-				specSlot[a.idx] = base
-				k.extSpec = append(k.extSpec, extIdxFill{base: base, idx: a.idx})
-				if ir.Special(a.idx) == ir.SpecialBID {
-					k.extBID = append(k.extBID, base)
-				}
-			}
-			a.ebase = base
+			a.ebase = slotOf(&k.extSpec, a.idx)
 		}
 	})
+	for _, f := range k.extSpec {
+		if ir.Special(f.idx) == ir.SpecialBID {
+			k.extBID = append(k.extBID, f.base)
+		}
+	}
 
 	// Copy propagation for the threaded backend: sext/trunc to i64 is the
 	// identity on canonical sign-extended registers, so every consumer can
@@ -420,34 +426,33 @@ func finalizeKernel(k *Kernel) {
 	// mask, where source and copy may legitimately differ). A copy whose
 	// ebase has no remaining reader is lowered to a charge-only uop: budget
 	// and cycle accounting are preserved, the dead lane copy is not.
-	ident := make(map[int32]int32) // dst ebase -> source ebase
+	//
+	// The three per-slot tables below are indexed by ebase/warpSize.
+	ident := make([]int32, k.totalSlots) // copy's slot -> source ebase; -1 = not an identity copy
+	for i := range ident {
+		ident[i] = -1
+	}
+	marks := make([]bool, 2*k.totalSlots)
+	read, cleared := marks[:k.totalSlots], marks[k.totalSlots:]
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
 		for ii := range cb.ins {
 			in := &cb.ins[ii]
 			if (in.op == ir.OpSext || in.op == ir.OpTrunc) && in.typ == ir.I64 && in.dst >= 0 {
-				ident[in.dst*warpSize] = in.args[0].ebase
+				ident[in.dst] = in.args[0].ebase
 			}
 		}
 	}
-	resolve := func(b int32) int32 {
-		for {
-			t, ok := ident[b]
-			if !ok {
-				return b
-			}
-			b = t
-		}
-	}
-	live := make(map[int32]bool)
 	redirect := func(a *carg, exempt bool) {
 		if a.kind != argReg {
 			return
 		}
 		if !exempt {
-			a.ebase = resolve(a.ebase)
+			for src := ident[a.ebase/warpSize]; src >= 0; src = ident[a.ebase/warpSize] {
+				a.ebase = src
+			}
 		}
-		live[a.ebase] = true
+		read[a.ebase/warpSize] = true
 	}
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
@@ -468,24 +473,13 @@ func finalizeKernel(k *Kernel) {
 		cb := &k.blocks[bi]
 		for ii := range cb.ins {
 			in := &cb.ins[ii]
-			if in.dst < 0 {
-				continue
-			}
-			if _, isIdent := ident[in.dst*warpSize]; isIdent && !live[in.dst*warpSize] {
+			if in.dst >= 0 && ident[in.dst] >= 0 && !read[in.dst] {
 				in.deadCopy = true
 			}
-		}
-	}
-
-	// Shfl value operands read lanes outside the active mask, so their
-	// slots must observe block-initial zeros (see clearBases).
-	seenClear := make(map[int32]bool)
-	for bi := range k.blocks {
-		cb := &k.blocks[bi]
-		for ii := range cb.ins {
-			in := &cb.ins[ii]
-			if in.op == ir.OpShfl && in.args[0].kind == argReg && !seenClear[in.args[0].ebase] {
-				seenClear[in.args[0].ebase] = true
+			// Shfl value operands read lanes outside the active mask, so
+			// their slots must observe block-initial zeros (see clearBases).
+			if in.op == ir.OpShfl && in.args[0].kind == argReg && !cleared[in.args[0].ebase/warpSize] {
+				cleared[in.args[0].ebase/warpSize] = true
 				k.clearBases = append(k.clearBases, in.args[0].ebase)
 			}
 		}
@@ -537,49 +531,68 @@ func edgeNeedsSnapshot(copies []phiCopy) bool {
 	return false
 }
 
-// NumSlots returns the number of virtual registers the kernel uses; the
-// occupancy-style metric for register pressure.
-func (k *Kernel) NumSlots() int { return k.nslots }
+// sizes are the counts a kernel's tables are sized by: register slots (one per
+// value-producing instruction, live or not) and the live non-phi instructions
+// with their operands.
+type sizes struct{ slots, ins, args int }
 
-// Source returns the ir.Function this kernel was compiled from.
-func (k *Kernel) Source() *ir.Function { return k.src }
-
-// liveValues computes the set of instructions the compiled kernel must
-// execute: side-effecting operations (stores, atomics, barriers,
-// terminators), all memory reads (kept conservatively: the mutation pipeline
-// treats memory as volatile), and the transitive operands of those. Pure
-// computations outside this set are dead and are skipped during compilation,
-// mirroring backend DCE in the paper's LLVM-IR -> PTX step.
-func liveValues(f *ir.Function) map[int]bool {
-	defs := make(map[int]*ir.Instr)
-	live := make(map[int]bool)
-	var work []*ir.Instr
+// liveValues builds the per-UID table of f: every instruction under its UID,
+// register slots assigned in block order, and the live mark on each
+// instruction the compiled kernel must execute — side-effecting operations
+// (stores, atomics, barriers, terminators), all memory reads (kept
+// conservatively: the mutation pipeline treats memory as volatile), and the
+// transitive operands of those. Pure computations outside this set are dead
+// and are skipped during compilation, mirroring backend DCE in the paper's
+// LLVM-IR -> PTX step.
+func liveValues(f *ir.Function) (vals []value, n sizes, err error) {
+	vals = make([]value, max(f.NextUID, 0))
+	work := make([]int32, 0, f.NumInstrs()) // each instruction enters at most once
+	mark := func(in *ir.Instr) {
+		vals[in.UID].live = true
+		work = append(work, int32(in.UID))
+		if in.Op != ir.OpPhi {
+			n.ins++
+			n.args += len(in.Args)
+		}
+	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			defs[in.UID] = in
+			if in.UID < 0 || in.UID >= len(vals) {
+				return nil, n, fmt.Errorf("gpu: compile %s: UID %d outside [0, NextUID %d)", f.Name, in.UID, f.NextUID)
+			}
+			vals[in.UID].def = in
+			if in.Typ != ir.Void {
+				vals[in.UID].slot = int32(n.slots)
+				n.slots++
+			}
 			// Warp-level primitives carry synchronization semantics
 			// (Section VI-B), so backends never eliminate them even when
 			// their results are unused.
 			warpPrim := in.Op == ir.OpBallot || in.Op == ir.OpActiveMask || in.Op == ir.OpShfl
 			if in.Op.HasSideEffects() || in.Op.IsMemRead() || warpPrim {
-				live[in.UID] = true
-				work = append(work, in)
+				mark(in)
 			}
+		}
+	}
+	use := func(o ir.Operand) {
+		if o.Kind != ir.OperInstr || o.Ref < 0 || o.Ref >= len(vals) {
+			return
+		}
+		if v := &vals[o.Ref]; v.def != nil && !v.live {
+			mark(v.def)
 		}
 	}
 	for len(work) > 0 {
-		in := work[len(work)-1]
+		in := vals[work[len(work)-1]].def
 		work = work[:len(work)-1]
-		for _, uid := range in.Uses() {
-			if !live[uid] {
-				live[uid] = true
-				if d := defs[uid]; d != nil {
-					work = append(work, d)
-				}
-			}
+		for _, a := range in.Args {
+			use(a)
+		}
+		for _, inc := range in.Inc {
+			use(inc.Val)
 		}
 	}
-	return live
+	return vals, n, nil
 }
 
 // normValue normalizes raw bits to the canonical register representation of

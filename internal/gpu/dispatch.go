@@ -238,13 +238,19 @@ func (c *blockCtx) divergeT(w *warp, succ0, succ1 int32, maskT, maskF uint32, r 
 // threaded code: a uop for every hot shape, an escape closure for the rest.
 // Must run after constant lane images and extended slots are assigned.
 func lowerKernel(k *Kernel) {
+	n := 0
+	for bi := range k.blocks {
+		n += len(k.blocks[bi].ins)
+	}
+	uops, fns := make([]uop, n), make([]execFn, n)
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
 		for ei := range cb.phiFrom {
 			lowerPhiEdge(&cb.phiFrom[ei])
 		}
-		cb.uops = make([]uop, len(cb.ins))
-		cb.fns = make([]execFn, len(cb.ins))
+		n = len(cb.ins)
+		cb.uops, uops = uops[:n:n], uops[n:]
+		cb.fns, fns = fns[:n:n], fns[n:]
 		for ii := range cb.ins {
 			if u, ok := uopFor(cb, &cb.ins[ii]); ok {
 				cb.uops[ii] = u
@@ -262,7 +268,7 @@ func lowerKernel(k *Kernel) {
 // directly and its i1 lanes are never materialized. Budget and cycle
 // accounting remain exactly those of the two original instructions.
 func fuseCmpBranches(k *Kernel) {
-	uses := make(map[int32]int)
+	uses := make([]int32, k.nslots) // by register slot
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
 		for ii := range cb.ins {

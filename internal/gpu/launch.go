@@ -476,16 +476,3 @@ func PackArgs(vals ...any) []uint64 {
 	}
 	return out
 }
-
-// CompileAll compiles every kernel in a module, returning them by name.
-func CompileAll(m *ir.Module) (map[string]*Kernel, error) {
-	out := make(map[string]*Kernel, len(m.Funcs))
-	for _, f := range m.Funcs {
-		k, err := Compile(f)
-		if err != nil {
-			return nil, err
-		}
-		out[f.Name] = k
-	}
-	return out, nil
-}

@@ -54,7 +54,7 @@ type LaunchRecord struct {
 
 // NewProfile creates a profile sized for the kernel's UID space.
 func NewProfile(k *Kernel) *Profile {
-	n := k.src.NextUID
+	n := k.nextUID
 	return &Profile{
 		cycles:    make([]float64, n),
 		count:     make([]int64, n),

@@ -1,8 +1,9 @@
 package ir
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Block is a basic block: a named, ordered list of instructions whose last
@@ -58,6 +59,25 @@ type Function struct {
 	Blocks []*Block
 	// NextUID is the next unused instruction UID.
 	NextUID int
+}
+
+// share returns a copy of the function with its own header, block headers and
+// per-block instruction lists, pointing at f's instructions. See Module.Share.
+func (f *Function) share() *Function {
+	nf := new(Function)
+	*nf = *f
+	blocks := make([]Block, len(f.Blocks))
+	nf.Blocks = make([]*Block, len(f.Blocks))
+	instrs := make([]*Instr, 0, f.NumInstrs())
+	for i, b := range f.Blocks {
+		lo := len(instrs)
+		instrs = append(instrs, b.Instrs...)
+		// Capacity stops at the block's end, so an insertion reallocates this
+		// block's list instead of running into the next block's.
+		blocks[i] = Block{Name: b.Name, Instrs: instrs[lo:len(instrs):len(instrs)]}
+		nf.Blocks[i] = &blocks[i]
+	}
+	return nf
 }
 
 // Clone returns a deep copy of the function. Instruction UIDs are preserved
@@ -182,97 +202,31 @@ func (f *Function) NumInstrs() int {
 	return n
 }
 
-// UseCount returns, for each defining UID, the number of uses across the
-// function (args and phi incomings).
-func (f *Function) UseCount() map[int]int {
-	uses := make(map[int]int)
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			for _, u := range in.Uses() {
-				uses[u]++
-			}
-		}
-	}
-	return uses
-}
-
-// Preds returns the predecessor block names of each block, keyed by block
-// name, considering only reachable edges.
-func (f *Function) Preds() map[string][]string {
-	preds := make(map[string][]string, len(f.Blocks))
-	for _, b := range f.Blocks {
-		t := b.Terminator()
-		if t == nil {
-			continue
-		}
-		for _, s := range t.Succs {
-			preds[s] = append(preds[s], b.Name)
-		}
-	}
-	return preds
-}
-
-// Reachable returns the set of block names reachable from the entry block.
-func (f *Function) Reachable() map[string]bool {
-	seen := make(map[string]bool, len(f.Blocks))
-	if len(f.Blocks) == 0 {
-		return seen
-	}
-	var stack []string
-	stack = append(stack, f.Blocks[0].Name)
-	for len(stack) > 0 {
-		name := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		b := f.BlockByName(name)
-		if b == nil {
-			continue
-		}
-		if t := b.Terminator(); t != nil {
-			for _, s := range t.Succs {
-				if !seen[s] {
-					stack = append(stack, s)
-				}
-			}
-		}
-	}
-	return seen
-}
-
 // ConstPool returns the distinct constant operands appearing in the
 // function, sorted for determinism. The evolutionary operand-replacement
 // operator draws replacement constants from this pool, matching GEVO's
 // behaviour of only introducing constants already present in the program.
 func (f *Function) ConstPool() []Operand {
-	seen := make(map[Operand]bool)
+	var pool []Operand
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
 				if a.Kind == OperConst {
-					seen[a] = true
+					pool = append(pool, a)
 				}
 			}
 			for _, inc := range in.Inc {
 				if inc.Val.Kind == OperConst {
-					seen[inc.Val] = true
+					pool = append(pool, inc.Val)
 				}
 			}
 		}
 	}
-	pool := make([]Operand, 0, len(seen))
-	for o := range seen {
-		pool = append(pool, o)
-	}
-	sort.Slice(pool, func(i, j int) bool {
-		if pool[i].Typ != pool[j].Typ {
-			return pool[i].Typ < pool[j].Typ
-		}
-		return pool[i].Const < pool[j].Const
+	slices.SortFunc(pool, func(a, b Operand) int {
+		return cmp.Or(cmp.Compare(a.Typ, b.Typ), cmp.Compare(a.Const, b.Const),
+			cmp.Compare(a.Ref, b.Ref), cmp.Compare(a.Index, b.Index))
 	})
-	return pool
+	return slices.Compact(pool)
 }
 
 // Module is a set of kernels compiled from one GPU program, plus the
@@ -284,7 +238,24 @@ type Module struct {
 	Source []string
 }
 
-// Clone returns a deep copy of the module.
+// Share returns a copy-on-write copy of the module: the module, function and
+// block headers and every block's instruction list are new, so instructions
+// can be inserted, removed, reordered and replaced without touching m, but
+// the *Instr values themselves (and the parameter, shared-array and source
+// tables) are m's. The copy costs a few allocations however large the module
+// is. A writer replaces an instruction pointer with an edited copy; it never
+// writes through one (see Instr). Clone is the way to get a module whose
+// instructions may be written.
+func (m *Module) Share() *Module {
+	nm := &Module{Name: m.Name, Funcs: make([]*Function, len(m.Funcs)), Source: m.Source}
+	for i, f := range m.Funcs {
+		nm.Funcs[i] = f.share()
+	}
+	return nm
+}
+
+// Clone returns a deep copy of the module: nothing reachable from the result
+// is shared with m, so its instructions may be written in place.
 func (m *Module) Clone() *Module {
 	nm := &Module{
 		Name:   m.Name,

@@ -235,8 +235,15 @@ type Incoming struct {
 
 // Instr is a single IR instruction. Instructions are identified by UID,
 // which is stable across module clones: edits recorded by the evolutionary
-// engine reference UIDs, so an edit list can be replayed on a fresh clone of
+// engine reference UIDs, so an edit list can be replayed on a fresh copy of
 // the base program (Section II-A of the paper).
+//
+// An instruction is immutable once the module that holds it is constructed
+// (by the builder, the parser or Clone): variants of a module share its
+// *Instr values (Module.Share), concurrently, so nothing reachable from a
+// workload's base module is ever written. An edit that changes an instruction
+// puts an edited copy in its place. Clone the module to get instructions that
+// may be written.
 type Instr struct {
 	// UID uniquely identifies the instruction within its function.
 	UID int
@@ -291,23 +298,4 @@ func (in *Instr) Uses() []int {
 		}
 	}
 	return uids
-}
-
-// ReplaceUses rewrites every use of oldUID to the given operand and reports
-// how many uses were rewritten.
-func (in *Instr) ReplaceUses(oldUID int, with Operand) int {
-	n := 0
-	for i, a := range in.Args {
-		if a.Kind == OperInstr && a.Ref == oldUID {
-			in.Args[i] = with
-			n++
-		}
-	}
-	for i, inc := range in.Inc {
-		if inc.Val.Kind == OperInstr && inc.Val.Ref == oldUID {
-			in.Inc[i].Val = with
-			n++
-		}
-	}
-	return n
 }

@@ -174,6 +174,7 @@ func TestCloneIsDeep(t *testing.T) {
 func TestDominators(t *testing.T) {
 	f := buildSample()
 	d := ComputeDom(f)
+	g := NewCFG(f)
 	cases := []struct {
 		a, b string
 		want bool
@@ -188,6 +189,11 @@ func TestDominators(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := d.Dominates(c.a, c.b); got != c.want {
+			t.Errorf("oracle Dominates(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		ai, _ := g.BlockIndex(c.a)
+		bi, _ := g.BlockIndex(c.b)
+		if got := g.Dominates(ai, bi); got != c.want {
 			t.Errorf("Dominates(%s, %s) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
@@ -196,14 +202,21 @@ func TestDominators(t *testing.T) {
 func TestPostDominators(t *testing.T) {
 	f := buildSample()
 	p := ComputePostDom(f)
-	if ip := p.IPdom("entry"); ip != "exit" {
-		t.Errorf("ipdom(entry) = %q, want exit", ip)
-	}
-	if ip := p.IPdom("loop"); ip != "done" {
-		t.Errorf("ipdom(loop) = %q, want done", ip)
-	}
-	if ip := p.IPdom("exit"); ip != "" {
-		t.Errorf("ipdom(exit) = %q, want virtual exit", ip)
+	g := NewCFG(f)
+	for _, c := range []struct{ block, want string }{
+		{"entry", "exit"}, {"loop", "done"}, {"exit", ""}, // "" = virtual exit
+	} {
+		if ip := p.IPdom(c.block); ip != c.want {
+			t.Errorf("oracle ipdom(%s) = %q, want %q", c.block, ip, c.want)
+		}
+		bi, _ := g.BlockIndex(c.block)
+		ip := ""
+		if i := g.IPdom(bi); i >= 0 {
+			ip = f.Blocks[i].Name
+		}
+		if ip != c.want {
+			t.Errorf("ipdom(%s) = %q, want %q", c.block, ip, c.want)
+		}
 	}
 }
 
@@ -223,26 +236,6 @@ func TestFindInsertRemove(t *testing.T) {
 	}
 	if got := f.InstrAt(pos); got != in {
 		t.Fatal("instruction not restored at position")
-	}
-}
-
-func TestUseCountAndReplaceUses(t *testing.T) {
-	f := buildSample()
-	uses := f.UseCount()
-	loop := f.BlockByName("loop")
-	iPhi := loop.Instrs[0]
-	if uses[iPhi.UID] < 2 {
-		t.Errorf("loop induction phi should have >=2 uses, got %d", uses[iPhi.UID])
-	}
-	n := 0
-	for _, in := range f.Instructions() {
-		n += in.ReplaceUses(iPhi.UID, ConstInt(I32, 0))
-	}
-	if n < 2 {
-		t.Errorf("ReplaceUses rewrote %d uses", n)
-	}
-	if f.UseCount()[iPhi.UID] != 0 {
-		t.Error("uses remain after ReplaceUses")
 	}
 }
 

@@ -18,140 +18,161 @@ func verifyErr(format string, args ...any) error {
 // assigned worst fitness by the engine, mirroring GEVO variants that fail to
 // compile to PTX.
 func (m *Module) Verify() error {
-	for _, f := range m.Funcs {
-		if err := f.Verify(); err != nil {
-			return fmt.Errorf("kernel %s: %w", f.Name, err)
+	_, err := m.Analyze()
+	return err
+}
+
+// Analyze verifies the module and returns the control-flow analysis the
+// verification built, one CFG per function in Funcs order, so the compiler
+// does not derive it again.
+func (m *Module) Analyze() ([]*CFG, error) {
+	cfgs := make([]*CFG, len(m.Funcs))
+	for i, f := range m.Funcs {
+		g, err := f.Analyze()
+		if err != nil {
+			return nil, fmt.Errorf("kernel %s: %w", f.Name, err)
 		}
+		cfgs[i] = g
 	}
-	return nil
+	return cfgs, nil
 }
 
 // Verify checks a single function. See Module.Verify.
 func (f *Function) Verify() error {
+	_, err := f.Analyze()
+	return err
+}
+
+// Analyze verifies a single function and returns its CFG. See Module.Analyze.
+func (f *Function) Analyze() (*CFG, error) {
 	if len(f.Blocks) == 0 {
-		return verifyErr("no blocks")
+		return nil, verifyErr("no blocks")
 	}
-	names := make(map[string]bool, len(f.Blocks))
-	// UIDs are dense below NextUID (checked below), so the per-UID tables are
-	// slices: defs[uid] is the instruction carrying the UID (nil = none),
-	// defPos[uid] its position when it produces a value.
-	defs := make([]*Instr, max(f.NextUID, 0))
-	defPos := make([]Pos, len(defs))
-	for _, b := range f.Blocks {
+	g := NewCFG(f)
+	// UIDs are dense below NextUID (checked below), so the per-UID table is a
+	// slice: defs[uid] is the instruction carrying the UID (in == nil: none)
+	// and where it sits.
+	type def struct {
+		in           *Instr
+		block, index int32
+	}
+	defs := make([]def, max(f.NextUID, 0))
+	for bi, b := range f.Blocks {
 		if b.Name == "" {
-			return verifyErr("unnamed block")
+			return nil, verifyErr("unnamed block")
 		}
-		if names[b.Name] {
-			return verifyErr("duplicate block %q", b.Name)
+		if g.index[b.Name] != int32(bi) {
+			return nil, verifyErr("duplicate block %q", b.Name)
 		}
-		names[b.Name] = true
 		if len(b.Instrs) == 0 {
-			return verifyErr("block %q is empty", b.Name)
+			return nil, verifyErr("block %q is empty", b.Name)
 		}
 		for i, in := range b.Instrs {
 			if in.UID >= f.NextUID {
-				return verifyErr("block %q: UID %d >= NextUID %d", b.Name, in.UID, f.NextUID)
+				return nil, verifyErr("block %q: UID %d >= NextUID %d", b.Name, in.UID, f.NextUID)
 			}
 			if in.UID < 0 {
-				return verifyErr("block %q: negative UID %d", b.Name, in.UID)
+				return nil, verifyErr("block %q: negative UID %d", b.Name, in.UID)
 			}
-			if prev := defs[in.UID]; prev != nil {
-				return verifyErr("duplicate UID %d (%s and %s)", in.UID, prev.Op, in.Op)
+			if prev := defs[in.UID].in; prev != nil {
+				return nil, verifyErr("duplicate UID %d (%s and %s)", in.UID, prev.Op, in.Op)
 			}
-			defs[in.UID] = in
-			if in.Typ != Void {
-				defPos[in.UID] = Pos{Block: b.Name, Index: i}
-			}
+			defs[in.UID] = def{in: in, block: int32(bi), index: int32(i)}
 			isLast := i == len(b.Instrs)-1
 			if in.Op.IsTerminator() != isLast {
 				if isLast {
-					return verifyErr("block %q does not end in a terminator (ends in %s)", b.Name, in.Op)
+					return nil, verifyErr("block %q does not end in a terminator (ends in %s)", b.Name, in.Op)
 				}
-				return verifyErr("block %q has terminator %s mid-block at %d", b.Name, in.Op, i)
+				return nil, verifyErr("block %q has terminator %s mid-block at %d", b.Name, in.Op, i)
 			}
 			if in.Op == OpPhi && i > 0 && b.Instrs[i-1].Op != OpPhi {
-				return verifyErr("block %q: phi %%%d not at block start", b.Name, in.UID)
+				return nil, verifyErr("block %q: phi %%%d not at block start", b.Name, in.UID)
 			}
 		}
 	}
 	for _, b := range f.Blocks {
 		for _, s := range b.Terminator().Succs {
-			if !names[s] {
-				return verifyErr("block %q branches to unknown block %q", b.Name, s)
+			if _, ok := g.index[s]; !ok {
+				return nil, verifyErr("block %q branches to unknown block %q", b.Name, s)
 			}
 		}
 	}
 
-	dom := ComputeDom(f)
-	preds := f.Preds()
-
 	// visible reports whether the operand's defining value is available at
-	// the given use position with its claimed type.
-	visible := func(o Operand, use Pos) bool {
+	// position index of the given block with its claimed type.
+	visible := func(o Operand, block, index int32) bool {
 		if o.Kind != OperInstr {
 			return true
 		}
 		if o.Ref < 0 || o.Ref >= len(defs) {
 			return false
 		}
-		if d := defs[o.Ref]; d == nil || d.Typ == Void || d.Typ != o.Typ {
+		d := &defs[o.Ref]
+		if d.in == nil || d.in.Typ == Void || d.in.Typ != o.Typ {
 			return false
 		}
-		def := defPos[o.Ref]
-		if def.Block == use.Block {
-			return def.Index < use.Index
+		if d.block == block {
+			return d.index < index
 		}
-		return dom.Dominates(def.Block, use.Block)
+		return g.Dominates(d.block, block)
 	}
 
-	for _, b := range f.Blocks {
-		if !dom.Reachable(b.Name) {
+	for bi, b := range f.Blocks {
+		bi := int32(bi)
+		if !g.Reachable(bi) {
 			continue // unreachable code never executes; tolerate it
 		}
 		for i, in := range b.Instrs {
 			if err := checkSignature(f, in); err != nil {
-				return err
+				return nil, err
 			}
-			use := Pos{Block: b.Name, Index: i}
 			if in.Op == OpPhi {
-				seenInc := make(map[string]bool, len(in.Inc))
-				for _, inc := range in.Inc {
-					// Duplicate incomings make the edge's parallel copy
-					// write one destination twice — which value wins would
-					// be an artifact of lowering order.
-					if seenInc[inc.Block] {
-						return verifyErr("phi %%%d has duplicate incoming for %q", in.UID, inc.Block)
-					}
-					seenInc[inc.Block] = true
-				}
-				for _, p := range preds[b.Name] {
-					if !dom.Reachable(p) {
-						continue
-					}
-					found := false
-					for _, inc := range in.Inc {
-						if inc.Block == p {
-							found = true
-							// The incoming value must be available at the end
-							// of the predecessor.
-							pb := f.BlockByName(p)
-							if !visible(inc.Val, Pos{Block: p, Index: len(pb.Instrs)}) {
-								return verifyErr("phi %%%d: incoming from %q not dominated by its def", in.UID, p)
-							}
-							break
-						}
-					}
-					if !found {
-						return verifyErr("phi %%%d in %q missing incoming for predecessor %q", in.UID, b.Name, p)
-					}
+				if err := checkPhi(f, g, bi, in, visible); err != nil {
+					return nil, err
 				}
 				continue
 			}
 			for ai, a := range in.Args {
-				if !visible(a, use) {
-					return verifyErr("%%%d (%s) arg %d uses %%%d which does not dominate it", in.UID, in.Op, ai, a.Ref)
+				if !visible(a, bi, int32(i)) {
+					return nil, verifyErr("%%%d (%s) arg %d uses %%%d which does not dominate it", in.UID, in.Op, ai, a.Ref)
 				}
 			}
+		}
+	}
+	return g, nil
+}
+
+// checkPhi checks the incomings of one phi of reachable block bi: no
+// predecessor named twice, and for every reachable predecessor an incoming
+// whose value is available at that predecessor's end.
+func checkPhi(f *Function, g *CFG, bi int32, in *Instr, visible func(Operand, int32, int32) bool) error {
+	for i := range in.Inc {
+		for j := 0; j < i; j++ {
+			// Duplicate incomings make the edge's parallel copy write one
+			// destination twice — which value wins would be an artifact of
+			// lowering order.
+			if in.Inc[j].Block == in.Inc[i].Block {
+				return verifyErr("phi %%%d has duplicate incoming for %q", in.UID, in.Inc[i].Block)
+			}
+		}
+	}
+	for _, p := range g.Preds(bi) {
+		if !g.Reachable(p) {
+			continue
+		}
+		pb := f.Blocks[p]
+		found := false
+		for _, inc := range in.Inc {
+			if inc.Block == pb.Name {
+				found = true
+				if !visible(inc.Val, p, int32(len(pb.Instrs))) {
+					return verifyErr("phi %%%d: incoming from %q not dominated by its def", in.UID, pb.Name)
+				}
+				break
+			}
+		}
+		if !found {
+			return verifyErr("phi %%%d in %q missing incoming for predecessor %q", in.UID, f.Blocks[bi].Name, pb.Name)
 		}
 	}
 	return nil
@@ -174,12 +195,12 @@ func (m *Module) VerifyStrict() error {
 
 // VerifyStrict checks a single function. See Module.VerifyStrict.
 func (f *Function) VerifyStrict() error {
-	if err := f.Verify(); err != nil {
+	g, err := f.Analyze()
+	if err != nil {
 		return err
 	}
-	dom := ComputeDom(f)
-	for _, b := range f.Blocks {
-		if !dom.Reachable(b.Name) {
+	for i, b := range f.Blocks {
+		if !g.Reachable(int32(i)) {
 			return verifyErr("block %q is unreachable", b.Name)
 		}
 	}

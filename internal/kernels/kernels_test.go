@@ -15,7 +15,7 @@ func TestADEPTModulesVerifyAndCompile(t *testing.T) {
 		if err := m.Verify(); err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if _, err := gpu.CompileAll(m); err != nil {
+		if _, err := gpu.NewProgramCache().Prepare(m); err != nil {
 			t.Fatalf("%v compile: %v", v, err)
 		}
 	}
@@ -36,7 +36,7 @@ func TestSIMCoVModulesVerifyAndCompile(t *testing.T) {
 		if err := m.Verify(); err != nil {
 			t.Fatalf("padded=%v: %v", padded, err)
 		}
-		if _, err := gpu.CompileAll(m); err != nil {
+		if _, err := gpu.NewProgramCache().Prepare(m); err != nil {
 			t.Fatalf("padded=%v compile: %v", padded, err)
 		}
 		if len(m.Funcs) != 8 {

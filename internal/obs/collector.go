@@ -181,9 +181,10 @@ type traceEvent struct {
 // WriteChromeTrace writes the journal in Chrome trace_event JSON. Events
 // become instants on one track per emitting search identity (the "id"/
 // "job" attributes); paired gpu.compile.begin/end records become complete
-// ("X") slices; engine.gen records additionally emit a counter ("C")
-// sample of the running best speedup, which Perfetto renders as the
-// search-trajectory graph. Paired span.begin/end records become complete
+// ("X") slices whose args are the end record's attributes, the per-stage
+// verify_us / lower_us / finalize_us split included; engine.gen records
+// additionally emit a counter ("C") sample of the running best speedup,
+// which Perfetto renders as the search-trajectory graph. Paired span.begin/end records become complete
 // slices named after the span, and a span with a parent in the journal is
 // flow-linked to it ("s"/"f" events keyed by the child span ID), so one
 // trace ID reads as a connected request tree across tracks.

@@ -20,7 +20,11 @@ import (
 type Workload interface {
 	// Name identifies the workload (e.g. "ADEPT-V1", "SIMCoV").
 	Name() string
-	// Base returns the unmutated module. Callers clone before editing.
+	// Base returns the unmutated module. It is read-only, instructions
+	// included: every variant the search builds (core.Variant) shares the
+	// base's *ir.Instr values, from many goroutines at once, so nothing
+	// reachable from Base() is ever written after construction. Callers that
+	// want to patch a module by hand start from Base().Clone().
 	Base() *ir.Module
 	// Evaluate runs the module variant on the fitness test set and returns
 	// the fitness: total simulated kernel time in milliseconds. Any
