@@ -142,9 +142,6 @@ func (p *EvalPool) spaceLocked(w workload.Workload, arch *gpu.Arch) uint32 {
 	return id
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *EvalPool) Workers() int { return cap(p.sem) }
-
 // PoolStats is a point-in-time sample of an EvalPool's load.
 type PoolStats struct {
 	// Workers is the pool's concurrency bound.

@@ -207,8 +207,8 @@ type cblock struct {
 	// block; -1 means the virtual exit.
 	ipdom int32
 	// uops and fns are the threaded-code form of ins, executed by runWarpU:
-	// hot instruction shapes become dense micro-ops dispatched through one
-	// jump table; the rest keep a specialized closure in fns (code uEscape).
+	// dense micro-ops dispatched through one jump table, and under each
+	// uEscape the closure of a shape that has none (nil everywhere else).
 	uops []uop
 	fns  []execFn
 }

@@ -9,21 +9,49 @@ import (
 	"gevo/internal/ir"
 )
 
-// The threaded-code execution backend. At Compile time every decoded
-// instruction is lowered to a specialized closure (per opcode x type x
-// predicate shape) with register-slot offsets, constant lane images, cost
-// classes and successor indices pre-bound, so runWarpT is a tight loop over
-// a []execFn: no opcode dispatch, no per-instruction profiling branch, and
-// no per-lane type normalization switch remain on the hot path. Every
-// closure keeps a full-warp fast loop (the common case: 32 dense lanes,
-// no bit iteration) next to the masked bit-iteration loop, and phi edges
-// compile to kind-split copy programs that degrade to memmoves when the
-// warp is converged.
+// The threaded-code backend is one tier. At Compile time lowerKernel turns
+// every decoded instruction into a micro-op (uop.go) with register-slot
+// offsets, cost classes and successor indices pre-bound, and runWarpU runs the
+// block's []uop through one jump-table switch; phi edges compile to copy
+// programs that degrade to memmoves when the warp is converged (lowerPhiEdge).
+// The switch interpreter in exec.go is the reference: it is what runs when
+// per-instruction profiling is requested, and the differential tests assert
+// that both backends produce bit-identical cycle counts and memory effects.
+// Instruction semantics therefore live in two places, the oracle and the uop
+// driver, and nothing in this file may become a third: an escape computes
+// its lanes with the scalar helpers the interpreter is written in (normValue,
+// zextBits, fptosi, loadMem/storeMem) and with intBinOp.
 //
-// The switch interpreter in exec.go stays as the reference backend: it is
-// what runs when per-instruction profiling is requested, and the
-// differential tests assert that both backends produce bit-identical cycle
-// counts and memory effects for every kernel in the kernels package.
+// A shape uopFor has no micro-op for escapes: its uop says uEscape and the
+// driver calls the closure lowerInstr built for it. The set is closed —
+// TestEscapeSetIsClosed enumerates every shape ir.Verify admits and fails
+// when this list and uopFor disagree, so promoting a shape to a uop deletes
+// its closure in the same change. Each member is here because a micro-op
+// for it would grow the driver, whose speed is hostage to its register
+// allocation (DESIGN.md §5), for traffic no workload has. Warp-instructions
+// through each, of all the threaded backend executed (one `bench` process per
+// workload at seed 1 for 5 s, set-up included; a counter per opcode in the
+// uEscape arm of a scratch copy, never shipped):
+//
+//	atomicadd/max/cas/exch, every   sim_paper 317 440 of 163 989 132 (add);
+//	int type, global and shared     search_synth 15 426 of 61 352 970 and
+//	                                serve_small_jobs 20 894 of 90 068 867
+//	                                (add, max); lanes commit serially
+//	fptosi, sitofp                  sim_paper 238 080 and 104 780, else 0
+//	load/store of i1                0
+//	int arithmetic on i8            0 (i1 and/or/xor are uops; ir.Verify
+//	                                admits no other i1 arithmetic)
+//	zext other than i32 -> i64      0
+//	sext/trunc to i8 or i1          0
+//	nop                             0 (only a typed nop whose result is read
+//	                                is lowered at all: liveValues drops the
+//	                                rest, and the builder emits none)
+//
+// That is 0.40 % of sim_paper, 0.02-0.03 % of search_synth and
+// serve_small_jobs, 0 of search_adept's 308 651 600; serve_reads launches
+// only in set-up.
+// The first three keep a closure of their own; the next three are one masked
+// loop per family; nop only charges its issue cost.
 
 // Backend selects which execution engine a launch uses.
 type Backend uint8
@@ -59,19 +87,9 @@ func ParseBackend(name string) (Backend, error) {
 	return BackendAuto, fmt.Errorf("unknown backend %q (want threaded or interp)", name)
 }
 
-// step is the control signal an execFn returns to the runWarpT driver loop.
-type step uint8
-
-const (
-	// stepNext advances to the next instruction in the block.
-	stepNext step = iota
-	// stepCtl signals the SIMT stack was modified (branch/ret); the driver
-	// re-reads the top entry.
-	stepCtl
-)
-
-// execFn executes one instruction under the entry's mask.
-type execFn func(c *blockCtx, w *warp, e *simtEntry) (step, error)
+// execFn executes one escaped instruction under the entry's mask. Escapes are
+// straight-line: every terminator is a uop, so the driver steps past one.
+type execFn func(c *blockCtx, w *warp, e *simtEntry) error
 
 // Threaded operands are bare offsets into the warp's extended register
 // file: finalizeKernel materializes constants, parameters and special
@@ -91,10 +109,8 @@ func (c *blockCtx) accountT(w *warp, cost float64, mask uint32) {
 	w.cycles += cost
 }
 
-// normI32 and normI8 are the inlined per-type cases of normValue.
+// normI32 is the inlined i32 case of normValue.
 func normI32(v uint64) uint64 { return uint64(int64(int32(uint32(v)))) }
-
-func normI8(v uint64) uint64 { return uint64(int64(int8(uint8(v)))) }
 
 // Phi-edge lowering. With every source materialized in the extended
 // register file, a phi edge is a flat list of register-to-register copies.
@@ -235,7 +251,8 @@ func (c *blockCtx) divergeT(w *warp, succ0, succ1 int32, maskT, maskF uint32, r 
 }
 
 // lowerKernel compiles every instruction and phi edge of the kernel to
-// threaded code: a uop for every hot shape, an escape closure for the rest.
+// threaded code: a uop, with an escape closure beside it for the shapes
+// listed at the top of this file.
 // Must run after constant lane images and extended slots are assigned.
 func lowerKernel(k *Kernel) {
 	n := 0
@@ -257,7 +274,7 @@ func lowerKernel(k *Kernel) {
 				continue
 			}
 			cb.uops[ii] = uop{code: uEscape}
-			cb.fns[ii] = lowerInstr(cb, &cb.ins[ii])
+			cb.fns[ii] = lowerInstr(&cb.ins[ii])
 		}
 	}
 	fuseCmpBranches(k)
@@ -329,641 +346,43 @@ func fuseCmpBranches(k *Kernel) {
 	}
 }
 
-// lowerInstr lowers one decoded instruction to its specialized closure. The
-// bodies replicate execInstr / runWarp case by case; any semantic deviation
-// is a bug the differential backend test exists to catch.
-func lowerInstr(cb *cblock, in *cinstr) execFn {
+// lowerInstr builds the escape closure of an instruction uopFor declined —
+// a member of the set listed at the top of this file.
+func lowerInstr(in *cinstr) execFn {
 	switch in.op {
-	case ir.OpRet:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			c.accountT(w, c.costs[costBranch], e.mask)
-			w.doneMask |= e.mask
-			w.stack = w.stack[:len(w.stack)-1]
-			return stepCtl, nil
-		}
-	case ir.OpBr:
-		succ := in.succs[0]
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			c.accountT(w, c.costs[costBranch], e.mask)
-			c.transferT(w, succ)
-			return stepCtl, nil
-		}
-	case ir.OpCondBr:
-		rc := in.args[0].ebase
-		succ0, succ1 := in.succs[0], in.succs[1]
-		r := cb.ipdom
-		both := succ0 != r && succ1 != r
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			cond := lanesAt(w, rc)
-			var maskT uint32
-			if e.mask == fullMask {
-				cond := cond[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					maskT |= uint32(cond[l]&1) << l
-				}
-			} else {
-				for m := e.mask; m != 0; m &= m - 1 {
-					lane := bits.TrailingZeros32(m) & 31
-					maskT |= uint32(cond[lane]&1) << lane
-				}
-			}
-			maskF := e.mask &^ maskT
-			switch {
-			case maskF == 0:
-				c.accountT(w, c.costs[costBranch], e.mask)
-				c.transferT(w, succ0)
-			case maskT == 0:
-				c.accountT(w, c.costs[costBranch], e.mask)
-				c.transferT(w, succ1)
-			default:
-				c.accountT(w, c.costs[costBranch]+c.arch.DivergePenalty, e.mask)
-				c.divergeT(w, succ0, succ1, maskT, maskF, r, both)
-			}
-			return stepCtl, nil
-		}
 	case ir.OpLoad:
 		return lowerLoad(in)
 	case ir.OpStore:
 		return lowerStore(in)
 	case ir.OpAtomicAdd, ir.OpAtomicMax, ir.OpAtomicCAS, ir.OpAtomicExch:
 		return lowerAtomic(in)
-	}
-
-	switch {
-	case in.op.IsIntArith():
-		return lowerIntBin(in)
-	case in.op.IsFloatArith():
-		return lowerFloatBin(in)
-	}
-
-	switch in.op {
-	case ir.OpICmp:
-		return lowerICmp(in)
-	case ir.OpFCmp:
-		return lowerFCmp(in)
-	case ir.OpSelect:
-		return lowerSelect(in)
 	case ir.OpZext, ir.OpSext, ir.OpTrunc, ir.OpSIToFP, ir.OpFPToSI:
 		return lowerConv(in)
-	case ir.OpShfl, ir.OpBallot, ir.OpActiveMask, ir.OpNop:
-		return lowerWarpPrim(in)
+	case ir.OpNop:
+		cls := in.cost
+		return func(c *blockCtx, w *warp, e *simtEntry) error {
+			c.accountT(w, c.costs[cls], e.mask)
+			return nil
+		}
 	}
-
+	if in.op.IsIntArith() {
+		return lowerIntBin(in)
+	}
 	name := in.op.String()
-	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-		return stepNext, &ExecError{Kernel: c.k.Name, Msg: "unexpected opcode " + name}
+	return func(c *blockCtx, w *warp, e *simtEntry) error {
+		return &ExecError{Kernel: c.k.Name, Msg: "unexpected opcode " + name}
 	}
 }
 
-// binPrep destructures the common two-operand shape.
-func binPrep(in *cinstr) (r1, r2 int32, dst int, cls costClass) {
-	return in.args[0].ebase, in.args[1].ebase, int(in.dst) * warpSize, in.cost
-}
-
-// lowerIntBin lowers two-operand integer arithmetic. The hot ops carry
-// hand-specialized i32/i64 closures (no normValue switch in the lane loop);
-// the rest normalize generically — identical math either way.
+// lowerIntBin lowers two-operand integer arithmetic on a type the micro-ops
+// do not cover (i8).
 func lowerIntBin(in *cinstr) execFn {
-	r1, r2, dst, cls := binPrep(in)
+	r1, r2 := in.args[0].ebase, in.args[1].ebase
+	dst := int(in.dst) * warpSize
+	cls := in.cost
 	t := in.typ
 	op := in.op
-	if t == ir.I32 {
-		switch op {
-		case ir.OpAdd:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) + int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) + int64(s2[l])))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSub:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) - int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) - int64(s2[l])))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpMul:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) * int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) * int64(s2[l])))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpAnd:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] & s2[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] & s2[l])
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpXor:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] ^ s2[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] ^ s2[l])
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpOr:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] | s2[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] | s2[l])
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpShl:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] << (s2[l] & 63))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] << (s2[l] & 63))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpLShr:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32((s1[l] & 0xFFFFFFFF) >> (s2[l] & 63))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32((s1[l] & 0xFFFFFFFF) >> (s2[l] & 63))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpAShr:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) >> (s2[l] & 63)))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) >> (s2[l] & 63)))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSDiv:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
-						}
-						dl[l] = normI32(uint64(r))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
-						}
-						dl[l] = normI32(uint64(r))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSRem:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = normI32(uint64(r))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = normI32(uint64(r))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSMin:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(min(int64(s1[l]), int64(s2[l]))))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(min(int64(s1[l]), int64(s2[l]))))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSMax:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(max(int64(s1[l]), int64(s2[l]))))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(max(int64(s1[l]), int64(s2[l]))))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		}
-	}
-	if t == ir.I64 {
-		switch op {
-		case ir.OpAdd:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) + int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) + int64(s2[l]))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSub:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) - int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) - int64(s2[l]))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpMul:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) * int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) * int64(s2[l]))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpAnd:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] & s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] & s2[l]
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpXor:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] ^ s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] ^ s2[l]
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpOr:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] | s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] | s2[l]
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpAShr:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) >> (s2[l] & 63))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) >> (s2[l] & 63))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSDiv:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
-						}
-						dl[l] = uint64(r)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
-						}
-						dl[l] = uint64(r)
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSRem:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = uint64(r)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = uint64(r)
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSMin:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(min(int64(s1[l]), int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(min(int64(s1[l]), int64(s2[l])))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpSMax:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(max(int64(s1[l]), int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(max(int64(s1[l]), int64(s2[l])))
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpShl:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] << (s2[l] & 63)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] << (s2[l] & 63)
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.OpLShr:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] >> (s2[l] & 63)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] >> (s2[l] & 63)
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		}
-	}
-	// Generic fallback: every remaining op x type combination, normalized
-	// through normValue exactly as the interpreter does.
-	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
+	return func(c *blockCtx, w *warp, e *simtEntry) error {
 		mask := e.mask
 		s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
 		dl := w.regs[dst : dst+warpSize : dst+warpSize]
@@ -972,7 +391,7 @@ func lowerIntBin(in *cinstr) execFn {
 			dl[l] = intBinOp(op, t, s1[l], s2[l])
 		}
 		c.accountT(w, c.costs[cls], mask)
-		return stepNext, nil
+		return nil
 	}
 }
 
@@ -1017,480 +436,18 @@ func intBinOp(op ir.Opcode, t ir.Type, x, y uint64) uint64 {
 	}
 }
 
-// lowerFloatBin lowers two-operand f64 arithmetic.
-func lowerFloatBin(in *cinstr) execFn {
-	r1, r2, dst, cls := binPrep(in)
-	switch in.op {
-	case ir.OpFAdd:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = math.Float64bits(math.Float64frombits(s1[l]) + math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = math.Float64bits(math.Float64frombits(s1[l]) + math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.OpFSub:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = math.Float64bits(math.Float64frombits(s1[l]) - math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = math.Float64bits(math.Float64frombits(s1[l]) - math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.OpFMul:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = math.Float64bits(math.Float64frombits(s1[l]) * math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = math.Float64bits(math.Float64frombits(s1[l]) * math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.OpFDiv:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) / math.Float64frombits(s2[l]))
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.OpFMin:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = math.Float64bits(math.Min(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	default: // ir.OpFMax
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = math.Float64bits(math.Max(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	}
-}
-
-// lowerICmp lowers integer comparison with the predicate specialized away.
-// Register values are canonically sign-extended, so a single int64 compare
-// covers every integer operand type.
-func lowerICmp(in *cinstr) execFn {
-	r1, r2, dst, cls := binPrep(in)
-	switch in.pred {
-	case ir.PredEQ:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(int64(s1[l]) == int64(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(int64(s1[l]) == int64(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredNE:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(int64(s1[l]) != int64(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(int64(s1[l]) != int64(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredLT:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(int64(s1[l]) < int64(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(int64(s1[l]) < int64(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredLE:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(int64(s1[l]) <= int64(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(int64(s1[l]) <= int64(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredGT:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(int64(s1[l]) > int64(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(int64(s1[l]) > int64(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	default: // ir.PredGE
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(int64(s1[l]) >= int64(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(int64(s1[l]) >= int64(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	}
-}
-
-// lowerFCmp lowers float comparison with the predicate specialized away.
-func lowerFCmp(in *cinstr) execFn {
-	r1, r2, dst, cls := binPrep(in)
-	switch in.pred {
-	case ir.PredEQ:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredNE:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredLT:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredLE:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.PredGT:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(math.Float64frombits(s1[l]) > math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(math.Float64frombits(s1[l]) > math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	default: // ir.PredGE
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			if mask == fullMask {
-				s1, s2 := s1[:warpSize], s2[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = boolBit(math.Float64frombits(s1[l]) >= math.Float64frombits(s2[l]))
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = boolBit(math.Float64frombits(s1[l]) >= math.Float64frombits(s2[l]))
-				}
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	}
-}
-
-// lowerSelect lowers the conditional move.
-func lowerSelect(in *cinstr) execFn {
-	rc := in.args[0].ebase
-	rt := in.args[1].ebase
-	rf := in.args[2].ebase
-	dst := int(in.dst) * warpSize
-	cls := in.cost
-	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-		mask := e.mask
-		cnd, tv, fv := lanesAt(w, rc), lanesAt(w, rt), lanesAt(w, rf)
-		dl := w.regs[dst : dst+warpSize : dst+warpSize]
-		if mask == fullMask {
-			cnd, tv, fv := cnd[:warpSize], tv[:warpSize], fv[:warpSize]
-			for l := 0; l < warpSize; l++ {
-				if cnd[l]&1 != 0 {
-					dl[l] = tv[l]
-				} else {
-					dl[l] = fv[l]
-				}
-			}
-		} else {
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				if cnd[l]&1 != 0 {
-					dl[l] = tv[l]
-				} else {
-					dl[l] = fv[l]
-				}
-			}
-		}
-		c.accountT(w, c.costs[cls], mask)
-		return stepNext, nil
-	}
-}
-
-// lowerConv lowers the conversion ops.
+// lowerConv lowers the conversions the micro-ops do not cover: zext other
+// than i32 -> i64, sext/trunc to i8 or i1 (registers are canonically
+// sign-extended, so both are a renormalization to the result type), and the
+// int <-> float pair.
 func lowerConv(in *cinstr) execFn {
 	r1 := in.args[0].ebase
 	dst := int(in.dst) * warpSize
 	cls := in.cost
 	t := in.typ
 	switch in.op {
-	case ir.OpZext:
-		at := in.args[0].typ
-		if at == ir.I32 && t == ir.I64 {
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s := lanesAt(w, r1)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask && len(s) >= warpSize {
-					s := s[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s[l] & 0xFFFFFFFF
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s[l] & 0xFFFFFFFF
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		}
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s := lanesAt(w, r1)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = normValue(t, zextBits(at, s[l]))
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.OpSext, ir.OpTrunc:
-		// Register values are canonically sign-extended, so widening to i64
-		// is the identity (a lane copy — ADEPT's address computations sext
-		// an i32 index before every memory access) and narrowing to i32 is
-		// the inline sign-extension.
-		switch t {
-		case ir.I64:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s := lanesAt(w, r1)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask && len(s) >= warpSize {
-					copy(dl, s[:warpSize])
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s[l]
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		case ir.I32:
-			return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-				mask := e.mask
-				s := lanesAt(w, r1)
-				dl := w.regs[dst : dst+warpSize : dst+warpSize]
-				if mask == fullMask && len(s) >= warpSize {
-					s := s[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s[l])
-					}
-				}
-				c.accountT(w, c.costs[cls], mask)
-				return stepNext, nil
-			}
-		}
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			s := lanesAt(w, r1)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = normValue(t, s[l])
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
 	case ir.OpSIToFP:
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
+		return func(c *blockCtx, w *warp, e *simtEntry) error {
 			mask := e.mask
 			s := lanesAt(w, r1)
 			dl := w.regs[dst : dst+warpSize : dst+warpSize]
@@ -1499,94 +456,37 @@ func lowerConv(in *cinstr) execFn {
 				dl[l] = math.Float64bits(float64(int64(s[l])))
 			}
 			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
+			return nil
 		}
-	default: // ir.OpFPToSI
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
+	case ir.OpFPToSI:
+		return func(c *blockCtx, w *warp, e *simtEntry) error {
 			mask := e.mask
 			s := lanesAt(w, r1)
 			dl := w.regs[dst : dst+warpSize : dst+warpSize]
 			for m := mask; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros32(m) & 31
-				f := math.Float64frombits(s[l])
-				var v int64
-				if !math.IsNaN(f) {
-					v = int64(f)
-				}
-				dl[l] = normValue(t, uint64(v))
+				dl[l] = normValue(t, uint64(fptosi(math.Float64frombits(s[l]))))
 			}
 			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
+			return nil
 		}
 	}
-}
-
-// lowerWarpPrim lowers shfl/ballot/activemask/nop.
-func lowerWarpPrim(in *cinstr) execFn {
-	cls := in.cost
-	switch in.op {
-	case ir.OpShfl:
-		rv := in.args[0].ebase
-		rl := in.args[1].ebase
-		dst := int(in.dst) * warpSize
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			sv, sl := lanesAt(w, rv), lanesAt(w, rl)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			// SSA slots are unique per instruction, so dl can never alias
-			// sv: the staging buffer of the interpreter is unnecessary.
-			if mask == fullMask && len(sv) >= warpSize && len(sl) >= warpSize {
-				sv, sl := sv[:warpSize], sl[:warpSize]
-				for l := 0; l < warpSize; l++ {
-					dl[l] = sv[int(int64(sl[l]))&(warpSize-1)]
-				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					l := bits.TrailingZeros32(m) & 31
-					dl[l] = sv[int(int64(sl[l]))&(warpSize-1)]
-				}
+	zext := in.op == ir.OpZext
+	at := in.args[0].typ
+	return func(c *blockCtx, w *warp, e *simtEntry) error {
+		mask := e.mask
+		s := lanesAt(w, r1)
+		dl := w.regs[dst : dst+warpSize : dst+warpSize]
+		for m := mask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m) & 31
+			v := s[l]
+			if zext {
+				v = zextBits(at, v)
 			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
+			dl[l] = normValue(t, v)
 		}
-	case ir.OpBallot:
-		rp := in.args[0].ebase
-		dst := int(in.dst) * warpSize
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			p := lanesAt(w, rp)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			var res uint32
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				res |= uint32(p[l]&1) << l
-			}
-			v := uint64(int64(int32(res)))
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = v
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	case ir.OpActiveMask:
-		dst := int(in.dst) * warpSize
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			mask := e.mask
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			v := uint64(int64(int32(mask)))
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = v
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return stepNext, nil
-		}
-	default: // ir.OpNop
-		return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
-			c.accountT(w, c.costs[cls], e.mask)
-			return stepNext, nil
-		}
+		c.accountT(w, c.costs[cls], mask)
+		return nil
 	}
 }
 
@@ -1605,7 +505,7 @@ func lowerLoad(in *cinstr) execFn {
 		opName = "shared load"
 	}
 	size := int64(t.Size())
-	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
+	return func(c *blockCtx, w *warp, e *simtEntry) error {
 		mask := e.mask
 		mem := c.d.mem
 		if shared {
@@ -1617,12 +517,12 @@ func lowerLoad(in *cinstr) execFn {
 		for i := 0; i < n; i++ {
 			a := c.addrs[i]
 			if a < 0 || a > hi {
-				return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
+				return &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
 			}
 			w.regs[dst+c.lanes[i]] = loadMem(mem, t, a)
 		}
 		if c.fast {
-			return stepNext, nil
+			return nil
 		}
 		shape := shapeOf(src, mask, shared)
 		if shared {
@@ -1630,7 +530,7 @@ func lowerLoad(in *cinstr) execFn {
 		} else {
 			c.accountT(w, c.globalCost(n, shape)+c.memPenalty(w), mask)
 		}
-		return stepNext, nil
+		return nil
 	}
 }
 
@@ -1642,7 +542,7 @@ func lowerStore(in *cinstr) execFn {
 	uid := int(in.uid)
 	shared := in.space == ir.SpaceShared
 	size := int64(t.Size())
-	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
+	return func(c *blockCtx, w *warp, e *simtEntry) error {
 		mask := e.mask
 		mem := c.d.mem
 		if shared {
@@ -1657,9 +557,9 @@ func lowerStore(in *cinstr) execFn {
 			a := c.addrs[i]
 			if a < 0 || a > hi {
 				if !shared {
-					return stepNext, c.globalStoreFault(a, maxEnd, size, uid)
+					return c.globalStoreFault(a, maxEnd, size, uid)
 				}
-				return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: uid}
+				return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: uid}
 			}
 			storeMem(mem, t, a, vals[c.lanes[i]])
 			maxEnd = max(maxEnd, a)
@@ -1668,7 +568,7 @@ func lowerStore(in *cinstr) execFn {
 			c.d.touch(maxEnd + size)
 		}
 		if c.fast {
-			return stepNext, nil
+			return nil
 		}
 		shape := shapeOf(src, mask, shared)
 		if shared {
@@ -1676,7 +576,7 @@ func lowerStore(in *cinstr) execFn {
 		} else {
 			c.accountT(w, c.globalCost(n, shape), mask)
 		}
-		return stepNext, nil
+		return nil
 	}
 }
 
@@ -1695,7 +595,7 @@ func lowerAtomic(in *cinstr) execFn {
 	global := in.space != ir.SpaceShared
 	spaceName := in.space.String()
 	uid := int(in.uid)
-	return func(c *blockCtx, w *warp, e *simtEntry) (step, error) {
+	return func(c *blockCtx, w *warp, e *simtEntry) error {
 		mask := e.mask
 		n := c.gatherAddrs(lanesAt(w, ra), mask)
 		arg1 := lanesAt(w, r1)
@@ -1713,7 +613,7 @@ func lowerAtomic(in *cinstr) execFn {
 		for i := 0; i < n; i++ {
 			a := c.addrs[i]
 			if a < 0 || a+size > int64(len(mem)) {
-				return stepNext, &FaultError{Kernel: c.k.Name, Addr: a, Op: "atomic " + spaceName, UID: uid}
+				return &FaultError{Kernel: c.k.Name, Addr: a, Op: "atomic " + spaceName, UID: uid}
 			}
 			lane := c.lanes[i]
 			old := loadMem(mem, t, a)
@@ -1742,6 +642,6 @@ func lowerAtomic(in *cinstr) execFn {
 			cost := c.arch.AtomicCost + float64(maxContention(c.addrs[:n])-1)*c.arch.AtomicSerialCost
 			c.accountT(w, cost, mask)
 		}
-		return stepNext, nil
+		return nil
 	}
 }

@@ -3,6 +3,7 @@ package gpu
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -90,12 +91,115 @@ func buildOpSoup() *ir.Function {
 	return b.Finish()
 }
 
-// runBackend executes the kernel on a fresh device under one backend and
-// returns the result plus the final arena image.
-func runBackend(t *testing.T, f *ir.Function, backend Backend, grid, block int, input []int32) (*Result, []byte) {
+// buildColdSoup is buildOpSoup's complement: every instruction shape that has
+// no micro-op (the escape set listed at the top of dispatch.go), under full,
+// ragged and parity-diverged masks. No loaded value reaches a branch or an
+// address, so the kernel is timing-oblivious and a relaunch replays from the
+// uniform-launch memo: the c.fast arms of the memory escapes run too.
+func buildColdSoup() *ir.Function {
+	b := ir.NewBuilder("coldsoup")
+	in := b.Param("in", ir.I64)
+	out := b.Param("out", ir.I64)
+	n := b.Param("n", ir.I32)
+	flags := b.SharedArray("flags", 128, 1)
+	bytes8 := b.SharedArray("bytes", 4, 1)
+	cells := b.SharedArray("cells", 16, 8)
+
+	b.Block("entry")
+	tid := b.Special(ir.SpecialTID)
+	gid := b.Add(b.Mul(b.Special(ir.SpecialBID), b.Special(ir.SpecialBDim)), tid)
+	b.CondBr(b.ICmp(ir.PredLT, gid, n), "body", "exit")
+
+	b.Block("body")
+	v := b.Load(ir.I32, ir.SpaceGlobal, b.GlobalIdx(in, gid, 4))
+	acc := v
+	mix := func(x ir.Operand) { acc = b.Add(b.Mul(acc, b.I32(31)), x) }
+	// An escape reading through an identity copy: the sext to i64 has no other
+	// reader, so finalizeKernel redirects the operand's ebase to v's slot and
+	// lowers the copy to a charge-only uop that never writes its own.
+	f := b.SIToFP(b.Sext(ir.I64, v))
+	mix(b.FPToSI(ir.I32, b.FMul(f, b.F64(0.5))))
+	mix(b.Trunc(ir.I32, b.FPToSI(ir.I64, b.FMul(f, b.F64(1e17))))) // past 2^63 for the larger inputs
+	mix(b.Zext(ir.I32, b.FPToSI(ir.I1, f)))
+	q8 := b.FPToSI(ir.I8, f)
+	// i8 arithmetic, all thirteen operations (tid 0 divides by zero).
+	x := b.Trunc(ir.I8, v)
+	y := b.Trunc(ir.I8, tid)
+	e8 := b.Sub(b.Add(x, y), b.I8(3))
+	e8 = b.SDiv(b.Mul(e8, y), y)
+	e8 = b.Or(b.And(e8, b.I8(0x5a)), b.SRem(x, b.I8(7)))
+	e8 = b.Shl(b.Xor(e8, x), b.I8(1))
+	e8 = b.SMax(b.SMin(b.LShr(e8, b.I8(2)), b.AShr(e8, b.I8(1))), q8)
+	// A uop (sext i8 -> i32) between two escapes.
+	e8 = b.Add(b.Trunc(ir.I8, b.Add(b.Sext(ir.I32, e8), b.I32(100))), x)
+	mix(b.FPToSI(ir.I32, b.SIToFP(e8)))
+	// Conversions to and from i8 and i1.
+	z32 := b.Zext(ir.I32, e8)
+	z64 := b.Zext(ir.I64, e8)
+	p := b.Trunc(ir.I1, v)
+	mix(z32)
+	mix(b.Trunc(ir.I32, z64))
+	mix(b.Zext(ir.I32, p))
+	mix(b.Zext(ir.I32, b.Zext(ir.I8, p)))
+	mix(b.Sext(ir.I32, b.Sext(ir.I8, p)))
+	mix(b.Zext(ir.I32, b.Trunc(ir.I1, e8)))
+	mix(b.Sext(ir.I32, b.Trunc(ir.I8, z64)))
+	mix(b.Zext(ir.I32, acc)) // same-width zext: legal, and not the i32 -> i64 uop
+	// i1 through shared and global memory.
+	b.Store(ir.SpaceShared, p, b.SharedAddr(flags, tid, 1))
+	b.Barrier()
+	pn := b.Load(ir.I1, ir.SpaceShared, b.SharedAddr(flags, b.Xor(tid, b.I32(1)), 1))
+	gflag := b.GlobalIdx(out, b.Add(gid, b.I32(512)), 1)
+	b.Store(ir.SpaceGlobal, pn, gflag)
+	mix(b.Zext(ir.I32, b.Load(ir.I1, ir.SpaceGlobal, gflag)))
+	// All four atomics in both address spaces, contended four ways.
+	cell := b.And(tid, b.I32(3))
+	gcell := func(k int64) ir.Operand { return b.GlobalIdx(out, b.Add(cell, b.I32(4*k)), 4) }
+	scell := func(k int64) ir.Operand { return b.SharedAddr(cells, b.Add(cell, b.I32(4*k)), 8) }
+	mix(b.AtomicAdd(ir.SpaceGlobal, gcell(0), z32))
+	mix(b.AtomicMax(ir.SpaceGlobal, gcell(1), acc))
+	mix(b.AtomicCAS(ir.SpaceGlobal, gcell(2), b.I32(0), z32))
+	mix(b.AtomicExch(ir.SpaceGlobal, gcell(3), acc))
+	mix(b.Trunc(ir.I32, b.AtomicAdd(ir.SpaceShared, scell(0), z64)))
+	mix(b.Trunc(ir.I32, b.AtomicMax(ir.SpaceShared, scell(1), z64)))
+	mix(b.Trunc(ir.I32, b.AtomicCAS(ir.SpaceShared, scell(2), b.I64(0), z64)))
+	mix(b.Sext(ir.I32, b.AtomicExch(ir.SpaceShared, b.SharedAddr(bytes8, cell, 1), e8)))
+	body := acc
+	b.CondBr(b.ICmp(ir.PredNE, b.And(tid, b.I32(1)), b.I32(0)), "oddside", "join")
+
+	b.Block("oddside")
+	o8 := b.Mul(e8, b.I8(3))
+	mix(b.Zext(ir.I32, o8))
+	mix(b.FPToSI(ir.I32, b.SIToFP(o8)))
+	mix(b.Trunc(ir.I32, b.AtomicAdd(ir.SpaceShared, scell(3), z64)))
+	b.Store(ir.SpaceShared, b.Trunc(ir.I1, o8), b.SharedAddr(flags, tid, 1))
+	mix(b.Zext(ir.I32, b.Load(ir.I1, ir.SpaceShared, b.SharedAddr(flags, tid, 1))))
+	b.Br("join")
+
+	b.Block("join")
+	ph := b.Phi(ir.I32, ir.Incoming{Block: "body", Val: body}, ir.Incoming{Block: "oddside", Val: acc})
+	b.Store(ir.SpaceGlobal, ph.Result(), b.GlobalIdx(out, b.Add(gid, b.I32(16)), 4))
+	b.Br("exit")
+
+	b.Block("exit")
+	b.Ret()
+	f2 := b.Finish()
+	// The builder has no nop; one appended by hand shows both backends agree
+	// on it too (liveValues drops it before either sees it).
+	body0 := f2.BlockByName("body")
+	body0.Instrs = append([]*ir.Instr{{UID: f2.NewUID(), Op: ir.OpNop}}, body0.Instrs...)
+	return f2
+}
+
+// runBackend launches the kernel twice on a fresh device under one backend
+// (the relaunch replays a timing-oblivious kernel from the uniform-launch
+// memo when the backend is threaded) and returns both results plus the final
+// arena image.
+func runBackend(t *testing.T, f *ir.Function, backend Backend, grid, block int, input []int32) ([2]*Result, []byte) {
 	t.Helper()
 	k := mustCompile(t, f)
-	d := NewDevice(P100)
+	d := NewDeviceWithMem(P100, 1<<14)
+	d.Stats = &EvalStats{}
 	in, err := d.Alloc(4 * len(input))
 	if err != nil {
 		t.Fatal(err)
@@ -107,13 +211,19 @@ func runBackend(t *testing.T, f *ir.Function, backend Backend, grid, block int, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := d.Launch(k, LaunchConfig{
-		Grid: grid, Block: block,
-		Args:    []uint64{uint64(in), uint64(out), uint64(int64(len(input)))},
-		Backend: backend,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var res [2]*Result
+	for i := range res {
+		res[i], err = d.Launch(k, LaunchConfig{
+			Grid: grid, Block: block,
+			Args:    []uint64{uint64(in), uint64(out), uint64(int64(len(input)))},
+			Backend: backend,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := backend == BackendThreaded && k.TimingOblivious(); (d.Stats.MemoHits == 1) != want {
+		t.Fatalf("%s: %d memo replays, timing-oblivious %v", f.Name, d.Stats.MemoHits, k.TimingOblivious())
 	}
 	mem := append([]byte(nil), d.mem...)
 	return res, mem
@@ -122,30 +232,159 @@ func runBackend(t *testing.T, f *ir.Function, backend Backend, grid, block int, 
 // TestBackendDifferentialSynthetic compares the interpreter and the
 // threaded backend per launch: cycles, dynamic instruction counts and the
 // entire final memory image must match bit for bit, including partial
-// final warps and divergent control flow.
+// final warps, divergent control flow and a memo-replayed relaunch — for
+// the kernel of uop shapes and for the kernel of escapes.
 func TestBackendDifferentialSynthetic(t *testing.T) {
-	f := buildOpSoup()
 	input := make([]int32, 100)
 	for i := range input {
 		input[i] = int32(i*7 - 50)
 	}
-	for _, geom := range []struct{ grid, block int }{
-		{2, 64},  // full warps
-		{3, 48},  // partial final warp per block
-		{1, 100}, // ragged block, partial warp
-	} {
-		ri, memI := runBackend(t, f, BackendInterp, geom.grid, geom.block, input)
-		rt, memT := runBackend(t, f, BackendThreaded, geom.grid, geom.block, input)
-		if ri.Cycles != rt.Cycles {
-			t.Errorf("%dx%d: cycles interp %v != threaded %v", geom.grid, geom.block, ri.Cycles, rt.Cycles)
-		}
-		if ri.DynInstrs != rt.DynInstrs {
-			t.Errorf("%dx%d: dyninstrs interp %v != threaded %v", geom.grid, geom.block, ri.DynInstrs, rt.DynInstrs)
-		}
-		if !bytes.Equal(memI, memT) {
-			t.Errorf("%dx%d: memory images differ", geom.grid, geom.block)
+	cold := buildColdSoup()
+	if !mustCompile(t, cold).TimingOblivious() {
+		t.Fatal("coldsoup must be timing-oblivious, or its relaunch never runs the replay arms")
+	}
+	for _, f := range []*ir.Function{buildOpSoup(), cold} {
+		for _, geom := range []struct{ grid, block int }{
+			{2, 64},  // full warps
+			{3, 48},  // partial final warp per block
+			{1, 100}, // ragged block, partial warp
+		} {
+			ri, memI := runBackend(t, f, BackendInterp, geom.grid, geom.block, input)
+			rt, memT := runBackend(t, f, BackendThreaded, geom.grid, geom.block, input)
+			for i := range ri {
+				if ri[i].Cycles != rt[i].Cycles {
+					t.Errorf("%s %dx%d launch %d: cycles interp %v != threaded %v", f.Name, geom.grid, geom.block, i, ri[i].Cycles, rt[i].Cycles)
+				}
+				if ri[i].DynInstrs != rt[i].DynInstrs {
+					t.Errorf("%s %dx%d launch %d: dyninstrs interp %v != threaded %v", f.Name, geom.grid, geom.block, i, ri[i].DynInstrs, rt[i].DynInstrs)
+				}
+			}
+			if !bytes.Equal(memI, memT) {
+				t.Errorf("%s %dx%d: memory images differ", f.Name, geom.grid, geom.block)
+			}
 		}
 	}
+}
+
+// inEscapeSet is the list at the top of dispatch.go as a predicate over a
+// decoded instruction.
+func inEscapeSet(in *cinstr) bool {
+	switch {
+	case isAtomicOp(in.op), in.op == ir.OpSIToFP, in.op == ir.OpFPToSI, in.op == ir.OpNop:
+		return true
+	case in.op == ir.OpLoad:
+		return in.typ == ir.I1
+	case in.op == ir.OpStore:
+		return in.args[0].typ == ir.I1
+	case in.op.IsIntArith():
+		return in.typ == ir.I8
+	case in.op == ir.OpZext:
+		return in.args[0].typ != ir.I32 || in.typ != ir.I64
+	case in.op == ir.OpSext, in.op == ir.OpTrunc:
+		return in.typ == ir.I8 || in.typ == ir.I1
+	}
+	return false
+}
+
+// TestEscapeSetIsClosed pins the escape set to its documentation: for every
+// opcode, every result type and every tuple of up to three operand types (both
+// address spaces, all six predicates) that ir.Verify admits, the compiled
+// instruction is uEscape exactly when the shape is on the list at the top of
+// dispatch.go. A shape promoted to a uop without deleting its closure, or a
+// new shape quietly left to an escape, fails here.
+//
+// CI runs this test by name and fails if it is skipped.
+func TestEscapeSetIsClosed(t *testing.T) {
+	lowered := map[ir.Opcode]int{}
+	check := func(k *Kernel) {
+		for bi := range k.blocks {
+			cb := &k.blocks[bi]
+			for ii := range cb.ins {
+				in := &cb.ins[ii]
+				lowered[in.op]++
+				if got, want := cb.uops[ii].code == uEscape, inEscapeSet(in); got != want {
+					var at []ir.Type
+					for _, a := range in.args {
+						at = append(at, a.typ)
+					}
+					t.Errorf("%s %s %v (%s): escapes=%v, the list in dispatch.go says %v", in.op, in.typ, at, in.space, got, want)
+				}
+			}
+		}
+	}
+
+	types := []ir.Type{ir.I1, ir.I8, ir.I32, ir.I64, ir.F64}
+	var tuples [][]ir.Type // every operand-type tuple of length 0..3
+	for n, level := 0, [][]ir.Type{nil}; n <= 3; n++ {
+		tuples = append(tuples, level...)
+		var next [][]ir.Type
+		for _, tu := range level {
+			for _, ty := range types {
+				next = append(next, append(tu[:len(tu):len(tu)], ty))
+			}
+		}
+		level = next
+	}
+	// shape wraps one instruction in a kernel with a parameter per type, in
+	// the order of types, which its operands name, plus the address its result
+	// (if any) is stored to, so it is live.
+	shape := func(in *ir.Instr, operands []ir.Type) *ir.Function {
+		blk := &ir.Block{Name: "entry"}
+		f := &ir.Function{Name: "shape", Params: append(slices.Clone(types), ir.I64), Blocks: []*ir.Block{blk}}
+		emit := func(in *ir.Instr) {
+			in.UID = f.NewUID()
+			blk.Instrs = append(blk.Instrs, in)
+		}
+		for _, ty := range operands {
+			in.Args = append(in.Args, ir.Param(slices.Index(types, ty), ty))
+		}
+		emit(in)
+		if in.Typ != ir.Void {
+			emit(&ir.Instr{Op: ir.OpStore, Args: []ir.Operand{in.Result(), ir.Param(len(types), ir.I64)}})
+		}
+		emit(&ir.Instr{Op: ir.OpRet})
+		return f
+	}
+	admitted := 0
+	for op := ir.OpNop; op < ir.OpPhi; op++ {
+		if op.IsTerminator() {
+			continue // every kernel below ends in one; the two soups branch
+		}
+		spaces := []ir.MemSpace{ir.SpaceGlobal}
+		if op.IsMemRead() || op.IsMemWrite() {
+			spaces = append(spaces, ir.SpaceShared)
+		}
+		preds := []ir.Pred{ir.PredEQ}
+		if op == ir.OpICmp || op == ir.OpFCmp {
+			preds = []ir.Pred{ir.PredEQ, ir.PredNE, ir.PredLT, ir.PredLE, ir.PredGT, ir.PredGE}
+		}
+		for _, typ := range append([]ir.Type{ir.Void}, types...) {
+			for _, tu := range tuples {
+				for _, space := range spaces {
+					for _, pred := range preds {
+						f := shape(&ir.Instr{Op: op, Typ: typ, Pred: pred, Space: space}, tu)
+						if f.Verify() != nil {
+							continue
+						}
+						admitted++
+						k, err := Compile(f)
+						if err != nil {
+							t.Fatalf("%s %s %v: verified but does not compile: %v", op, typ, tu, err)
+						}
+						check(k)
+					}
+				}
+			}
+		}
+	}
+	check(mustCompile(t, buildOpSoup()))
+	check(mustCompile(t, buildColdSoup()))
+	for op := ir.OpNop; op < ir.OpPhi; op++ {
+		if lowered[op] == 0 {
+			t.Errorf("%s: never lowered — the enumeration no longer reaches it", op)
+		}
+	}
+	t.Logf("%d shapes admitted by ir.Verify", admitted)
 }
 
 // TestUniformLaunchMemo pins the uniform-launch memoization: a

@@ -86,7 +86,7 @@ type blockCtx struct {
 	lanes    [warpSize]int
 	bankWord [warpSize]int64
 	phiTmp   []uint64
-	// threaded selects the threaded-code backend (runWarpT) for this launch.
+	// threaded selects the threaded-code backend (runWarpU) for this launch.
 	threaded bool
 	// fast is set during a memoized uniform-launch replay: the launch's
 	// cycle count is already known, so memory instructions skip the cost
@@ -557,12 +557,7 @@ func (c *blockCtx) execInstr(w *warp, e *simtEntry, in *cinstr) error {
 		t := in.typ
 		for m := mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			f := math.Float64frombits(s[l])
-			var v int64
-			if !math.IsNaN(f) {
-				v = int64(f)
-			}
-			dl[l] = normValue(t, uint64(v))
+			dl[l] = normValue(t, uint64(fptosi(math.Float64frombits(s[l]))))
 		}
 		c.account(w, in, c.costs[in.cost], mask)
 
@@ -1019,5 +1014,21 @@ func zextBits(t ir.Type, v uint64) uint64 {
 		return v & 0xFFFFFFFF
 	default:
 		return v
+	}
+}
+
+// fptosi is the float-to-signed-integer conversion of both backends. Go leaves
+// int64(f) implementation-defined when f is out of range (amd64 yields
+// MinInt64, arm64 saturates), so a mutant that divides by zero ahead of a
+// fptosi would score differently on another host. Here NaN converts to 0 and
+// every value outside [-2^63, 2^63), the infinities included, to MinInt64.
+func fptosi(f float64) int64 {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= -(1<<63) && f < 1<<63:
+		return int64(f)
+	default:
+		return math.MinInt64
 	}
 }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -89,6 +90,73 @@ func TestIntegerSemantics(t *testing.T) {
 				t.Errorf("got %d, want %d", got, tc.want)
 			}
 		})
+	}
+}
+
+// TestFPToSIIsDefinedOutOfRange pins the float-to-integer conversion where Go
+// leaves it to the host: NaN converts to 0 and every value outside
+// [-2^63, 2^63) to MinInt64, through both backends, at full and narrowed
+// result widths.
+func TestFPToSIIsDefinedOutOfRange(t *testing.T) {
+	cases := []struct {
+		f    float64
+		want int64
+	}{
+		{math.Inf(1), math.MinInt64},
+		{math.Inf(-1), math.MinInt64},
+		{1e300, math.MinInt64},
+		{-1e300, math.MinInt64},
+		{1 << 63, math.MinInt64},
+		{-(1 << 63), math.MinInt64}, // in range: the one value that converts to MinInt64 exactly
+		{math.Nextafter(1<<63, 0), 1<<63 - 1024},
+		{math.Nextafter(-(1 << 63), math.Inf(-1)), math.MinInt64},
+		{math.NaN(), 0},
+		{0.75, 0},
+		{-1.5, -1},
+		{123456789.9, 123456789},
+		{-4294967297.5, -4294967297},
+	}
+	in := make([]float64, len(cases))
+	for i, tc := range cases {
+		in[i] = tc.f
+		if got := fptosi(tc.f); got != tc.want {
+			t.Errorf("fptosi(%v) = %d, want %d", tc.f, got, tc.want)
+		}
+	}
+
+	b := ir.NewBuilder("fptosi")
+	src := b.Param("in", ir.I64)
+	dst := b.Param("out", ir.I64)
+	b.Block("entry")
+	tid := b.Special(ir.SpecialTID)
+	f := b.Load(ir.F64, ir.SpaceGlobal, b.GlobalIdx(src, tid, 8))
+	b.Store(ir.SpaceGlobal, b.FPToSI(ir.I64, f), b.GlobalIdx(dst, tid, 8))
+	b.Store(ir.SpaceGlobal, b.FPToSI(ir.I32, f), b.GlobalIdx(dst, b.Add(tid, b.I32(32)), 8))
+	b.Ret()
+	k := mustCompile(t, b.Finish())
+	for _, backend := range []Backend{BackendInterp, BackendThreaded} {
+		d := NewDeviceWithMem(P100, 1<<12)
+		inBase, _ := d.Alloc(8 * len(in))
+		outBase, _ := d.Alloc(8 * 64)
+		if err := d.WriteF64s(inBase, in); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Launch(k, LaunchConfig{Grid: 1, Block: len(in), Backend: backend, Args: PackArgs(inBase, outBase)}); err != nil {
+			t.Fatal(err)
+		}
+		buf, err := d.ReadBytes(outBase, 8*64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tc := range cases {
+			if got := int64(binary.LittleEndian.Uint64(buf[8*i:])); got != tc.want {
+				t.Errorf("backend %d: fptosi i64 of %v = %d, want %d", backend, tc.f, got, tc.want)
+			}
+			// The i32 result is the low word, stored into a zeroed i64 cell.
+			if got, want := binary.LittleEndian.Uint64(buf[8*(32+i):]), uint64(uint32(tc.want)); got != want {
+				t.Errorf("backend %d: fptosi i32 of %v = %#x, want %#x", backend, tc.f, got, want)
+			}
+		}
 	}
 }
 

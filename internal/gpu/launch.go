@@ -50,12 +50,6 @@ type Result struct {
 	Blocks int
 }
 
-// ArgI packs an integer kernel argument.
-func ArgI(v int64) uint64 { return uint64(v) }
-
-// ArgF packs a float kernel argument.
-func ArgF(v float64) uint64 { return math.Float64bits(v) }
-
 // launchState is the reusable per-launch execution state of a device: the
 // register file, warp structures and shared-memory image. Reuse across
 // launches (and, via the device pool, across evaluations) removes the

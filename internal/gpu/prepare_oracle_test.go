@@ -118,6 +118,9 @@ func TestPrepareMatchesOracles(t *testing.T) {
 // 1.25 x 71, so a reintroduced per-UID map or per-instruction slice fails
 // here instead of quietly costing a search round 15 %.
 func TestPrepareAllocations(t *testing.T) {
+	// The bound prices verify+compile; GEVO_VERIFY_COMPILED=1 adds the
+	// compiled-program audit to every Prepare, which is not what is guarded.
+	defer gpu.SetVerifyCompiled(gpu.SetVerifyCompiled(false))
 	w, err := synth.New(synth.Spec{Family: "reduce", Seed: 1})
 	if err != nil {
 		t.Fatal(err)

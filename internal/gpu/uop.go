@@ -8,15 +8,14 @@ import (
 	"gevo/internal/ir"
 )
 
-// The uop layer of the threaded backend. Lowering assigns every hot
-// instruction shape a dense micro-opcode; runWarpU dispatches them through
-// one jump-table switch over a contiguous []uop array, keeping the budget,
-// register file and active mask in locals across instructions — no closure
-// call, no operand-kind resolution and no per-lane type switch remain for
-// the hot set — except the twelve memory micro-ops, which the switch hands to
-// loadU/storeU at the end of this file. Shapes outside the hot set keep their
-// specialized closure from dispatch.go (uEscape): the switch is purely an
-// accelerator with identical semantics.
+// The threaded backend's driver. Lowering assigns every instruction shape a
+// dense micro-opcode; runWarpU dispatches them through one jump-table switch
+// over a contiguous []uop array, keeping the budget, register file and active
+// mask in locals across instructions — no closure call, no operand-kind
+// resolution and no per-lane type switch — except the twelve memory
+// micro-ops, which the switch hands to loadU/storeU at the end of this file.
+// The few shapes with no micro-op (uEscape) are the closed set listed at the
+// top of dispatch.go, where the reason each is not one is given.
 
 type uopCode uint8
 
@@ -149,8 +148,8 @@ type uop struct {
 	uid    int32
 }
 
-// uopFor translates a decoded instruction into a hot uop; ok=false means
-// the instruction keeps its escape closure.
+// uopFor translates a decoded instruction into its uop; ok=false means the
+// shape has none and escapes (the set listed at the top of dispatch.go).
 func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 	u := uop{cls: in.cost, uid: in.uid}
 	if in.dst >= 0 {
@@ -296,9 +295,9 @@ func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 	return u, false
 }
 
-// runWarpU executes the warp through the uop jump table, falling back to
-// the escape closures for shapes outside the hot set. It is the threaded
-// backend's driver; semantics mirror runWarp instruction for instruction.
+// runWarpU executes the warp through the uop jump table, calling the escape
+// closure of a shape that has no uop. It is the threaded backend's driver;
+// semantics mirror runWarp instruction for instruction.
 // (Generated-style expansion: every ALU case keeps the dense full-warp loop
 // next to the masked bit-iteration loop; the memory micro-ops live in
 // loadU/storeU, below.)
@@ -351,13 +350,9 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			switch u.code {
 			case uEscape:
 				e.pc = pc
-				st, err := blk.fns[pc](c, w, e)
-				if err != nil {
+				if err := blk.fns[pc](c, w, e); err != nil {
 					*c.budget = bud
 					return err
-				}
-				if st == stepCtl {
-					break straight
 				}
 				pc++
 			case uMulAdd64:

@@ -297,7 +297,7 @@ func (v *kernelVerifier) checkWalks() error {
 				// uEscape closures here are loads, stores, atomics and other
 				// straight-line shapes: terminators always lower to uops
 				// (uopFor claims every Br/CondBr/Ret), so the walk treats an
-				// escape as pc++ exactly like runWarpU's stepNext path.
+				// escape as pc++ exactly like runWarpU does.
 				pc++
 			}
 		}
