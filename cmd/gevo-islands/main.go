@@ -111,7 +111,6 @@ func main() {
 	resume := flag.String("resume", "", "resume from a checkpoint file (topology flags come from the checkpoint)")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON result on stdout")
 	validate := flag.Bool("validate", true, "run held-out validation on the best variant")
-	backend := flag.String("backend", "", "execution backend override: threaded (default) or interp")
 	traceOut := flag.String("trace", "", "write the event journal to this file (.jsonl = JSON lines, else Chrome trace_event for Perfetto)")
 	listWorkloads := flag.Bool("list-workloads", false, "print the registered workload names and exit")
 	flag.Parse()
@@ -121,11 +120,6 @@ func main() {
 			fmt.Println(name)
 		}
 		return
-	}
-	if b, err := gpu.ParseBackend(*backend); err != nil {
-		fatal(err)
-	} else {
-		gpu.DefaultBackend = b
 	}
 
 	w, err := workload.ByName(*wl)

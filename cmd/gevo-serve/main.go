@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"gevo/internal/fault"
-	"gevo/internal/gpu"
 	"gevo/internal/obs"
 	"gevo/internal/serve"
 )
@@ -42,18 +41,11 @@ func main() {
 	workers := flag.Int("workers", 0, "shared evaluation-pool workers (0 = GOMAXPROCS)")
 	executors := flag.Int("executors", 2, "jobs advancing a slice concurrently")
 	cacheSize := flag.Int("cache", 64, "LRU result-cache capacity")
-	backend := flag.String("backend", "", "execution backend override: threaded (default) or interp")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	maxJobs := flag.Int("max-jobs", 0, "max queued+running jobs before submissions shed with 429 (0 = unlimited)")
 	faults := flag.String("faults", "", "deterministic fault-injection schedule, e.g. 'eval.dispatch:panic@3;persist.write:error/5' (chaos testing; '' = off)")
 	postmortem := flag.String("postmortem", "", "crash postmortem path: a panic dumps the flight-recorder journal + metrics there before dying ('' = <dir>/postmortem.json, or off when in-memory)")
 	flag.Parse()
-
-	if b, err := gpu.ParseBackend(*backend); err != nil {
-		fatal(err)
-	} else {
-		gpu.DefaultBackend = b
-	}
 
 	var inj *fault.Injector
 	if *faults != "" {

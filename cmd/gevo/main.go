@@ -53,7 +53,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel fitness evaluations (0 = GOMAXPROCS)")
 	validate := flag.Bool("validate", true, "run held-out validation on the best variant")
 	jsonOut := flag.Bool("json", false, "emit one machine-readable JSON result on stdout")
-	backend := flag.String("backend", "", "execution backend override: threaded (default) or interp")
 	traceOut := flag.String("trace", "", "write the event journal to this file (.jsonl = JSON lines, else Chrome trace_event for Perfetto)")
 	listWorkloads := flag.Bool("list-workloads", false, "print the registered workload names and exit")
 	flag.Parse()
@@ -63,12 +62,6 @@ func main() {
 			fmt.Println(name)
 		}
 		return
-	}
-	if b, err := gpu.ParseBackend(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "gevo:", err)
-		os.Exit(2)
-	} else {
-		gpu.DefaultBackend = b
 	}
 	arch, err := gpu.ResolveArch(*archName)
 	if err != nil {

@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -12,7 +11,8 @@ import (
 // The threaded-code backend is one tier. At Compile time lowerKernel turns
 // every decoded instruction into a micro-op (uop.go) with register-slot
 // offsets, cost classes and successor indices pre-bound, and runWarpU runs the
-// block's []uop through one jump-table switch; phi edges compile to copy
+// block's []uop through one jump-table switch, handing lane arithmetic to
+// aluU and memory to loadU/storeU; phi edges compile to copy
 // programs that degrade to memmoves when the warp is converged (lowerPhiEdge).
 // The switch interpreter in exec.go is the reference: it is what runs when
 // per-instruction profiling is requested, and the differential tests assert
@@ -27,8 +27,8 @@ import (
 // TestEscapeSetIsClosed enumerates every shape ir.Verify admits and fails
 // when this list and uopFor disagree, so promoting a shape to a uop deletes
 // its closure in the same change. Each member is here because a micro-op
-// for it would grow the driver, whose speed is hostage to its register
-// allocation (DESIGN.md §5), for traffic no workload has. Warp-instructions
+// for it would be one more code and lane loop to keep exact (DESIGN.md §5)
+// for traffic no workload has. Warp-instructions
 // through each, of all the threaded backend executed (one `bench` process per
 // workload at seed 1 for 5 s, set-up included; a counter per opcode in the
 // uEscape arm of a scratch copy, never shipped):
@@ -69,23 +69,9 @@ const (
 )
 
 // DefaultBackend is consulted when LaunchConfig.Backend is BackendAuto; it
-// exists so tools (cmd/gevo -backend) and differential tests can flip every
-// launch in the process without threading a flag through the workloads.
+// exists so the benchmark and the differential tests can flip every launch in
+// the process without threading a setting through the workloads.
 var DefaultBackend = BackendAuto
-
-// ParseBackend maps the CLI names of the execution backends ("" keeps the
-// default); the single point of truth for every tool's -backend flag.
-func ParseBackend(name string) (Backend, error) {
-	switch name {
-	case "":
-		return DefaultBackend, nil
-	case "threaded":
-		return BackendThreaded, nil
-	case "interp":
-		return BackendInterp, nil
-	}
-	return BackendAuto, fmt.Errorf("unknown backend %q (want threaded or interp)", name)
-}
 
 // execFn executes one escaped instruction under the entry's mask. Escapes are
 // straight-line: every terminator is a uop, so the driver steps past one.
@@ -323,23 +309,19 @@ func fuseCmpBranches(k *Kernel) {
 					continue
 				}
 			}
+			// A compare micro-op followed by the branch that is its only reader.
+			// The uop already carries uopFor's mirror rule (operands swapped,
+			// GT/GE lowered to LT/LE), and the fused codes run parallel to the
+			// compare codes.
+			u, bu := cb.uops[ii], &cb.uops[ii+1]
+			if u.code < uICmpEQ || u.code > uFCmpLE || bu.code != uCondBr {
+				continue
+			}
 			cmp, br := &cb.ins[ii], &cb.ins[ii+1]
-			if (cmp.op != ir.OpICmp && cmp.op != ir.OpFCmp) || br.op != ir.OpCondBr {
-				continue
-			}
-			if cb.uops[ii].code == uEscape || cb.uops[ii+1].code != uCondBr {
-				continue
-			}
 			if br.args[0].kind != argReg || br.args[0].slot != cmp.dst || uses[cmp.dst] != 1 {
 				continue
 			}
-			u := cb.uops[ii]
-			if cmp.op == ir.OpICmp {
-				u.code = uICmpBrEQ + uopCode(cmp.pred)
-			} else {
-				u.code = uFCmpBrEQ + uopCode(cmp.pred)
-			}
-			bu := &cb.uops[ii+1]
+			u.code = uICmpBrEQ + (u.code - uICmpEQ)
 			u.succ0, u.succ1, u.reconv, u.both = bu.succ0, bu.succ1, bu.reconv, bu.both
 			cb.uops[ii] = u
 		}

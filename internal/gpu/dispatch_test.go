@@ -3,6 +3,8 @@ package gpu
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -57,7 +59,10 @@ func buildOpSoup() *ir.Function {
 	shf := b.Shfl(nval, b.Xor(b.Special(ir.SpecialLane), b.I32(3)))
 	blt := b.Ballot(b.ICmp(ir.PredNE, shf, b.I32(0)))
 	am := b.ActiveMask()
-	mix := b.Add(b.Add(shf, blt), am)
+	// A shfl value operand is the one reader finalizeKernel does not redirect
+	// past a sext to i64, so this copy stays a real micro-op (uSextTo64).
+	wide := b.Shfl(b.Sext(ir.I64, nval), b.Special(ir.SpecialLane))
+	mix := b.Add(b.Add(b.Add(shf, blt), am), b.Trunc(ir.I32, wide))
 	// Divergence on a data-dependent condition.
 	odd := b.ICmp(ir.PredEQ, b.And(mix, b.I32(1)), b.I32(1))
 	b.CondBr(odd, "slow", "merge")
@@ -191,6 +196,70 @@ func buildColdSoup() *ir.Function {
 	return f2
 }
 
+// buildCmpSoup runs icmp and fcmp with all six predicates and both operand
+// orders, each once as an i1 value and once fused into the branch of a
+// data-divergent diamond, so the mirror rule (GT/GE lowered to LT/LE on
+// swapped operands, uopFor) meets the interpreter on every code it re-routes.
+// Operands come from the thread id: every pair of {-1, 0, 1, 2} for the
+// integers (equal ones included) and every pair of {NaN, +Inf, -Inf, +0, -0,
+// 1.5, -1.5, tid} for the floats. Nothing is loaded, so the kernel is
+// timing-oblivious and its relaunch is a memo replay.
+func buildCmpSoup() *ir.Function {
+	b := ir.NewBuilder("cmpsoup")
+	b.Param("in", ir.I64)
+	out := b.Param("out", ir.I64)
+	n := b.Param("n", ir.I32)
+
+	b.Block("entry")
+	tid := b.Special(ir.SpecialTID)
+	gid := b.Add(b.Mul(b.Special(ir.SpecialBID), b.Special(ir.SpecialBDim)), tid)
+	b.CondBr(b.ICmp(ir.PredLT, gid, n), "body", "exit")
+
+	b.Block("body")
+	cur := "body"
+	class := func(k ir.Operand) ir.Operand {
+		v := b.SIToFP(tid)
+		for i, c := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), 1.5, -1.5} {
+			v = b.Select(b.ICmp(ir.PredEQ, k, b.I32(int64(i))), b.F64(c), v)
+		}
+		return v
+	}
+	xi := b.Sub(b.And(tid, b.I32(3)), b.I32(1))
+	yi := b.Sub(b.And(b.AShr(tid, b.I32(2)), b.I32(3)), b.I32(1))
+	xf := class(b.And(tid, b.I32(7)))
+	yf := class(b.And(b.AShr(tid, b.I32(3)), b.I32(7)))
+	acc := gid
+	step := int64(0)
+	for p := ir.PredEQ; p <= ir.PredGE; p++ {
+		for _, cmp := range []func() ir.Operand{
+			func() ir.Operand { return b.ICmp(p, xi, yi) },
+			func() ir.Operand { return b.ICmp(p, yi, xi) },
+			func() ir.Operand { return b.ICmp(p, b.Sext(ir.I64, xi), b.I64(0)) },
+			func() ir.Operand { return b.FCmp(p, xf, yf) },
+			func() ir.Operand { return b.FCmp(p, yf, xf) },
+		} {
+			// As a value: the i1 lanes are materialized and read by a select.
+			step++
+			acc = b.Add(b.Mul(acc, b.I32(3)), b.Select(cmp(), b.I32(step), b.I32(-step)))
+			// Fused: the compare's only reader is the branch that ends its block.
+			taken, join := fmt.Sprintf("taken%d", step), fmt.Sprintf("join%d", step)
+			b.CondBr(cmp(), taken, join)
+			b.Block(taken)
+			bumped := b.Xor(acc, b.I32(step<<8))
+			b.Br(join)
+			b.Block(join)
+			acc = b.Phi(ir.I32, ir.Incoming{Block: cur, Val: acc}, ir.Incoming{Block: taken, Val: bumped}).Result()
+			cur = join
+		}
+	}
+	b.Store(ir.SpaceGlobal, acc, b.GlobalIdx(out, gid, 4))
+	b.Br("exit")
+
+	b.Block("exit")
+	b.Ret()
+	return b.Finish()
+}
+
 // runBackend launches the kernel twice on a fresh device under one backend
 // (the relaunch replays a timing-oblivious kernel from the uniform-launch
 // memo when the backend is threaded) and returns both results plus the final
@@ -233,7 +302,7 @@ func runBackend(t *testing.T, f *ir.Function, backend Backend, grid, block int, 
 // threaded backend per launch: cycles, dynamic instruction counts and the
 // entire final memory image must match bit for bit, including partial
 // final warps, divergent control flow and a memo-replayed relaunch — for
-// the kernel of uop shapes and for the kernel of escapes.
+// the kernel of uop shapes, the kernel of escapes and the kernel of compares.
 func TestBackendDifferentialSynthetic(t *testing.T) {
 	input := make([]int32, 100)
 	for i := range input {
@@ -243,7 +312,7 @@ func TestBackendDifferentialSynthetic(t *testing.T) {
 	if !mustCompile(t, cold).TimingOblivious() {
 		t.Fatal("coldsoup must be timing-oblivious, or its relaunch never runs the replay arms")
 	}
-	for _, f := range []*ir.Function{buildOpSoup(), cold} {
+	for _, f := range []*ir.Function{buildOpSoup(), cold, buildCmpSoup()} {
 		for _, geom := range []struct{ grid, block int }{
 			{2, 64},  // full warps
 			{3, 48},  // partial final warp per block
@@ -291,17 +360,23 @@ func inEscapeSet(in *cinstr) bool {
 // address spaces, all six predicates) that ir.Verify admits, the compiled
 // instruction is uEscape exactly when the shape is on the list at the top of
 // dispatch.go. A shape promoted to a uop without deleting its closure, or a
-// new shape quietly left to an escape, fails here.
+// new shape quietly left to an escape, fails here. The table is closed the
+// other way too: every code below numUops must be emitted by one of those
+// shapes or, for the codes only a fusion or a branch produces, by one of the
+// three soups — a lane loop nobody lowers to is how the opcode x width x
+// predicate table came to carry 27 rows no workload dispatched.
 //
 // CI runs this test by name and fails if it is skipped.
 func TestEscapeSetIsClosed(t *testing.T) {
 	lowered := map[ir.Opcode]int{}
+	var emitted [numUops]bool
 	check := func(k *Kernel) {
 		for bi := range k.blocks {
 			cb := &k.blocks[bi]
 			for ii := range cb.ins {
 				in := &cb.ins[ii]
 				lowered[in.op]++
+				emitted[cb.uops[ii].code] = true
 				if got, want := cb.uops[ii].code == uEscape, inEscapeSet(in); got != want {
 					var at []ir.Type
 					for _, a := range in.args {
@@ -379,9 +454,15 @@ func TestEscapeSetIsClosed(t *testing.T) {
 	}
 	check(mustCompile(t, buildOpSoup()))
 	check(mustCompile(t, buildColdSoup()))
+	check(mustCompile(t, buildCmpSoup()))
 	for op := ir.OpNop; op < ir.OpPhi; op++ {
 		if lowered[op] == 0 {
 			t.Errorf("%s: never lowered — the enumeration no longer reaches it", op)
+		}
+	}
+	for code, ok := range emitted {
+		if !ok {
+			t.Errorf("uop code %d (counting from uEscape = 0 in uop.go) is emitted by no admitted shape and no soup: a case nobody lowers to", code)
 		}
 	}
 	t.Logf("%d shapes admitted by ir.Verify", admitted)
@@ -616,6 +697,18 @@ func TestVerifyKernelCatchesCorruption(t *testing.T) {
 				return true
 			},
 			want: "falls off the uop stream",
+		},
+		{
+			name: "opcode past the jump table",
+			corrupt: func(k *Kernel) bool {
+				u := firstUop(k, func(u *uop) bool { return u.code == uAdd32 })
+				if u == nil {
+					return false
+				}
+				u.code = numUops
+				return true
+			},
+			want: "outside the jump table",
 		},
 		{
 			name: "cost class past the table",

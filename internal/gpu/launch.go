@@ -17,7 +17,8 @@ type LaunchConfig struct {
 	// Block is the number of threads per block.
 	Block int
 	// Args holds one raw 64-bit value per kernel parameter (integers
-	// sign-extended, floats as IEEE-754 bits). See PackArgs.
+	// sign-extended, floats as IEEE-754 bits). See PackArgs. Launch reads an
+	// integer at its parameter's width, whatever lies above it.
 	Args []uint64
 	// MaxDynInstr bounds the total dynamic warp-instruction count; mutants
 	// with infinite loops hit this and fail. 0 means the default budget.
@@ -90,6 +91,23 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	}
 	if len(cfg.Args) != len(k.Params) {
 		return nil, fmt.Errorf("gpu: launch %s: %d args for %d params", k.Name, len(cfg.Args), len(k.Params))
+	}
+	// Registers are canonical by construction: constants, loads and every
+	// producing instruction normalise, and both backends' 64-bit compares on
+	// i32 operands, the sext-to-i64 copy propagation and the width-free
+	// micro-ops (uop.go) assume it of every register source. Launch arguments
+	// are the one source a caller controls. PackArgs with correctly typed Go
+	// integers already yields canonical values, so the copy is the rare path;
+	// it precedes the memo lookup and both fills, which read cfg.Args.
+	for i, v := range cfg.Args {
+		if normValue(k.Params[i], v) != v {
+			canon := make([]uint64, len(cfg.Args))
+			for j, raw := range cfg.Args {
+				canon[j] = normValue(k.Params[j], raw)
+			}
+			cfg.Args = canon
+			break
+		}
 	}
 	budget := cfg.MaxDynInstr
 	if budget <= 0 {

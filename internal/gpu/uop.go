@@ -8,85 +8,99 @@ import (
 	"gevo/internal/ir"
 )
 
-// The threaded backend's driver. Lowering assigns every instruction shape a
-// dense micro-opcode; runWarpU dispatches them through one jump-table switch
-// over a contiguous []uop array, keeping the budget, register file and active
-// mask in locals across instructions — no closure call, no operand-kind
-// resolution and no per-lane type switch — except the twelve memory
-// micro-ops, which the switch hands to loadU/storeU at the end of this file.
-// The few shapes with no micro-op (uEscape) are the closed set listed at the
-// top of dispatch.go, where the reason each is not one is given.
+// The threaded backend. Lowering (uopFor, fuseCmpBranches) assigns every
+// instruction shape a dense micro-opcode, and three single-purpose pieces
+// execute a block's contiguous []uop array:
+//
+//   - control: runWarpU, the driver — SIMT stack, budget, branches, barrier,
+//     return and the escape call. It keeps the budget, register file and
+//     active mask in locals across instructions and dispatches through one
+//     jump-table switch: no closure call, no operand-kind resolution, no
+//     per-lane type switch.
+//   - arithmetic: aluU, one case per register-to-register lane loop, and
+//     cmpMaskU, the same loops for a compare fused into its branch. Neither
+//     touches cycles or budget; the driver charges what they compute.
+//   - memory: loadU/storeU, the twelve load/store micro-ops with their bounds
+//     checks, fault order and cost model.
+//
+// They are separate functions because of how the Go compiler treats a large
+// one: past 5 000 nodes a function is "big" and only trivial callees inline
+// into it, and its registers are allocated over the whole switch, so as one
+// 1 476-line function an edit to one case moved the speed of every other.
+// scripts/check_inlining.sh holds the present shape in CI. The few shapes with
+// no micro-op (uEscape) are the closed set listed at the top of dispatch.go,
+// where the reason each is not one is given.
+//
+// The table is indexed by what a lane loop computes, not by IR opcode x width
+// x predicate. Two lowering rules, applied in uopFor and nowhere else, make
+// it so. Both rest on registers being canonical — an i32 sign-extended to 64
+// bits, an i1 0 or 1 — which constants (Compile), loads, every producing
+// micro-op and launch arguments (Launch) guarantee:
+//
+//   - width: and, or, xor, smin, smax, ashr and srem of canonical operands
+//     are canonical (intUop has the one-line proofs), so the 64-bit loop is
+//     the i32 loop, and for and/or/xor the i1 loop;
+//   - mirror: a > b is b < a and a >= b is b <= a, for integers and for
+//     floats (a NaN on either side makes both sides false), so GT and GE are
+//     LT and LE with s1 and s2 swapped.
+//
+// Every lane loop comes twice, a dense full-warp form next to a masked
+// bit-iteration form, selected by the mask the driver already holds. That
+// pair stays because both halves have traffic, which the product above did
+// not: of its 84 non-escape codes 27 were dispatched zero times on every
+// benchmark workload. Micro-ops dispatched at the parent of the change that
+// split the driver (one atomic.AddInt64 per dispatch in a scratch copy, every
+// check kept, one `bash bench/run.sh --seed 1 --seconds 5` process per
+// workload, set-up included; never shipped), the share under a partial mask
+// with its mean active lanes, and the share by piece — control is branches,
+// barrier and return with fused compares; mul-add is uMulAdd64 and
+// uChargeOnly, which the driver keeps; arithmetic is what pays the call to
+// aluU; re-routed is what the two rules send through another code:
+//
+//	                  dispatched   partial mask   control  mul-add  memory  arithmetic  escape  re-routed
+//	sim_paper         117 251 576  21.4 % (14.5)   17.6 %   25.8 %  12.9 %      43.3 %   0.5 %     11.1 %
+//	search_adept      478 315 547  56.9 % (1.2)    16.5 %   37.1 %  18.9 %      27.6 %   0            4.9 %
+//	search_synth       61 568 702  43.7 % (12.0)   25.7 %   18.1 %   9.2 %      46.9 %   0.0 %      8.4 %
+//	serve_small_jobs  115 472 077  45.7 % (14.8)   26.5 %   16.5 %   8.5 %      48.5 %   0.0 %      8.4 %
+//
+// (search_adept's 1.2 lanes is ADEPT-V0's one-lane memset loop; serve_reads
+// launches only in set-up.) The masked-only form was measured when the
+// memory micro-ops were split out: 6-8 % slower per paper program.
 
 type uopCode uint8
 
+// The enumeration is grouped by the piece that executes the code: the driver's
+// own cases first, then the memory micro-ops, then everything aluU computes —
+// so each of the two switches indexes a dense jump table.
 const (
 	uEscape uopCode = iota
 
-	// Integer arithmetic in ir.Opcode order (OpAdd..OpSMax), i32 then i64.
-	uAdd32
-	uSub32
-	uMul32
-	uSDiv32
-	uSRem32
-	uAnd32
-	uOr32
-	uXor32
-	uShl32
-	uLShr32
-	uAShr32
-	uSMin32
-	uSMax32
-
-	uAdd64
-	uSub64
-	uMul64
-	uSDiv64
-	uSRem64
-	uAnd64
-	uOr64
-	uXor64
-	uShl64
-	uLShr64
-	uAShr64
-	uSMin64
-	uSMax64
-
-	// Float arithmetic in ir.Opcode order (OpFAdd..OpFMax).
-	uFAdd
-	uFSub
-	uFMul
-	uFDiv
-	uFMin
-	uFMax
-
-	// Comparisons in ir.Pred order.
-	uICmpEQ
-	uICmpNE
-	uICmpLT
-	uICmpLE
-	uICmpGT
-	uICmpGE
-
-	uFCmpEQ
-	uFCmpNE
-	uFCmpLT
-	uFCmpLE
-	uFCmpGT
-	uFCmpGE
-
-	uSelect
-	uSextTo64 // sext/trunc to i64: identity on canonical registers
-	uSextTo32 // sext/trunc to i32
-	uZext32to64
 	// uChargeOnly is an identity copy whose every consumer was redirected
 	// to its source (see finalizeKernel): only budget and cycles remain.
 	uChargeOnly
-	uShfl
-	uBallot
-	uActiveMask
-	uAnd1
-	uOr1
-	uXor1
+	// uMulAdd64 fuses the address-computation idiom mul64 feeding a
+	// single-use add64 (GlobalIdx): one lane pass, two instructions'
+	// budget and cycles.
+	uMulAdd64
+
+	uBr
+	uCondBr
+	uRet
+	uBarrier
+
+	// Fused compare+branch, in the order of the compare codes below: an
+	// icmp/fcmp whose only use is the block's conditional branch skips
+	// materializing its i1 lanes — the compare feeds the branch mask directly
+	// (cmpMaskU). Budget and cycle accounting remain those of two
+	// instructions.
+	uICmpBrEQ
+	uICmpBrNE
+	uICmpBrLT
+	uICmpBrLE
+	uFCmpBrEQ
+	uFCmpBrNE
+	uFCmpBrLT
+	uFCmpBrLE
 
 	uLoadG8
 	uLoadG4
@@ -101,33 +115,94 @@ const (
 	uStoreS4
 	uStoreS1
 
-	uBr
-	uCondBr
-	uRet
-	uBarrier
+	// Integer arithmetic whose result depends on the width (see intUop): an
+	// i32 loop that renormalises and an i64 loop.
+	uAdd32
+	uSub32
+	uMul32
+	uSDiv32
+	uShl32
+	uLShr32
 
-	// Fused compare+branch (ir.Pred order): an icmp/fcmp whose only use is
-	// the block's conditional branch skips materializing its i1 lanes — the
-	// compare feeds the branch mask directly. Budget and cycle accounting
-	// remain those of two instructions.
-	// uMulAdd64 fuses the address-computation idiom mul64 feeding a
-	// single-use add64 (GlobalIdx): one lane pass, two instructions'
-	// budget and cycles.
-	uMulAdd64
+	uAdd64
+	uSub64
+	uMul64
+	uSDiv64
+	uShl64
+	uLShr64
 
-	uICmpBrEQ
-	uICmpBrNE
-	uICmpBrLT
-	uICmpBrLE
-	uICmpBrGT
-	uICmpBrGE
-	uFCmpBrEQ
-	uFCmpBrNE
-	uFCmpBrLT
-	uFCmpBrLE
-	uFCmpBrGT
-	uFCmpBrGE
+	// Integer arithmetic closed on canonical registers: one loop for i64,
+	// i32 and, for and/or/xor, i1.
+	uSRem
+	uAnd
+	uOr
+	uXor
+	uAShr
+	uSMin
+	uSMax
+
+	// Float arithmetic in ir.Opcode order (OpFAdd..OpFMax).
+	uFAdd
+	uFSub
+	uFMul
+	uFDiv
+	uFMin
+	uFMax
+
+	// Comparisons, ir.PredEQ..PredLE; GT and GE are LT and LE with the
+	// operands swapped (see uopFor).
+	uICmpEQ
+	uICmpNE
+	uICmpLT
+	uICmpLE
+	uFCmpEQ
+	uFCmpNE
+	uFCmpLT
+	uFCmpLE
+
+	uSelect
+	uSextTo64 // sext/trunc to i64: identity on canonical registers
+	uSextTo32 // sext/trunc to i32
+	uZext32to64
+	uShfl
+	uBallot
+	uActiveMask
+
+	// numUops bounds the table: VerifyProgram rejects a code at or past it,
+	// and TestEscapeSetIsClosed fails for a code below it that no admitted
+	// shape emits.
+	numUops
 )
+
+// isFusedCmpBr reports whether c is one of the fused compare+branch codes.
+func isFusedCmpBr(c uopCode) bool { return c >= uICmpBrEQ && c <= uFCmpBrLE }
+
+// intUop maps integer arithmetic (index: opcode - ir.OpAdd) to its lane loop
+// on i32 and on i64 registers. Registers hold canonical values — an i32
+// sign-extended to 64 bits, an i1 as 0 or 1 — and seven operations are closed
+// on them, so the 64-bit loop already yields the canonical narrow result and
+// one code serves every width: a bitwise op of two sign-extensions is a
+// sign-extension (and of two 0/1 values, 0 or 1); smin/smax return one of
+// their operands; an arithmetic shift right moves a value towards 0 or -1;
+// |x rem y| <= |x|. The other six can leave the i32 range — add/sub/mul/shl
+// overflow, MinInt32 / -1 = 2^31, lshr of a negative i32 must shift zeros in
+// at bit 31, not bit 63 — and keep an i32 loop that renormalises
+// (TestWidthFreeOpsAreClosed has a counter-example for each).
+var intUop = [...][2]uopCode{
+	ir.OpAdd - ir.OpAdd:  {uAdd32, uAdd64},
+	ir.OpSub - ir.OpAdd:  {uSub32, uSub64},
+	ir.OpMul - ir.OpAdd:  {uMul32, uMul64},
+	ir.OpSDiv - ir.OpAdd: {uSDiv32, uSDiv64},
+	ir.OpSRem - ir.OpAdd: {uSRem, uSRem},
+	ir.OpAnd - ir.OpAdd:  {uAnd, uAnd},
+	ir.OpOr - ir.OpAdd:   {uOr, uOr},
+	ir.OpXor - ir.OpAdd:  {uXor, uXor},
+	ir.OpShl - ir.OpAdd:  {uShl32, uShl64},
+	ir.OpLShr - ir.OpAdd: {uLShr32, uLShr64},
+	ir.OpAShr - ir.OpAdd: {uAShr, uAShr},
+	ir.OpSMin - ir.OpAdd: {uSMin, uSMin},
+	ir.OpSMax - ir.OpAdd: {uSMax, uSMax},
+}
 
 // uop is one pre-decoded micro-instruction: every operand an extended
 // register-file offset, control-flow targets and cost class pre-bound.
@@ -216,13 +291,20 @@ func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 			u.code += uStoreS8 - uStoreG8
 		}
 		return u, true
-	case ir.OpICmp:
+	case ir.OpICmp, ir.OpFCmp:
 		setArgs(2)
-		u.code = uICmpEQ + uopCode(in.pred)
-		return u, true
-	case ir.OpFCmp:
-		setArgs(2)
-		u.code = uFCmpEQ + uopCode(in.pred)
+		// The mirror rule: a > b is b < a and a >= b is b <= a (with a NaN
+		// both sides are false), so GT and GE run the LT and LE loops on
+		// swapped operands. fuseCmpBranches inherits the swap.
+		pred := in.pred
+		if pred == ir.PredGT || pred == ir.PredGE {
+			u.s1, u.s2 = u.s2, u.s1
+			pred -= ir.PredGT - ir.PredLT
+		}
+		u.code = uICmpEQ + uopCode(pred)
+		if in.op == ir.OpFCmp {
+			u.code = uFCmpEQ + uopCode(pred)
+		}
 		return u, true
 	case ir.OpSelect:
 		setArgs(3)
@@ -264,24 +346,20 @@ func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 	}
 	if in.op.IsIntArith() {
 		setArgs(2)
+		// The width rule: see intUop.
+		codes := intUop[in.op-ir.OpAdd]
 		switch in.typ {
 		case ir.I32:
-			u.code = uAdd32 + uopCode(in.op-ir.OpAdd)
+			u.code = codes[0]
 		case ir.I64:
-			u.code = uAdd64 + uopCode(in.op-ir.OpAdd)
+			u.code = codes[1]
 		case ir.I1:
-			// i1 logic on canonical 0/1 registers: raw bitwise ops preserve
-			// canonical form, matching normValue(I1, ...).
-			switch in.op {
-			case ir.OpAnd:
-				u.code = uAnd1
-			case ir.OpOr:
-				u.code = uOr1
-			case ir.OpXor:
-				u.code = uXor1
-			default:
+			// ir.Verify admits and/or/xor only: on 0/1 registers the bitwise
+			// loops preserve canonical form, matching normValue(I1, ...).
+			if in.op != ir.OpAnd && in.op != ir.OpOr && in.op != ir.OpXor {
 				return u, false
 			}
+			u.code = codes[1]
 		default:
 			return u, false
 		}
@@ -295,12 +373,13 @@ func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 	return u, false
 }
 
-// runWarpU executes the warp through the uop jump table, calling the escape
-// closure of a shape that has no uop. It is the threaded backend's driver;
-// semantics mirror runWarp instruction for instruction.
-// (Generated-style expansion: every ALU case keeps the dense full-warp loop
-// next to the masked bit-iteration loop; the memory micro-ops live in
-// loadU/storeU, below.)
+// runWarpU executes the warp through the uop jump table. It is the threaded
+// backend's driver and keeps control flow only — the SIMT stack, the budget,
+// branches, barrier and return, the escape call, and the two micro-ops whose
+// accounting is not one instruction's (uMulAdd64, uChargeOnly); a memory
+// micro-op goes to loadU/storeU, and every other code is lane arithmetic,
+// which aluU computes and the default arm charges. Semantics mirror runWarp
+// instruction for instruction.
 //
 // The budget lives in a local for the whole run and is written back by hand
 // on each of the few exits: a deferred write-back would make it a by-reference
@@ -355,6 +434,9 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					return err
 				}
 				pc++
+			case uChargeOnly:
+				w.cycles += costs[u.cls] + skew
+				pc++
 			case uMulAdd64:
 				s1, s2, s3 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize], regs[u.s3:u.s3+warpSize]
 				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
@@ -376,9 +458,6 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				}
 				w.cycles += costs[u.cls2] + skew
 				pc += 2
-			case uChargeOnly:
-				w.cycles += costs[u.cls] + skew
-				pc++
 			case uBarrier:
 				e.pc = pc + 1
 				w.waiting = true
@@ -394,1361 +473,30 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				e.pc = pc
 				c.transferT(w, u.succ0)
 				break straight
-			case uCondBr:
-				cond := regs[u.s1 : u.s1+warpSize]
+			case uCondBr, uICmpBrEQ, uICmpBrNE, uICmpBrLT, uICmpBrLE, uFCmpBrEQ, uFCmpBrNE, uFCmpBrLT, uFCmpBrLE:
 				var maskT uint32
-				if mask == fullMask {
-					cond := cond[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						maskT |= uint32(cond[l]&1) << l
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						lane := bits.TrailingZeros32(m) & 31
-						maskT |= uint32(cond[lane]&1) << lane
-					}
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uAdd32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) + int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) + int64(s2[l])))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSub32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) - int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) - int64(s2[l])))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uMul32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) * int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) * int64(s2[l])))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uAnd32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] & s2[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] & s2[l])
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uOr32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] | s2[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] | s2[l])
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uXor32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] ^ s2[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] ^ s2[l])
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uShl32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s1[l] << (s2[l] & 63))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s1[l] << (s2[l] & 63))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uLShr32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32((s1[l] & 0xFFFFFFFF) >> (s2[l] & 63))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32((s1[l] & 0xFFFFFFFF) >> (s2[l] & 63))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uAShr32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(int64(s1[l]) >> (s2[l] & 63)))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(int64(s1[l]) >> (s2[l] & 63)))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSMin32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(min(int64(s1[l]), int64(s2[l]))))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(min(int64(s1[l]), int64(s2[l]))))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSMax32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(uint64(max(int64(s1[l]), int64(s2[l]))))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(uint64(max(int64(s1[l]), int64(s2[l]))))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uAdd64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) + int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) + int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSub64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) - int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) - int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uMul64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) * int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) * int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uAnd64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] & s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] & s2[l]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uOr64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] | s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] | s2[l]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uXor64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] ^ s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] ^ s2[l]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uShl64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] << (s2[l] & 63)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] << (s2[l] & 63)
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uLShr64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] >> (s2[l] & 63)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] >> (s2[l] & 63)
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uAShr64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s1[l]) >> (s2[l] & 63))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s1[l]) >> (s2[l] & 63))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSMin64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(min(int64(s1[l]), int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(min(int64(s1[l]), int64(s2[l])))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSMax64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(max(int64(s1[l]), int64(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(max(int64(s1[l]), int64(s2[l])))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFAdd:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) + math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) + math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFSub:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) - math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) - math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFMul:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) * math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) * math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFDiv:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) / math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = math.Float64bits(math.Float64frombits(s1[l]) / math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFMin:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = math.Float64bits(math.Min(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = math.Float64bits(math.Min(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFMax:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = math.Float64bits(math.Max(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = math.Float64bits(math.Max(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uICmpEQ:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(int64(s1[l]) == int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(int64(s1[l]) == int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uICmpNE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(int64(s1[l]) != int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(int64(s1[l]) != int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uICmpLT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(int64(s1[l]) < int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(int64(s1[l]) < int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uICmpLE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(int64(s1[l]) <= int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(int64(s1[l]) <= int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uICmpGT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(int64(s1[l]) > int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(int64(s1[l]) > int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uICmpGE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(int64(s1[l]) >= int64(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(int64(s1[l]) >= int64(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFCmpEQ:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFCmpNE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFCmpLT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFCmpLE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFCmpGT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(math.Float64frombits(s1[l]) > math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(math.Float64frombits(s1[l]) > math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uFCmpGE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = boolBit(math.Float64frombits(s1[l]) >= math.Float64frombits(s2[l]))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = boolBit(math.Float64frombits(s1[l]) >= math.Float64frombits(s2[l]))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSDiv32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
+				if u.code == uCondBr {
+					cond := regs[u.s1 : u.s1+warpSize]
+					if mask == fullMask {
+						cond := cond[:warpSize]
+						for l := 0; l < warpSize; l++ {
+							maskT |= uint32(cond[l]&1) << l
 						}
-						dl[l] = normI32(uint64(r))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
-						}
-						dl[l] = normI32(uint64(r))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSRem32:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = normI32(uint64(r))
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = normI32(uint64(r))
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSDiv64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
-						}
-						dl[l] = uint64(r)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) / y
-						}
-						dl[l] = uint64(r)
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSRem64:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = uint64(r)
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						var r int64
-						if y := int64(s2[l]); y != 0 {
-							r = int64(s1[l]) % y
-						}
-						dl[l] = uint64(r)
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSelect:
-				cnd, tv, fv := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize], regs[u.s3:u.s3+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					cnd, tv, fv := cnd[:warpSize], tv[:warpSize], fv[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if cnd[l]&1 != 0 {
-							dl[l] = tv[l]
-						} else {
-							dl[l] = fv[l]
+					} else {
+						for m := mask; m != 0; m &= m - 1 {
+							lane := bits.TrailingZeros32(m) & 31
+							maskT |= uint32(cond[lane]&1) << lane
 						}
 					}
 				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if cnd[l]&1 != 0 {
-							dl[l] = tv[l]
-						} else {
-							dl[l] = fv[l]
-						}
+					// A fused pair: the compare is charged, then the branch
+					// it feeds takes its own unit of budget.
+					maskT = cmpMaskU(regs, u, mask)
+					w.cycles += costs[u.cls] + skew
+					bud--
+					if bud <= 0 {
+						goto timeout
 					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSextTo64:
-				s := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					copy(dl, s[:warpSize])
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s[l]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uSextTo32:
-				s := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s := s[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = normI32(s[l])
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = normI32(s[l])
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uZext32to64:
-				s := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s := s[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s[l] & 0xFFFFFFFF
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s[l] & 0xFFFFFFFF
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uShfl:
-				sv, sl := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					sv, sl := sv[:warpSize], sl[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = sv[int(int64(sl[l]))&(warpSize-1)]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = sv[int(int64(sl[l]))&(warpSize-1)]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uAnd1:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] & s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] & s2[l]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uOr1:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] | s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] | s2[l]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uXor1:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = s1[l] ^ s2[l]
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = s1[l] ^ s2[l]
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uBallot:
-				p := regs[u.s1 : u.s1+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				var res uint32
-				if mask == fullMask {
-					p := p[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						res |= uint32(p[l]&1) << l
-					}
-					v := uint64(int64(int32(res)))
-					for l := 0; l < warpSize; l++ {
-						dl[l] = v
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						res |= uint32(p[l]&1) << l
-					}
-					v := uint64(int64(int32(res)))
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = v
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uActiveMask:
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				v := uint64(int64(int32(mask)))
-				if mask == fullMask {
-					for l := 0; l < warpSize; l++ {
-						dl[l] = v
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = v
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				pc++
-			case uICmpBrEQ:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if int64(s1[l]) == int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if int64(s1[l]) == int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uICmpBrNE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if int64(s1[l]) != int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if int64(s1[l]) != int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uICmpBrLT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if int64(s1[l]) < int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if int64(s1[l]) < int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uICmpBrLE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if int64(s1[l]) <= int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if int64(s1[l]) <= int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uICmpBrGT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if int64(s1[l]) > int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if int64(s1[l]) > int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uICmpBrGE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if int64(s1[l]) >= int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if int64(s1[l]) >= int64(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uFCmpBrEQ:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uFCmpBrNE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uFCmpBrLT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uFCmpBrLE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uFCmpBrGT:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if math.Float64frombits(s1[l]) > math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if math.Float64frombits(s1[l]) > math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
-				}
-				maskF := mask &^ maskT
-				switch {
-				case maskF == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
-				case maskT == 0:
-					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
-				default:
-					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
-					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
-				}
-				break straight
-			case uFCmpBrGE:
-				s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
-				var maskT uint32
-				if mask == fullMask {
-					s1, s2 := s1[:warpSize], s2[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						if math.Float64frombits(s1[l]) >= math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						if math.Float64frombits(s1[l]) >= math.Float64frombits(s2[l]) {
-							maskT |= uint32(1) << l
-						}
-					}
-				}
-				w.cycles += costs[u.cls] + skew
-				bud--
-				if bud <= 0 {
-					goto timeout
 				}
 				maskF := mask &^ maskT
 				switch {
@@ -1775,6 +523,10 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					return err
 				}
 				pc++
+			default:
+				aluU(regs, u, mask)
+				w.cycles += costs[u.cls] + skew
+				pc++
 			}
 		}
 	}
@@ -1783,11 +535,757 @@ timeout:
 	return &TimeoutError{Kernel: c.k.Name}
 }
 
+// aluU executes one register-to-register micro-op under mask: integer and
+// float arithmetic, compares, select, the conversions and the warp
+// primitives — every code past the memory micro-ops. It only computes lanes;
+// the driver charges the issue cost.
+func aluU(regs []uint64, u *uop, mask uint32) {
+	switch u.code {
+	case uAdd32:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = normI32(uint64(int64(s1[l]) + int64(s2[l])))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = normI32(uint64(int64(s1[l]) + int64(s2[l])))
+			}
+		}
+	case uSub32:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = normI32(uint64(int64(s1[l]) - int64(s2[l])))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = normI32(uint64(int64(s1[l]) - int64(s2[l])))
+			}
+		}
+	case uMul32:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = normI32(uint64(int64(s1[l]) * int64(s2[l])))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = normI32(uint64(int64(s1[l]) * int64(s2[l])))
+			}
+		}
+	case uSDiv32:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				var r int64
+				if y := int64(s2[l]); y != 0 {
+					r = int64(s1[l]) / y
+				}
+				dl[l] = normI32(uint64(r))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				var r int64
+				if y := int64(s2[l]); y != 0 {
+					r = int64(s1[l]) / y
+				}
+				dl[l] = normI32(uint64(r))
+			}
+		}
+	case uShl32:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = normI32(s1[l] << (s2[l] & 63))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = normI32(s1[l] << (s2[l] & 63))
+			}
+		}
+	case uLShr32:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = normI32((s1[l] & 0xFFFFFFFF) >> (s2[l] & 63))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = normI32((s1[l] & 0xFFFFFFFF) >> (s2[l] & 63))
+			}
+		}
+	case uAdd64:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = uint64(int64(s1[l]) + int64(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = uint64(int64(s1[l]) + int64(s2[l]))
+			}
+		}
+	case uSub64:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = uint64(int64(s1[l]) - int64(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = uint64(int64(s1[l]) - int64(s2[l]))
+			}
+		}
+	case uMul64:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = uint64(int64(s1[l]) * int64(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = uint64(int64(s1[l]) * int64(s2[l]))
+			}
+		}
+	case uSDiv64:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				var r int64
+				if y := int64(s2[l]); y != 0 {
+					r = int64(s1[l]) / y
+				}
+				dl[l] = uint64(r)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				var r int64
+				if y := int64(s2[l]); y != 0 {
+					r = int64(s1[l]) / y
+				}
+				dl[l] = uint64(r)
+			}
+		}
+	case uShl64:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = s1[l] << (s2[l] & 63)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = s1[l] << (s2[l] & 63)
+			}
+		}
+	case uLShr64:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = s1[l] >> (s2[l] & 63)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = s1[l] >> (s2[l] & 63)
+			}
+		}
+	case uSRem:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				var r int64
+				if y := int64(s2[l]); y != 0 {
+					r = int64(s1[l]) % y
+				}
+				dl[l] = uint64(r)
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				var r int64
+				if y := int64(s2[l]); y != 0 {
+					r = int64(s1[l]) % y
+				}
+				dl[l] = uint64(r)
+			}
+		}
+	case uAnd:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = s1[l] & s2[l]
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = s1[l] & s2[l]
+			}
+		}
+	case uOr:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = s1[l] | s2[l]
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = s1[l] | s2[l]
+			}
+		}
+	case uXor:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = s1[l] ^ s2[l]
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = s1[l] ^ s2[l]
+			}
+		}
+	case uAShr:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = uint64(int64(s1[l]) >> (s2[l] & 63))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = uint64(int64(s1[l]) >> (s2[l] & 63))
+			}
+		}
+	case uSMin:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = uint64(min(int64(s1[l]), int64(s2[l])))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = uint64(min(int64(s1[l]), int64(s2[l])))
+			}
+		}
+	case uSMax:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = uint64(max(int64(s1[l]), int64(s2[l])))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = uint64(max(int64(s1[l]), int64(s2[l])))
+			}
+		}
+	case uFAdd:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) + math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) + math.Float64frombits(s2[l]))
+			}
+		}
+	case uFSub:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) - math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) - math.Float64frombits(s2[l]))
+			}
+		}
+	case uFMul:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) * math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) * math.Float64frombits(s2[l]))
+			}
+		}
+	case uFDiv:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) / math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = math.Float64bits(math.Float64frombits(s1[l]) / math.Float64frombits(s2[l]))
+			}
+		}
+	case uFMin:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = math.Float64bits(math.Min(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = math.Float64bits(math.Min(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
+			}
+		}
+	case uFMax:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = math.Float64bits(math.Max(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = math.Float64bits(math.Max(math.Float64frombits(s1[l]), math.Float64frombits(s2[l])))
+			}
+		}
+	case uICmpEQ:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(int64(s1[l]) == int64(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(int64(s1[l]) == int64(s2[l]))
+			}
+		}
+	case uICmpNE:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(int64(s1[l]) != int64(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(int64(s1[l]) != int64(s2[l]))
+			}
+		}
+	case uICmpLT:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(int64(s1[l]) < int64(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(int64(s1[l]) < int64(s2[l]))
+			}
+		}
+	case uICmpLE:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(int64(s1[l]) <= int64(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(int64(s1[l]) <= int64(s2[l]))
+			}
+		}
+	case uFCmpEQ:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]))
+			}
+		}
+	case uFCmpNE:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]))
+			}
+		}
+	case uFCmpLT:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]))
+			}
+		}
+	case uFCmpLE:
+		s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = boolBit(math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]))
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = boolBit(math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]))
+			}
+		}
+	case uSelect:
+		cnd, tv, fv := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize], regs[u.s3:u.s3+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			cnd, tv, fv := cnd[:warpSize], tv[:warpSize], fv[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if cnd[l]&1 != 0 {
+					dl[l] = tv[l]
+				} else {
+					dl[l] = fv[l]
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if cnd[l]&1 != 0 {
+					dl[l] = tv[l]
+				} else {
+					dl[l] = fv[l]
+				}
+			}
+		}
+	case uSextTo64:
+		s := regs[u.s1 : u.s1+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			copy(dl, s[:warpSize])
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = s[l]
+			}
+		}
+	case uSextTo32:
+		s := regs[u.s1 : u.s1+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s := s[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = normI32(s[l])
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = normI32(s[l])
+			}
+		}
+	case uZext32to64:
+		s := regs[u.s1 : u.s1+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			s := s[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = s[l] & 0xFFFFFFFF
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = s[l] & 0xFFFFFFFF
+			}
+		}
+	case uShfl:
+		sv, sl := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		if mask == fullMask {
+			sv, sl := sv[:warpSize], sl[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				dl[l] = sv[int(int64(sl[l]))&(warpSize-1)]
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = sv[int(int64(sl[l]))&(warpSize-1)]
+			}
+		}
+	case uBallot:
+		p := regs[u.s1 : u.s1+warpSize]
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		var res uint32
+		if mask == fullMask {
+			p := p[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				res |= uint32(p[l]&1) << l
+			}
+			v := uint64(int64(int32(res)))
+			for l := 0; l < warpSize; l++ {
+				dl[l] = v
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				res |= uint32(p[l]&1) << l
+			}
+			v := uint64(int64(int32(res)))
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = v
+			}
+		}
+	case uActiveMask:
+		dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+		v := uint64(int64(int32(mask)))
+		if mask == fullMask {
+			for l := 0; l < warpSize; l++ {
+				dl[l] = v
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				dl[l] = v
+			}
+		}
+	}
+}
+
+// cmpMaskU returns the taken-mask of a fused compare+branch: bit l is set when
+// active lane l's compare holds. It is the compare's lane loop with the i1
+// result kept in a mask instead of written to a register.
+func cmpMaskU(regs []uint64, u *uop, mask uint32) uint32 {
+	s1, s2 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize]
+	var maskT uint32
+	switch u.code {
+	case uICmpBrEQ:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if int64(s1[l]) == int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if int64(s1[l]) == int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	case uICmpBrNE:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if int64(s1[l]) != int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if int64(s1[l]) != int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	case uICmpBrLT:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if int64(s1[l]) < int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if int64(s1[l]) < int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	case uICmpBrLE:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if int64(s1[l]) <= int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if int64(s1[l]) <= int64(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	case uFCmpBrEQ:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if math.Float64frombits(s1[l]) == math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	case uFCmpBrNE:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if math.Float64frombits(s1[l]) != math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	case uFCmpBrLT:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if math.Float64frombits(s1[l]) < math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	case uFCmpBrLE:
+		if mask == fullMask {
+			s1, s2 := s1[:warpSize], s2[:warpSize]
+			for l := 0; l < warpSize; l++ {
+				if math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		} else {
+			for m := mask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m) & 31
+				if math.Float64frombits(s1[l]) <= math.Float64frombits(s2[l]) {
+					maskT |= uint32(1) << l
+				}
+			}
+		}
+	}
+	return maskT
+}
+
 // The twelve memory micro-ops, uLoad{G,S}{8,4,1} and uStore{G,S}{8,4,1}.
-// They live outside runWarpU because the compiler treats a function of that
-// size as "big" and inlines only trivial callees into it: a
-// binary.LittleEndian accessor in the driver is a real call per lane, here it
-// is one move (scripts/check_inlining.sh holds that in CI).
+// They were the first piece to leave the one-function driver, which the
+// compiler counted as "big" and inlined only trivial callees into: a
+// binary.LittleEndian accessor there was a real call per lane, here it is one
+// move (scripts/check_inlining.sh holds that in CI).
 //
 // Both first ask shapeOf what the warp is doing as one. A broadcast is one
 // access: one bounds check — every lane would fault, so the lowest active

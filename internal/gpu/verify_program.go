@@ -229,7 +229,7 @@ func (v *kernelVerifier) checkUops() error {
 		for ii := range cb.uops {
 			u := &cb.uops[ii]
 			where := fmt.Sprintf("block %s uop %d", cb.name, ii)
-			if u.code > uFCmpBrGE {
+			if u.code >= numUops {
 				return fmt.Errorf("%s: opcode %d outside the jump table", where, u.code)
 			}
 			if u.cls >= numCostClasses || u.cls2 >= numCostClasses {
@@ -265,8 +265,6 @@ func (v *kernelVerifier) checkUops() error {
 	}
 	return nil
 }
-
-func isFusedCmpBr(c uopCode) bool { return c >= uICmpBrEQ && c <= uFCmpBrGE }
 
 // checkWalks replays runWarpU's program-counter arithmetic over every block
 // and proves each walk ends at a terminator instead of falling off the uop

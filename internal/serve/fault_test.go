@@ -129,8 +129,11 @@ func TestPruneNeverHalfApplied(t *testing.T) {
 func TestCheckpointCorruptionQuarantine(t *testing.T) {
 	// The fault-free reference result for the spec below.
 	ref := openTest(t, Options{Registry: obs.NewRegistry()})
-	spec := testSpec(51)
-	spec.Generations = 12
+	// crashSpec, not a 12-generation testSpec: the manager is closed once
+	// the job is seen past generation 4, and 12 generations left only
+	// 23-35 ms between that and the job finishing, which a starved poller
+	// missed (then nothing reopens the checkpoint and the counter stays 0).
+	spec := crashSpec(51)
 	rst, err := ref.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
