@@ -42,6 +42,9 @@ type Cost struct {
 	progHits   atomic.Int64
 	progMisses atomic.Int64
 	memoHits   atomic.Int64
+
+	failedLaunches  atomic.Int64
+	failedDynInstrs atomic.Int64
 }
 
 // NewCost creates an account labeled for metrics (typically the job ID).
@@ -91,6 +94,12 @@ type CostTotals struct {
 	ProgramHits   int64 `json:"program_hits"`
 	ProgramMisses int64 `json:"program_misses"`
 	MemoHits      int64 `json:"memo_hits"`
+	// FailedLaunches and FailedDynInstrs are the launches that ended in a
+	// fault, timeout or execution error and the instructions they ran first
+	// (gpu.EvalStats): not part of Launches / DynInstrs, and often more — one
+	// runaway mutant can execute more than the rest of its search.
+	FailedLaunches  int64 `json:"failed_launches"`
+	FailedDynInstrs int64 `json:"failed_dyn_instrs"`
 }
 
 // Totals samples the account. Fields are read independently; a sample taken
@@ -107,6 +116,9 @@ func (c *Cost) Totals() CostTotals {
 		ProgramHits:   c.progHits.Load(),
 		ProgramMisses: c.progMisses.Load(),
 		MemoHits:      c.memoHits.Load(),
+
+		FailedLaunches:  c.failedLaunches.Load(),
+		FailedDynInstrs: c.failedDynInstrs.Load(),
 	}
 }
 
@@ -118,4 +130,6 @@ func (c *Cost) charge(st *gpu.EvalStats) {
 	c.progHits.Add(st.ProgramHits)
 	c.progMisses.Add(st.ProgramMisses)
 	c.memoHits.Add(st.MemoHits)
+	c.failedLaunches.Add(st.FailedLaunches)
+	c.failedDynInstrs.Add(st.FailedDynInstrs)
 }

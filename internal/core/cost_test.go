@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gevo/internal/gpu"
+	"gevo/internal/rng"
 	"gevo/internal/workload"
 )
 
@@ -30,6 +31,8 @@ func addTotals(ts ...CostTotals) CostTotals {
 		out.ProgramHits += t.ProgramHits
 		out.ProgramMisses += t.ProgramMisses
 		out.MemoHits += t.MemoHits
+		out.FailedLaunches += t.FailedLaunches
+		out.FailedDynInstrs += t.FailedDynInstrs
 	}
 	return out
 }
@@ -63,6 +66,23 @@ func TestCostReconciliation(t *testing.T) {
 		if _, err := eng.Run(); err != nil {
 			t.Fatalf("search: %v", err)
 		}
+	}
+
+	// Searches this small breed no mutant that passes the verifier and then
+	// fails on the device, so draw single edits until one does: a failed
+	// launch is charged — to the account that asked, and pool-wide — like a
+	// completed one, in fields of its own.
+	r := rng.New(5)
+	for tries := 0; a.Totals().FailedLaunches == 0; tries++ {
+		if tries == 500 {
+			t.Fatal("no single edit in 500 made a launch fail")
+		}
+		if e, ok := RandomEdit(w.Base(), r); ok {
+			p.evaluateGenome(w, gpu.P100, []Edit{e}, a)
+		}
+	}
+	if ft := a.Totals(); ft.FailedDynInstrs <= 0 {
+		t.Fatalf("a failed launch charged no instructions: %+v", ft)
 	}
 
 	at, bt, ut := a.Totals(), b.Totals(), p.Unattributed().Totals()

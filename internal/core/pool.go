@@ -73,6 +73,9 @@ type EvalPool struct {
 	progMisses obs.Counter
 	memoHits   obs.Counter
 
+	failedLaunches  obs.Counter
+	failedDynInstrs obs.Counter
+
 	// unattributed absorbs charges from evaluations requested without a cost
 	// account (standalone CLI engines, tests), keeping the reconciliation
 	// invariant total.
@@ -241,6 +244,9 @@ func (p *EvalPool) ChargedTotals() CostTotals {
 		ProgramHits:   p.progHits.Value(),
 		ProgramMisses: p.progMisses.Value(),
 		MemoHits:      p.memoHits.Value(),
+
+		FailedLaunches:  p.failedLaunches.Value(),
+		FailedDynInstrs: p.failedDynInstrs.Value(),
 	}
 }
 
@@ -378,6 +384,8 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 		p.progHits.Add(st.ProgramHits)
 		p.progMisses.Add(st.ProgramMisses)
 		p.memoHits.Add(st.MemoHits)
+		p.failedLaunches.Add(st.FailedLaunches)
+		p.failedDynInstrs.Add(st.FailedDynInstrs)
 		p.mu.Lock()
 		p.settled[key] = fl.ms
 		delete(p.flights, key)

@@ -291,7 +291,12 @@ func (e *FaultError) Error() string {
 }
 
 // TimeoutError reports a kernel exceeding its dynamic instruction budget
-// (typically a mutation-induced infinite loop).
+// (typically a mutation-induced infinite loop): the launch executed Budget
+// warp-instructions without finishing, or — threaded backend only — a warp
+// was proven never to finish, so it would have (transferT, dispatch.go). The
+// two are deliberately the same value with the same text: no fitness, digest
+// or log line depends on which backend or which of the two stopped the
+// launch. What it executed is in EvalStats.FailedDynInstrs.
 type TimeoutError struct {
 	Kernel string
 	Budget int64

@@ -3,6 +3,7 @@ package gpu
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"gevo/internal/ir"
@@ -193,19 +194,78 @@ func lowerPhiEdge(edge *phiEdge) {
 	}
 }
 
-// transferT is transfer with the pre-lowered phi closure.
-func (c *blockCtx) transferT(w *warp, target int32) {
+// The non-termination witness. A warp about to run a block with the same real
+// registers, SIMT stack and retired lanes as at an earlier moment of the same
+// driver call, with memory untouched in between, takes the same steps again:
+// its next step is a function of exactly that state plus memory — no
+// instruction reads simulated time, cycles or the budget — so it repeats them
+// until the budget is gone. transferT sees every loop (a CFG cycle has an edge
+// whose target index is not above its source's: a retreat), so it counts a
+// warp's retreats per block run, copies the state at each power-of-two count
+// from witnessFrom on, and compares on the next witnessWindow retreats into
+// the same block. A match returns the *TimeoutError the budget would have
+// produced, up to a budget's worth of instructions sooner; a failed launch
+// returns no Result, so a caller can observe nothing but the time it took.
+// Memory must be part of "the same state" and is not compared: blockCtx.epoch
+// stands in for it, and every writer has to advance it. witnessFrom and
+// witnessWindow are constants of the proof, sized in DESIGN.md §5: a kernel
+// retreating fewer than witnessFrom times per warp and block never pays a
+// copy. The reference interpreter has no witness — it is the oracle the proof
+// is tested against (TestNonTerminationProofAgreesWithInterpreter).
+const (
+	witnessFrom   = 1 << 14
+	witnessWindow = 16
+)
+
+// transferT is transfer with the pre-lowered phi closure. It reports whether
+// the warp is proven never to finish (see above).
+func (c *blockCtx) transferT(w *warp, target int32) (spins bool) {
 	ei := len(w.stack) - 1
 	e := &w.stack[ei]
-	if ap := c.k.blocks[target].phiFrom[e.block].apply; ap != nil {
+	from := e.block
+	if ap := c.k.blocks[target].phiFrom[from].apply; ap != nil {
 		ap(c, w, e.mask)
 	}
 	if target == e.reconv {
 		w.stack = w.stack[:ei]
-		return
+	} else {
+		e.block = target
+		e.pc = 0
 	}
-	e.block = target
-	e.pc = 0
+	if target > from {
+		return false
+	}
+	w.retreats++
+	if n := w.retreats; n < witnessFrom || (n&(n-1) != 0 && c.wit.left == 0) {
+		return false
+	}
+	return c.witnessT(w, target)
+}
+
+// witnessT is the cold half of transferT: compare the warp's state with the
+// live copy, and on a power-of-two retreat count take a new one.
+func (c *blockCtx) witnessT(w *warp, target int32) (spins bool) {
+	wit := &c.wit
+	real := w.regs[:c.k.nslots*warpSize]
+	if wit.left > 0 {
+		switch {
+		case wit.epoch != c.epoch:
+			// An effect since the copy, or another driver call: it is dead.
+			wit.left = 0
+		case target == wit.block:
+			wit.left--
+			if w.doneMask == wit.doneMask && slices.Equal(w.stack, wit.stack) && slices.Equal(real, wit.regs) {
+				metricProofs.Inc()
+				return true
+			}
+		}
+	}
+	if n := w.retreats; n&(n-1) == 0 {
+		wit.epoch, wit.left, wit.block, wit.doneMask = c.epoch, witnessWindow, target, w.doneMask
+		wit.stack = append(wit.stack[:0], w.stack...)
+		wit.regs = append(wit.regs[:0], real...)
+	}
+	return false
 }
 
 // divergeT is diverge with pre-bound successors and reconvergence data.

@@ -855,28 +855,33 @@ func buildBarrierLoop() *ir.Function {
 	return b.Finish()
 }
 
-// barrierRun is what one launch of buildBarrierLoop leaves behind.
+// barrierRun is what one launch of buildBarrierLoop (or any kernel taking
+// one output buffer) leaves behind.
 type barrierRun struct {
 	res      *Result
 	err      error
 	budget   int64
+	stats    EvalStats
 	mem      []byte
 	shared   []byte
 	releases int
+	dev      *Device
 }
 
 func runBarrierLoop(t *testing.T, k *Kernel, backend Backend, block int, maxDyn int64) barrierRun {
 	t.Helper()
 	d := NewDeviceWithMem(P100, 1<<12)
+	d.Stats = &EvalStats{}
 	out, err := d.Alloc(4 * 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r barrierRun
+	r := barrierRun{dev: d}
 	testBarrierRelease = func() { r.releases++ }
 	defer func() { testBarrierRelease = nil }()
 	r.res, r.err = d.Launch(k, LaunchConfig{Grid: 2, Block: block, Backend: backend, MaxDynInstr: maxDyn, Args: []uint64{uint64(out)}})
 	r.budget = *d.launch.ctx.budget
+	r.stats = *d.Stats
 	r.mem = append([]byte(nil), d.mem...)
 	r.shared = append([]byte(nil), d.launch.shared...)
 	return r
@@ -920,7 +925,8 @@ func TestSoloWarpBarrier(t *testing.T) {
 // in a local and writes it back by hand on each exit; one forgotten exit would
 // hand the next warp or block a stale count, and the launch would stop on
 // another instruction than the reference interpreter's. (The memory-op fault
-// exit is pinned by TestCollectiveShapesKeepFaultsAndBytes.)
+// exit is pinned by TestCollectiveShapesKeepFaultsAndBytes.) The exit the
+// interpreter does not have, a proven spin, closes the test.
 func TestBudgetWrittenBackOnEveryExit(t *testing.T) {
 	k := mustCompile(t, buildBarrierLoop())
 	for _, block := range []int{32, 64} {
@@ -952,6 +958,22 @@ func TestBudgetWrittenBackOnEveryExit(t *testing.T) {
 		}
 		if finished == 0 {
 			t.Errorf("block %d: no budget in the sweep let the kernel finish", block)
+		}
+	}
+	// The proven exit: the non-termination witness (transferT) stops a spin
+	// long before the budget does, and what is written back is still what the
+	// launch executed — the entry's branch, then add, compare and branch per
+	// trip up to the trip after the first copy.
+	spin := mustCompile(t, spinKernel("spin", func(b *ir.Builder, _ ir.SharedDecl) (ir.Operand, ir.Operand) { return always(b) }))
+	for _, block := range []int{32, 64} {
+		const maxDyn = 1 << 20
+		got := runBarrierLoop(t, spin, BackendThreaded, block, maxDyn)
+		var te *TimeoutError
+		if !errors.As(got.err, &te) {
+			t.Fatalf("block %d: spin returned %v, want a TimeoutError", block, got.err)
+		}
+		if executed, want := maxDyn-got.budget, int64(1+3*(witnessFrom+1)); executed != want {
+			t.Errorf("block %d: proven spin wrote back %d executed instructions, want %d", block, executed, want)
 		}
 	}
 }

@@ -49,6 +49,10 @@ type warp struct {
 	done     bool
 	doneMask uint32
 	initMask uint32
+	// retreats counts the warp's retreating transfers (target block index <=
+	// source) in this block run: the clock of the threaded backend's
+	// non-termination witness (see transferT). The interpreter leaves it 0.
+	retreats uint32
 	// tidLanes and idLanes are the pre-broadcast lane images of the TID and
 	// warp-id special registers (tidLanes refilled per block, idLanes per
 	// launch).
@@ -92,6 +96,25 @@ type blockCtx struct {
 	// cycle count is already known, so memory instructions skip the cost
 	// model and execute functionally only (see uniform.go).
 	fast bool
+	// epoch advances whenever something other than the running warp's own
+	// registers and SIMT stack may have changed: on every entry to runWarpU
+	// (a barrier release, another warp having run), every store micro-op and
+	// every escape. wit is the witness's one copy of a warp's state, live
+	// only while wit.epoch == epoch (see transferT).
+	epoch uint64
+	wit   witness
+}
+
+// witness is a copy of everything a warp's next step can depend on besides
+// memory — its real registers, SIMT stack and retired lanes — taken right
+// after a retreating transfer into block, at effect epoch epoch.
+type witness struct {
+	epoch    uint64
+	left     int // retreats into block the copy is still compared on
+	block    int32
+	doneMask uint32
+	stack    []simtEntry
+	regs     []uint64
 }
 
 // laneLanes and zeroLanes are the static lane images of the lane-id special

@@ -21,7 +21,11 @@ type LaunchConfig struct {
 	// integer at its parameter's width, whatever lies above it.
 	Args []uint64
 	// MaxDynInstr bounds the total dynamic warp-instruction count; mutants
-	// with infinite loops hit this and fail. 0 means the default budget.
+	// with infinite loops hit this and fail with a *TimeoutError. 0 means the
+	// default budget. It bounds what a runaway launch costs, not what it has
+	// to cost: the threaded backend returns the same error as soon as it can
+	// prove the budget would run out — a warp back in a state it has been in,
+	// with nothing written in between (transferT, dispatch.go).
 	MaxDynInstr int64
 	// Profile, when non-nil, accumulates per-instruction cycle and
 	// execution counts (the nvprof analog used by the edit analysis).
@@ -240,6 +244,11 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 		if err != nil {
 			if te, ok := err.(*TimeoutError); ok {
 				te.Budget = budget
+				metricTimeouts.Inc()
+			}
+			if d.Stats != nil {
+				d.Stats.FailedLaunches++
+				d.Stats.FailedDynInstrs += budget - remaining
 			}
 			return nil, err
 		}
@@ -297,6 +306,7 @@ func (c *blockCtx) runBlock(blockID int32) (float64, error) {
 		w.waiting = false
 		w.done = false
 		w.doneMask = 0
+		w.retreats = 0
 		lanes := nThreads - wi*warpSize
 		if lanes >= warpSize {
 			w.initMask = fullMask

@@ -22,6 +22,8 @@ var (
 	metricMemoHits      = obs.Default.Counter("gevo_gpu_memo_hits_total", "Uniform-launch memo hits: timing-oblivious launches replayed functionally.")
 	metricMemoTimed     = obs.Default.Counter("gevo_gpu_memo_timed_total", "Uniform-launch memo misses: timing-oblivious launches that ran fully timed.")
 	metricLaunches      = obs.Default.Counter("gevo_gpu_launches_total", "Kernel launches simulated.")
+	metricTimeouts      = obs.Default.Counter("gevo_gpu_launch_timeouts_total", "Launches that ended in a TimeoutError: the dynamic-instruction budget ran out, or the warp was proven never to finish.")
+	metricProofs        = obs.Default.Counter("gevo_gpu_nontermination_proofs_total", "Launch timeouts returned early by the threaded backend's non-termination witness instead of by the budget.")
 	metricDeviceReuse   = obs.Default.Counter("gevo_gpu_device_reuse_total", "Devices recycled from the per-capacity free pool instead of allocated.")
 )
 

@@ -33,6 +33,14 @@ type EvalStats struct {
 	// warp-instruction counts.
 	Launches  int64
 	DynInstrs int64
+	// FailedLaunches counts launches that ended in a fault, a timeout or an
+	// execution error, and FailedDynInstrs the warp-instructions they ran
+	// before that. They are apart from Launches / DynInstrs, which count the
+	// launches that returned a Result: a runaway mutant's launch is the most
+	// expensive an evaluation makes, and a timeout the non-termination
+	// witness proved early charges what it executed, not the budget.
+	FailedLaunches  int64
+	FailedDynInstrs int64
 }
 
 // addLaunch folds one launch result into the handle.

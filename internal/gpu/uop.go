@@ -379,12 +379,16 @@ func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 // accounting is not one instruction's (uMulAdd64, uChargeOnly); a memory
 // micro-op goes to loadU/storeU, and every other code is lane arithmetic,
 // which aluU computes and the default arm charges. Semantics mirror runWarp
-// instruction for instruction.
+// instruction for instruction, with one exit runWarp does not have: a branch
+// after which transferT proves the warp never finishes leaves through the
+// timeout the budget would have reached. Entering the driver, every store and
+// every escape advance the effect epoch that proof depends on (blockCtx.epoch).
 //
 // The budget lives in a local for the whole run and is written back by hand
 // on each of the few exits: a deferred write-back would make it a by-reference
 // capture, in memory for every instruction.
 func (c *blockCtx) runWarpU(w *warp) error {
+	c.epoch++ // other warps may have run, and written, since the last call
 	bud := *c.budget
 	regs := w.regs
 	costs := &c.costs
@@ -429,6 +433,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			switch u.code {
 			case uEscape:
 				e.pc = pc
+				c.epoch++ // atomics and the i1 store write; the pure escapes ride along
 				if err := blk.fns[pc](c, w, e); err != nil {
 					*c.budget = bud
 					return err
@@ -471,7 +476,9 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			case uBr:
 				w.cycles += costs[costBranch] + skew
 				e.pc = pc
-				c.transferT(w, u.succ0)
+				if c.transferT(w, u.succ0) {
+					goto timeout
+				}
 				break straight
 			case uCondBr, uICmpBrEQ, uICmpBrNE, uICmpBrLT, uICmpBrLE, uFCmpBrEQ, uFCmpBrNE, uFCmpBrLT, uFCmpBrLE:
 				var maskT uint32
@@ -502,10 +509,14 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				switch {
 				case maskF == 0:
 					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ0)
+					if c.transferT(w, u.succ0) {
+						goto timeout
+					}
 				case maskT == 0:
 					w.cycles += costs[costBranch] + skew
-					c.transferT(w, u.succ1)
+					if c.transferT(w, u.succ1) {
+						goto timeout
+					}
 				default:
 					w.cycles += costs[costBranch] + arch.DivergePenalty + skew
 					c.divergeT(w, u.succ0, u.succ1, maskT, maskF, u.reconv, u.both)
@@ -1431,6 +1442,7 @@ func (c *blockCtx) loadFault(a int64, shared bool, u *uop) error {
 // store marks the arena dirty up to its highest written byte once, after the
 // loop or on the way out of a fault (see globalStoreFault).
 func (c *blockCtx) storeU(w *warp, u *uop, mask uint32, skew float64) error {
+	c.epoch++ // whatever the value: the witness compares registers, not memory
 	k := u.code - uStoreG8
 	shared := k >= uStoreS8-uStoreG8
 	mem := c.d.mem

@@ -29,7 +29,11 @@ type Workload interface {
 	// Evaluate runs the module variant on the fitness test set and returns
 	// the fitness: total simulated kernel time in milliseconds. Any
 	// verification failure, fault, timeout or output mismatch is an error —
-	// the variant "fails one or more test cases" in the paper's terms.
+	// the variant "fails one or more test cases" in the paper's terms. A
+	// timeout (*gpu.TimeoutError) is a launch that ran out of its
+	// dynamic-instruction budget or was proven bound to; the error is the
+	// same either way, so what Evaluate returns for a module does not depend
+	// on how long the simulator took to reach the verdict.
 	Evaluate(m *ir.Module, arch *gpu.Arch) (float64, error)
 	// Validate runs the module variant against the held-out set, returning
 	// an error unless it passes in full.

@@ -6,8 +6,9 @@
 # callees inlined and one register allocation over every case) and so that
 # every per-lane helper inlines to straight code. If that stops being true —
 # the driver grows big again, a byte accessor moves back into it, a lane loop
-# starts calling out per lane — every test still passes and the simulator is
-# just slower. This fails instead.
+# starts calling out per lane, the per-branch transferT gains a call besides
+# its cold non-termination witness — every test still passes and the simulator
+# is just slower. This fails instead.
 #
 # Usage: scripts/check_inlining.sh [workdir]
 set -euo pipefail
@@ -55,4 +56,8 @@ check storeU 'blockCtx\)\.storeU$' "^(gevo/internal/gpu\.[A-Za-z(*).]*\(SB\)|$ex
 # register).
 check runWarpU 'blockCtx\)\.runWarpU$' \
   "^(gevo/internal/gpu\.(\(\*blockCtx\)\.(loadU|storeU|transferT|divergeT)|aluU|cmpMaskU)\(SB\)|[A-Z][A-Z0-9]*|$exits)\$"
-echo "check_inlining: ok (runWarpU inline cost $cost; byte accessors inlined; no per-lane calls in aluU, cmpMaskU, loadU, storeU or the driver)"
+# The per-branch path: the phi-edge closure (a call through a register) and,
+# from the 2^14th retreat of a warp on, the cold half of the non-termination
+# witness — which may copy and compare as it likes, and is the only one.
+check transferT 'blockCtx\)\.transferT$' '^(gevo/internal/gpu\.\(\*blockCtx\)\.witnessT\(SB\)|[A-Z][A-Z0-9]*)$'
+echo "check_inlining: ok (runWarpU inline cost $cost; byte accessors inlined; no per-lane calls in aluU, cmpMaskU, loadU, storeU, the driver or transferT)"
