@@ -7,7 +7,7 @@
 //	gevo -workload adept-v1 -arch P100 -pop 32 -gens 40 -seed 1 -workers 8
 //
 // With -json the human report is replaced by one machine-readable JSON
-// object on stdout (schema shared with gevo-bench).
+// object on stdout.
 package main
 
 import (

@@ -23,7 +23,7 @@ func main() {
 	// 1. The default suite: one scenario per family. RunSynthSuite verifies
 	//    every generated module, cross-checks the generator's host oracle
 	//    against the reference interpreter, and pins interp ≡ threaded.
-	reports, err := gevo.RunSynthSuite(gevo.SynthDefaultSuite(), gevo.P100, 3)
+	reports, err := gevo.RunSynthSuite(gevo.SynthDefaultSuite(), gevo.P100)
 	if err != nil {
 		log.Fatal(err)
 	}

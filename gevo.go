@@ -141,7 +141,7 @@ func NewSynth(sp SynthSpec) (*SynthWorkload, error) { return synth.New(sp) }
 var SynthDefaultSuite = synth.DefaultSuite
 
 // RunSynthSuite runs the scenario gauntlet (verification, oracle
-// cross-check, interp ≡ threaded differential, per-backend timing) over a
+// cross-check, interp ≡ threaded differential, timing-shape proof) over a
 // set of specs.
 var RunSynthSuite = synth.RunSuite
 

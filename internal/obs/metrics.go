@@ -244,8 +244,8 @@ func (r *Registry) SeriesFunc(base, help string, kind Kind, fn func() []Series) 
 }
 
 // Value returns the current value of a counter or gauge series (0 for
-// unknown names or histograms) — the programmatic read used by
-// gevo-bench's cache-health report.
+// unknown names or histograms) — the programmatic read tests use to check
+// an instrument without scraping.
 func (r *Registry) Value(name string) float64 {
 	r.mu.Lock()
 	s, ok := r.m[name]

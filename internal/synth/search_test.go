@@ -9,42 +9,54 @@ import (
 )
 
 // TestSearchBitIdentical is the end-to-end determinism guarantee of the
-// scenario subsystem: two independently generated instances of the same
-// spec, searched with the same engine seed, produce bit-identical results
-// — fitness values, evaluation counts and genomes. (The engine is already
-// deterministic for a fixed workload; this pins that the generated
-// workload itself — IR, datasets, golden outputs — introduces no drift.)
+// scenario subsystem, on every family of the default suite: two
+// independently generated instances of the same spec, searched with the
+// same engine seed, produce bit-identical results — fitness values,
+// evaluation counts and genomes — and a non-empty winner passes held-out
+// validation. (The engine is already deterministic for a fixed workload;
+// this pins that the generated workload itself — IR, datasets, golden
+// outputs — introduces no drift.)
 func TestSearchBitIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two small searches")
+		t.Skip("runs two small searches per family")
 	}
-	run := func() *core.Result {
-		w, err := synth.New(synth.Spec{Family: "stencil2d", Seed: 5, N: 64})
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := core.NewEngine(w, core.Config{
-			Pop: 8, Generations: 6, Seed: 17, Arch: gpu.P100,
-			MutationRate: 0.5, CrossoverRate: 0.8,
+	for _, sp := range synth.DefaultSuite() {
+		t.Run(sp.Family, func(t *testing.T) {
+			run := func() (*core.Engine, *core.Result) {
+				w, err := synth.New(sp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng := core.NewEngine(w, core.Config{
+					Pop: 12, Generations: 10, Seed: 17, Arch: gpu.P100,
+					MutationRate: 0.9, CrossoverRate: 0.8,
+				})
+				res, err := eng.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng, res
+			}
+			eng, a := run()
+			_, b := run()
+			if a.BaseFitness != b.BaseFitness {
+				t.Errorf("base fitness drifted: %v != %v", a.BaseFitness, b.BaseFitness)
+			}
+			if a.Best.Fitness != b.Best.Fitness {
+				t.Errorf("best fitness drifted: %v != %v", a.Best.Fitness, b.Best.Fitness)
+			}
+			if a.Evaluations != b.Evaluations {
+				t.Errorf("evaluation count drifted: %d != %d", a.Evaluations, b.Evaluations)
+			}
+			if ga, gb := core.GenomeKey(a.Best.Genome), core.GenomeKey(b.Best.Genome); ga != gb {
+				t.Errorf("best genome drifted:\n%s\n%s", ga, gb)
+			}
+			if len(a.Best.Genome) > 0 {
+				if err := eng.Validate(a.Best.Genome); err != nil {
+					t.Errorf("best genome fails held-out validation: %v", err)
+				}
+			}
 		})
-		res, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.BaseFitness != b.BaseFitness {
-		t.Errorf("base fitness drifted: %v != %v", a.BaseFitness, b.BaseFitness)
-	}
-	if a.Best.Fitness != b.Best.Fitness {
-		t.Errorf("best fitness drifted: %v != %v", a.Best.Fitness, b.Best.Fitness)
-	}
-	if a.Evaluations != b.Evaluations {
-		t.Errorf("evaluation count drifted: %d != %d", a.Evaluations, b.Evaluations)
-	}
-	if ga, gb := core.GenomeKey(a.Best.Genome), core.GenomeKey(b.Best.Genome); ga != gb {
-		t.Errorf("best genome drifted:\n%s\n%s", ga, gb)
 	}
 }
 

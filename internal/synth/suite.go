@@ -3,14 +3,13 @@ package synth
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gevo/internal/gpu"
 )
 
 // SuiteReport is one family's share of a suite run: generation facts
-// (instruction count, geometry, proven timing shape) and measured
-// evaluation latency under both backends, plus the differential verdict.
+// (instruction count, geometry, proven timing shape) and the differential
+// verdict.
 type SuiteReport struct {
 	Spec   Spec   `json:"-"`
 	Name   string `json:"name"`
@@ -30,23 +29,16 @@ type SuiteReport struct {
 	DifferentialOK bool `json:"differential_ok"`
 	// FitnessMs is the base program's simulated kernel time.
 	FitnessMs float64 `json:"fitness_ms"`
-	// Per-backend wall-clock evaluation latency.
-	InterpMsPerEval   float64 `json:"interp_ms_per_eval"`
-	ThreadedMsPerEval float64 `json:"threaded_ms_per_eval"`
-	BackendSpeedup    float64 `json:"backend_speedup"`
 }
 
 // RunSuite generates every spec and runs the scenario gauntlet on each:
 // construction (which verifies the module and cross-checks the oracle
 // against the reference interpreter), the documented-timing-shape check,
-// the interp ≡ threaded differential (twice threaded, to cover the
-// uniform-launch memo replay path), and per-backend evaluation timing over
-// `evals` repetitions. It completes the whole suite before reporting the
-// joined errors, so one broken family does not hide another's verdict.
-func RunSuite(specs []Spec, arch *gpu.Arch, evals int) ([]SuiteReport, error) {
-	if evals < 1 {
-		evals = 1
-	}
+// and the interp ≡ threaded differential (twice threaded, to cover the
+// uniform-launch memo replay path). It completes the whole suite before
+// reporting the joined errors, so one broken family does not hide another's
+// verdict.
+func RunSuite(specs []Spec, arch *gpu.Arch) ([]SuiteReport, error) {
 	var errs []error
 	reports := make([]SuiteReport, 0, len(specs))
 	for _, sp := range sortedSpecs(specs) {
@@ -89,28 +81,7 @@ func RunSuite(specs []Spec, arch *gpu.Arch, evals int) ([]SuiteReport, error) {
 				rep.DifferentialOK = false
 			}
 		}
-
-		rep.InterpMsPerEval = timeEvals(w, arch, gpu.BackendInterp, evals)
-		rep.ThreadedMsPerEval = timeEvals(w, arch, gpu.BackendThreaded, evals)
-		if rep.ThreadedMsPerEval > 0 {
-			rep.BackendSpeedup = rep.InterpMsPerEval / rep.ThreadedMsPerEval
-		}
 		reports = append(reports, rep)
 	}
 	return reports, errors.Join(errs...)
-}
-
-// timeEvals measures the steady-state wall-clock cost of one base
-// evaluation under a backend (one warm-up evaluation, then the mean).
-func timeEvals(w *Workload, arch *gpu.Arch, b gpu.Backend, evals int) float64 {
-	if _, err := w.EvaluateBackend(w.Base(), arch, b); err != nil {
-		return 0
-	}
-	start := time.Now() //gevo:allow bench timing: reported in gauntlet output, never feeds fitness or search state
-	for i := 0; i < evals; i++ {
-		if _, err := w.EvaluateBackend(w.Base(), arch, b); err != nil {
-			return 0
-		}
-	}
-	return float64(time.Since(start).Microseconds()) / 1000 / float64(evals) //gevo:allow bench timing: reported in gauntlet output, never feeds fitness or search state
 }

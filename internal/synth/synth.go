@@ -209,7 +209,8 @@ func (sp Spec) Name() string {
 func (sp Spec) namePrefix() string { return Prefix + sp.Family + ":" }
 
 // DefaultSuite returns one default-configuration spec per family (seed 1,
-// default size), in family-table order — the corpus CI and gevo-bench run.
+// default size), in family-table order — the corpus the suite gauntlet and
+// the per-family search tests run.
 func DefaultSuite() []Spec {
 	out := make([]Spec, len(families))
 	for i, f := range families {
@@ -224,17 +225,6 @@ func SeedSuite(seed uint64) []Spec {
 	out := DefaultSuite()
 	for i := range out {
 		out[i].Seed = seed
-	}
-	return out
-}
-
-// SearchSuite returns one minimum-size spec per family — scenarios sized
-// for quick demonstration searches in benchmarks and CI smoke jobs (every
-// family's minimum size is valid by construction).
-func SearchSuite(seed uint64) []Spec {
-	out := make([]Spec, len(families))
-	for i, f := range families {
-		out[i] = Spec{Family: f.name, Seed: seed, N: f.minN}
 	}
 	return out
 }

@@ -41,7 +41,7 @@ func TestParseRoundTrip(t *testing.T) {
 // reference interpreter, hold interp ≡ threaded (including the memo replay
 // path), and prove exactly the timing shape its family documents.
 func TestSuiteDefault(t *testing.T) {
-	reps, err := RunSuite(DefaultSuite(), gpu.P100, 1)
+	reps, err := RunSuite(DefaultSuite(), gpu.P100)
 	if err != nil {
 		t.Fatalf("suite: %v", err)
 	}
