@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-quick] [-table1] [-fig4] [-fig5] [-fig6] [-fig7] [-fig8]
-//	            [-fig10] [-ballot] [-generality] [-minimize]
+//	            [-fig10] [-ballot] [-generality] [-minimize] [-simcov]
 package main
 
 import (
@@ -28,13 +28,14 @@ func main() {
 	ballot := flag.Bool("ballot", false, "Sec VI-B: ballot_sync removal per GPU")
 	generality := flag.Bool("generality", false, "Sec IV: cross-GPU edit portability")
 	minimize := flag.Bool("minimize", false, "Sec V: Algorithms 1+2 pipeline")
+	simcovTable := flag.Bool("simcov", false, "SIMCoV per-step epidemiological table (base program, P100)")
 	flag.Parse()
 
 	sc := experiments.Full
 	if *quick {
 		sc = experiments.Quick
 	}
-	all := !(*table1 || *fig4 || *fig5 || *fig6 || *fig7 || *fig8 || *fig10 || *ballot || *generality || *minimize)
+	all := !(*table1 || *fig4 || *fig5 || *fig6 || *fig7 || *fig8 || *fig10 || *ballot || *generality || *minimize || *simcovTable)
 
 	fail := func(name string, err error) {
 		fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
@@ -55,6 +56,13 @@ func main() {
 		_, rep, err := experiments.Fig5(sc)
 		if err != nil {
 			fail("fig5", err)
+		}
+		fmt.Println(rep)
+	}
+	if all || *simcovTable {
+		rep, err := experiments.SIMCoVSteps(sc)
+		if err != nil {
+			fail("simcov", err)
 		}
 		fmt.Println(rep)
 	}

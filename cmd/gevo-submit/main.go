@@ -79,7 +79,6 @@ func main() {
 	cancel := flag.String("cancel", "", "cancel one job instead of submitting")
 	diagID := flag.String("diag", "", "show one job's diagnosis (operator table + kernel report) instead of submitting")
 	costsID := flag.String("costs", "", "show one job's cost account (evals, launches, cache hits charged to it) instead of submitting")
-	stats := flag.Bool("stats", false, "show server stats instead of submitting")
 	retries := flag.Int("retries", 2, "retry transient failures (connection refused, 429, 5xx) this many times")
 	retryMaxWait := flag.Duration("retry-max-wait", 2*time.Second, "cap on the backoff between retries")
 	flag.Parse()
@@ -127,12 +126,6 @@ func main() {
 			fatal(err)
 		}
 		emit(doc)
-	case *stats:
-		st, err := c.Stats(ctx)
-		if err != nil {
-			fatal(err)
-		}
-		emit(st)
 	default:
 		spec := serve.JobSpec{
 			Workload:          *wl,

@@ -65,8 +65,8 @@ func main() {
 	fmt.Println("held-out validation passed: output bytes exactly reproduce the oracle")
 
 	// 4. The same scenario is reachable by name from every tool:
-	//    gevo -workload synth:stencil2d:seed=11:n=256, gevo-islands, and a
-	//    gevo-serve job spec all accept w.Name().
+	//    gevo -workload synth:stencil2d:seed=11:n=256 and a gevo-serve
+	//    job spec both accept w.Name().
 	if err := gevo.ResolveWorkload(w.Name()); err != nil {
 		log.Fatal(err)
 	}

@@ -148,26 +148,26 @@ func (p *EvalPool) spaceLocked(w workload.Workload, arch *gpu.Arch) uint32 {
 // PoolStats is a point-in-time sample of an EvalPool's load.
 type PoolStats struct {
 	// Workers is the pool's concurrency bound.
-	Workers int `json:"workers"`
+	Workers int
 	// QueueDepth is the number of evaluations waiting for a worker slot.
-	QueueDepth int `json:"queue_depth"`
+	QueueDepth int
 	// InFlight is the number of simulations running right now.
-	InFlight int `json:"in_flight"`
+	InFlight int
 	// Completed counts simulations finished since the pool was created
 	// (each distinct program simulates once per workload instance and
 	// architecture).
-	Completed int64 `json:"completed"`
+	Completed int64
 	// CacheHits counts requests answered without a simulation because the
 	// program had been measured already or was being measured (the request
 	// waited): another engine's genome, or a different genome of the same
 	// engine that materialised to the same module.
-	CacheHits int64 `json:"cache_hits"`
+	CacheHits int64
 	// EvalPanics counts evaluations whose fn panicked and was quarantined
 	// (scored +Inf instead of tearing down the process).
-	EvalPanics int64 `json:"eval_panics"`
+	EvalPanics int64
 	// Redispatches counts injected worker faults absorbed by re-running
 	// the evaluation (fault injection only; 0 in production).
-	Redispatches int64 `json:"redispatches"`
+	Redispatches int64
 }
 
 // Stats samples the pool's gauges. The fields are read independently, so a

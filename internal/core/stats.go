@@ -148,6 +148,51 @@ func opStatsSorted(m map[string]*OpStats) []OpStats {
 	return out
 }
 
+// OpContribution is one row of the per-operator table: the operator's
+// productivity summed over demes, plus the best-ever improvements a lineage
+// attributes to it (Discoveries) and their total fitness gain (DeltaMs).
+type OpContribution struct {
+	OpStats
+	Discoveries int     `json:"discoveries,omitempty"`
+	DeltaMs     float64 `json:"delta_ms,omitempty"`
+}
+
+// OpContributions merges per-deme operator counters (one GenStats per
+// deme) with the discoveries of a best-improvement lineage into one table
+// sorted by operator name.
+func OpContributions(stats []GenStats, lineage []LineageEntry) []OpContribution {
+	byOp := make(map[string]*OpContribution)
+	var order []string
+	row := func(op string) *OpContribution {
+		c := byOp[op]
+		if c == nil {
+			c = &OpContribution{OpStats: OpStats{Op: op}}
+			byOp[op] = c
+			order = append(order, op)
+		}
+		return c
+	}
+	for _, s := range stats {
+		for _, o := range s.Ops {
+			c := row(o.Op)
+			c.Attempts += o.Attempts
+			c.Valid += o.Valid
+			c.Improved += o.Improved
+		}
+	}
+	for _, l := range lineage {
+		c := row(l.Op)
+		c.Discoveries++
+		c.DeltaMs += l.DeltaMs
+	}
+	sort.Strings(order)
+	out := make([]OpContribution, len(order))
+	for i, op := range order {
+		out[i] = *byOp[op]
+	}
+	return out
+}
+
 // Stats returns the search-health statistics of the most recently completed
 // generation (the zero GenStats before the first Step).
 func (e *Engine) Stats() GenStats {

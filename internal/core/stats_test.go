@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -94,5 +96,35 @@ func TestStatsCheckpointRoundTrip(t *testing.T) {
 	}
 	if len(legacy.opAgg) != 0 {
 		t.Fatalf("legacy checkpoint grew operator counters")
+	}
+}
+
+// TestOpContributions pins the per-operator table gevo -lineage prints and
+// GET /jobs/{id}/diag serves: counters summed over demes, discoveries and
+// gain from the lineage, rows sorted by name, and the flat JSON row shape.
+func TestOpContributions(t *testing.T) {
+	stats := []GenStats{
+		{Ops: []OpStats{{Op: "mutation", Attempts: 5, Valid: 2, Improved: 1}, {Op: "elite", Attempts: 4, Valid: 4}}},
+		{Ops: []OpStats{{Op: "mutation", Attempts: 3, Valid: 1, Improved: 1}}},
+	}
+	lineage := []LineageEntry{{Op: "mutation", DeltaMs: 0.5}, {Op: "migrant", DeltaMs: 0.25}, {Op: "mutation", DeltaMs: 0.125}}
+	got := OpContributions(stats, lineage)
+	want := []OpContribution{
+		{OpStats: OpStats{Op: "elite", Attempts: 4, Valid: 4}},
+		{OpStats: OpStats{Op: "migrant"}, Discoveries: 1, DeltaMs: 0.25},
+		{OpStats: OpStats{Op: "mutation", Attempts: 8, Valid: 3, Improved: 2}, Discoveries: 2, DeltaMs: 0.625},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("OpContributions = %+v, want %+v", got, want)
+	}
+	blob, err := json.Marshal(got[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := string(blob); s != `{"op":"mutation","attempts":8,"valid":3,"improved":2,"discoveries":2,"delta_ms":0.625}` {
+		t.Errorf("row JSON = %s", s)
+	}
+	if got := OpContributions(nil, nil); len(got) != 0 {
+		t.Errorf("empty input gave %+v", got)
 	}
 }

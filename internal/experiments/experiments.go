@@ -174,6 +174,34 @@ func Fig5(sc Scale) ([]Fig5Row, string, error) {
 	return rows, sb.String(), nil
 }
 
+// SIMCoVSteps runs the unmodified SIMCoV on P100 and tabulates the model's
+// per-step epidemiological state (every fourth step and the last) — the
+// simulation output the fitness tolerance bands are drawn around.
+func SIMCoVSteps(sc Scale) (string, error) {
+	s, err := newSIMCoV(sc.SIMCoVSteps, false)
+	if err != nil {
+		return "", err
+	}
+	ms, stats, err := s.RunStats(s.Base(), gpu.P100)
+	if err != nil {
+		return "", err
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "SIMCoV %dx%d x %d steps on %s: %.4f simulated ms of kernel time\n",
+		s.Params.W, s.Params.H, s.Params.Steps, gpu.P100.Name, ms)
+	fmt.Fprintf(&sb, "%5s %8s %8s %8s %8s %8s %8s %10s %10s\n",
+		"step", "healthy", "incub", "express", "apopt", "dead", "tcells", "virions", "chemokine")
+	for i, st := range stats {
+		if i%4 != 0 && i != len(stats)-1 {
+			continue
+		}
+		v := st.Values()
+		fmt.Fprintf(&sb, "%5d %8.0f %8.0f %8.0f %8.0f %8.0f %8.0f %10.1f %10.1f\n",
+			i+1, v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7])
+	}
+	return sb.String(), nil
+}
+
 // Fig6Run is one independent search run's outcome.
 type Fig6Run struct {
 	Seed       uint64

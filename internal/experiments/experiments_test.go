@@ -64,6 +64,19 @@ func TestFig5Shapes(t *testing.T) {
 	}
 }
 
+func TestSIMCoVStepsTable(t *testing.T) {
+	rep, err := SIMCoVSteps(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every fourth step from the first, then the last (Quick runs 16).
+	for _, want := range []string{"32x24 x 16 steps on P100", "chemokine", "\n    1 ", "\n   13 ", "\n   16 "} {
+		if !strings.Contains(rep, want) {
+			t.Errorf("SIMCoV table missing %q:\n%s", want, rep)
+		}
+	}
+}
+
 func TestFig7Report(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulator-heavy")

@@ -20,6 +20,7 @@ package island
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 
 	"gevo/internal/core"
@@ -39,6 +40,34 @@ type Override struct {
 	MutationRate *float64
 	// CrossoverRate overrides the per-offspring crossover probability.
 	CrossoverRate *float64
+}
+
+// ArchRing turns an architecture list into a ring's base arch and per-deme
+// overrides, cycling the list across the demes. Blank entries are skipped;
+// a single name is a homogeneous ring and needs no overrides.
+func ArchRing(names []string, demes int) (*gpu.Arch, []Override, error) {
+	var archs []*gpu.Arch
+	for _, n := range names {
+		if n = strings.TrimSpace(n); n == "" {
+			continue
+		}
+		a, err := gpu.ResolveArch(n)
+		if err != nil {
+			return nil, nil, err
+		}
+		archs = append(archs, a)
+	}
+	if len(archs) == 0 {
+		return nil, nil, fmt.Errorf("no architectures in %q", strings.Join(names, ","))
+	}
+	if len(archs) == 1 {
+		return archs[0], nil, nil
+	}
+	ov := make([]Override, demes)
+	for i := range ov {
+		ov[i].Arch = archs[i%len(archs)]
+	}
+	return archs[0], ov, nil
 }
 
 // Config describes the island topology and per-deme search parameters.

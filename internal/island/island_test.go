@@ -4,13 +4,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gevo/internal/core"
 	"gevo/internal/gpu"
 	"gevo/internal/kernels"
+	"gevo/internal/rng"
 	"gevo/internal/workload"
 )
 
@@ -275,5 +278,115 @@ func TestRestoreRejects(t *testing.T) {
 	}
 	if _, err := New(w, Config{Demes: 3, Overrides: make([]Override, 2)}); err == nil {
 		t.Error("override length mismatch accepted")
+	}
+}
+
+// TestArchRing pins the one rule that turns an arch list into a ring: the
+// first arch is the base, a list of two or more is cycled over the demes as
+// per-deme overrides, blanks are skipped and unknown names are refused.
+func TestArchRing(t *testing.T) {
+	archName := func(a *gpu.Arch) string {
+		if a == nil {
+			return "-"
+		}
+		return a.Name
+	}
+	for _, tc := range []struct {
+		names     []string
+		demes     int
+		base      string
+		overrides []string // per-deme arch names; nil = homogeneous ring
+		err       string
+	}{
+		{names: []string{"V100"}, demes: 4, base: "V100"},
+		{names: []string{"P100", "V100"}, demes: 5, base: "P100", overrides: []string{"P100", "V100", "P100", "V100", "P100"}},
+		{names: []string{"P100", "V100", "1080Ti"}, demes: 2, base: "P100", overrides: []string{"P100", "V100"}},
+		{names: []string{" P100", "", "  ", "V100 "}, demes: 3, base: "P100", overrides: []string{"P100", "V100", "P100"}},
+		{names: []string{" 1080Ti ", ""}, demes: 3, base: "1080Ti"},
+		{names: []string{"", " "}, demes: 2, err: "no architectures"},
+		{names: nil, demes: 2, err: "no architectures"},
+		{names: []string{"P100", "TPUv9"}, demes: 2, err: `unknown arch "TPUv9" (known: P100, 1080Ti, V100)`},
+	} {
+		base, ov, err := ArchRing(tc.names, tc.demes)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("ArchRing(%q, %d): err = %v, want %q", tc.names, tc.demes, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("ArchRing(%q, %d): %v", tc.names, tc.demes, err)
+			continue
+		}
+		var got []string
+		for _, o := range ov {
+			got = append(got, archName(o.Arch))
+		}
+		if archName(base) != tc.base || !reflect.DeepEqual(got, tc.overrides) {
+			t.Errorf("ArchRing(%q, %d) = %s %v, want %s %v", tc.names, tc.demes, archName(base), got, tc.base, tc.overrides)
+		}
+	}
+}
+
+// TestSingleDemeIsEngine pins what `gevo -demes 1` rests on: a one-deme
+// ring never migrates, so it is exactly one core.Engine seeded with the
+// ring's first derived seed, run for the same generations — same best
+// genome and fitness bits, evaluation count, history and lineage.
+func TestSingleDemeIsEngine(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		w    func() workload.Workload
+	}{
+		{"synth", func() workload.Workload {
+			w, err := workload.ByName("synth:stencil1d:seed=1:n=32")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}},
+		{"adept-v0", func() workload.Workload { return smallADEPT(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := ringConfig(2)
+			cfg.Demes = 1
+			cfg.Generations = 7 // rounds of 2, 2, 2 and 1 generations
+			s, err := New(tc.w(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ring, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ring.Demes[0].Result
+
+			ecfg := cfg.Base
+			ecfg.Seed = rng.New(cfg.Seed).Uint64()
+			ecfg.Generations = cfg.Generations
+			want, err := core.NewEngine(tc.w(), ecfg).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if ring.Migrations != 0 {
+				t.Errorf("one-deme ring migrated %d times", ring.Migrations)
+			}
+			if core.GenomeKey(got.Best.Genome) != core.GenomeKey(want.Best.Genome) ||
+				math.Float64bits(got.Best.Fitness) != math.Float64bits(want.Best.Fitness) {
+				t.Errorf("best: ring %v %v, engine %v %v", got.Best.Genome, got.Best.Fitness, want.Best.Genome, want.Best.Fitness)
+			}
+			if got.Evaluations != want.Evaluations {
+				t.Errorf("evaluations: ring %d, engine %d", got.Evaluations, want.Evaluations)
+			}
+			if !reflect.DeepEqual(got.History.Records, want.History.Records) {
+				t.Errorf("history records differ:\n ring   %+v\n engine %+v", got.History.Records, want.History.Records)
+			}
+			if !reflect.DeepEqual(got.History.Lineage, want.History.Lineage) {
+				t.Errorf("lineage differs:\n ring   %+v\n engine %+v", got.History.Lineage, want.History.Lineage)
+			}
+			if len(want.History.Records) != cfg.Generations {
+				t.Errorf("engine ran %d generations, want %d", len(want.History.Records), cfg.Generations)
+			}
+		})
 	}
 }

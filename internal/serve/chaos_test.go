@@ -142,9 +142,10 @@ func TestChaosGauntlet(t *testing.T) {
 	}
 
 	// No leaked slots, no stuck gauges, health healed.
-	st := m.Stats()
-	if st.Pool.InFlight != 0 || st.Pool.QueueDepth != 0 {
-		t.Errorf("pool gauges did not settle: %+v", st.Pool)
+	for _, g := range []string{"gevo_pool_in_flight", "gevo_pool_queue_depth"} {
+		if v := m.Metrics().Value(g); v != 0 {
+			t.Errorf("pool gauge %s did not settle: %v", g, v)
+		}
 	}
 	if len(m.pool.Quarantined()) != 0 {
 		t.Errorf("injected faults leaked into quarantine: %+v", m.pool.Quarantined())

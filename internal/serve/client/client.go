@@ -229,13 +229,6 @@ func (c *Client) Diag(ctx context.Context, id string) (*serve.DiagDoc, error) {
 	return &doc, nil
 }
 
-// Stats samples the server.
-func (c *Client) Stats(ctx context.Context) (serve.Stats, error) {
-	var st serve.Stats
-	err := c.do(ctx, http.MethodGet, "/stats", nil, &st)
-	return st, err
-}
-
 // Watch streams a job's events, calling fn for each until the job reaches
 // a terminal state, the context ends, or the stream breaks. It returns the
 // last observed status. The server replays the current status first, so

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 
 	"gevo/internal/core"
 	"gevo/internal/diag"
@@ -21,61 +20,11 @@ type DiagDoc struct {
 	Stats []core.GenStats `json:"stats,omitempty"`
 	// Ops merges the cumulative per-operator productivity across demes
 	// with the best-ever discoveries attributed by the result's lineage.
-	Ops []OpContribution `json:"ops,omitempty"`
+	Ops []core.OpContribution `json:"ops,omitempty"`
 	// Report is the kernel diagnosis of the current (or final) ring-best
 	// genome on its home architecture; ReportError explains its absence.
 	Report      *diag.Report `json:"report,omitempty"`
 	ReportError string       `json:"report_error,omitempty"`
-}
-
-// OpContribution is one row of the per-operator table: how often the
-// operator ran, how often its offspring were valid or beat their parent
-// (summed over demes), and how much best-ever fitness gain the winning
-// deme's lineage attributes to it.
-type OpContribution struct {
-	Op       string `json:"op"`
-	Attempts int64  `json:"attempts"`
-	Valid    int64  `json:"valid"`
-	Improved int64  `json:"improved"`
-	// Discoveries counts best-ever improvements the winning deme's lineage
-	// attributes to the operator; DeltaMs totals their fitness gain.
-	Discoveries int     `json:"discoveries,omitempty"`
-	DeltaMs     float64 `json:"delta_ms,omitempty"`
-}
-
-// opContributions merges per-deme operator counters with lineage-attributed
-// discoveries into one table sorted by operator name.
-func opContributions(stats []core.GenStats, lineage []LineageLine) []OpContribution {
-	byOp := make(map[string]*OpContribution)
-	var order []string
-	row := func(op string) *OpContribution {
-		c := byOp[op]
-		if c == nil {
-			c = &OpContribution{Op: op}
-			byOp[op] = c
-			order = append(order, op)
-		}
-		return c
-	}
-	for _, s := range stats {
-		for _, o := range s.Ops {
-			c := row(o.Op)
-			c.Attempts += o.Attempts
-			c.Valid += o.Valid
-			c.Improved += o.Improved
-		}
-	}
-	for _, l := range lineage {
-		c := row(l.Op)
-		c.Discoveries++
-		c.DeltaMs += l.DeltaMs
-	}
-	sort.Strings(order)
-	out := make([]OpContribution, len(order))
-	for i, op := range order {
-		out[i] = *byOp[op]
-	}
-	return out
 }
 
 // Diag builds the diagnosis document for a job. The kernel report runs a
@@ -94,14 +43,16 @@ func (m *Manager) Diag(id string) (*DiagDoc, error) {
 	genome := append([]core.Edit(nil), j.bestGenome...)
 	haveBest := j.bestGenome != nil
 	arch := j.bestArch
-	var lineage []LineageLine
+	var lineage []core.LineageEntry
 	if j.result != nil {
-		lineage = j.result.Lineage
+		for _, l := range j.result.Lineage {
+			lineage = append(lineage, core.LineageEntry{Op: l.Op, DeltaMs: l.DeltaMs})
+		}
 	}
 	workloadName := j.spec.Workload
 	m.mu.Unlock()
 
-	doc.Ops = opContributions(doc.Stats, lineage)
+	doc.Ops = core.OpContributions(doc.Stats, lineage)
 	if !haveBest {
 		doc.ReportError = "no valid best genome observed in this process yet"
 		return doc, nil

@@ -232,7 +232,7 @@ func TestSubmitSheds(t *testing.T) {
 	if _, err := m.Submit(testSpec(62)); err != nil {
 		t.Fatalf("submission after capacity freed: %v", err)
 	}
-	if st := m.Stats(); st.Shed != 1 {
-		t.Errorf("Stats.Shed = %d, want 1", st.Shed)
+	if v := m.Metrics().Value("gevo_serve_shed_total"); v != 1 {
+		t.Errorf("gevo_serve_shed_total = %v, want 1", v)
 	}
 }

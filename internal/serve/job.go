@@ -248,9 +248,6 @@ type Event struct {
 	// root span for lifecycle events).
 	Trace string `json:"trace,omitempty"`
 	Span  string `json:"span,omitempty"`
-	// Pool is a sample of the shared evaluation pool taken when the event
-	// was built, so SSE watchers see server load without polling.
-	Pool *core.PoolStats `json:"pool,omitempty"`
 	// Stats is the per-deme search-health snapshot (ring order) taken at
 	// the end of the slice that produced this progress event.
 	Stats []core.GenStats `json:"stats,omitempty"`

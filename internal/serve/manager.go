@@ -688,40 +688,6 @@ func (m *Manager) Subscribe(job string) (<-chan Event, func()) {
 	return s.ch, cancel
 }
 
-// Stats summarizes the manager and its evaluation pool.
-type Stats struct {
-	// Jobs counts jobs by state.
-	Jobs map[string]int `json:"jobs"`
-	// Executors is the configured slice concurrency.
-	Executors int `json:"executors"`
-	// CachedResults is the LRU result-cache occupancy.
-	CachedResults int `json:"cached_results"`
-	// Health is the failure-domain summary ("ok" or "degraded").
-	Health Health `json:"health"`
-	// Shed counts submissions rejected by admission control.
-	Shed int64 `json:"shed"`
-	// Pool samples the shared evaluation pool's gauges.
-	Pool core.PoolStats `json:"pool"`
-}
-
-// Stats samples the manager.
-func (m *Manager) Stats() Stats {
-	m.mu.Lock()
-	st := Stats{
-		Jobs:          make(map[string]int),
-		Executors:     m.opts.Executors,
-		CachedResults: m.cache.len(),
-	}
-	for _, j := range m.jobs {
-		st.Jobs[string(j.state)]++
-	}
-	m.mu.Unlock()
-	st.Health = m.Health()
-	st.Shed = m.shedTotal.Value()
-	st.Pool = m.pool.Stats()
-	return st
-}
-
 // Close stops the executors (finishing any in-flight slices) and
 // disconnects subscribers. Durable state needs no flush — it is already
 // written after every slice; Close exists for tidiness, not correctness,
@@ -884,11 +850,9 @@ func (m *Manager) runSlice(j *job) {
 		ev = &e
 	} else {
 		m.persistLocked()
-		// Fold a pool sample into the progress stream: SSE watchers get
-		// load telemetry without polling /stats; the per-deme stats give
-		// them search health without polling /jobs/{id}/diag.
-		ps := m.pool.Stats()
-		e := Event{Type: "progress", Job: j.status(), Gens: points, Pool: &ps, Stats: stats,
+		// The per-deme stats give SSE watchers search health without
+		// polling /jobs/{id}/diag; pool load is on /metrics.
+		e := Event{Type: "progress", Job: j.status(), Gens: points, Stats: stats,
 			Trace: j.trace, Span: sp.Context().SpanID}
 		ev = &e
 	}
@@ -931,7 +895,11 @@ func (m *Manager) openSearch(j *job) error {
 			m.quarantineCheckpoint(j, cpath, err)
 		}
 	}
-	s, err := island.New(w, j.spec.islandConfig(m.pool))
+	cfg, err := j.spec.islandConfig(m.pool)
+	if err != nil {
+		return err
+	}
+	s, err := island.New(w, cfg)
 	if err != nil {
 		return err
 	}
@@ -1187,7 +1155,7 @@ func (m *Manager) persistLocked() {
 // A failed write flips the manager into degraded mode and is retried with
 // capped deterministic backoff until it lands — never silently dropped:
 // the ledger is the restart picture, and while it is stale the operator
-// sees degraded in /healthz, /stats and gevo_serve_degraded. Live jobs are
+// sees degraded in /healthz and gevo_serve_degraded. Live jobs are
 // never failed over a bookkeeping write — the checkpoint files, not the
 // ledger, carry search state — and a success (each attempt snapshots the
 // then-current table) heals the state machine back to ok.

@@ -92,7 +92,11 @@ func TestManagerGolden(t *testing.T) {
 	}
 	ref := testSpec(1)
 	ref.Normalize()
-	s, err := island.New(w, ref.islandConfig(nil))
+	cfg, err := ref.islandConfig(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := island.New(w, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 //	GET    /jobs/{id}/costs  cost account → JobCosts (live while running)
 //	GET    /jobs/{id}/diag   diagnosis → DiagDoc (stats, operator table, kernel report)
 //	GET    /jobs/{id}/events SSE stream of Events (status replay, then live)
-//	GET    /stats            manager + pool gauges → Stats
 //	GET    /metrics          Prometheus text exposition of the manager registry
 //	GET    /debug/trace      event journal (?format=jsonl for JSONL, Chrome trace otherwise)
 //	GET    /debug/pprof/     runtime profiles (only when ServerOptions.EnablePprof)
@@ -76,7 +75,6 @@ func NewServerWith(m *Manager, opts ServerOptions) *Server {
 	s.mux.HandleFunc("GET /jobs/{id}/costs", s.costs)
 	s.mux.HandleFunc("GET /jobs/{id}/diag", s.diag)
 	s.mux.HandleFunc("GET /jobs/{id}/events", s.events)
-	s.mux.HandleFunc("GET /stats", s.stats)
 	s.mux.HandleFunc("GET /metrics", s.metrics)
 	s.mux.HandleFunc("GET /debug/trace", s.trace)
 	if opts.EnablePprof {
@@ -292,10 +290,6 @@ func writeSSE(w http.ResponseWriter, ev Event) {
 		return
 	}
 	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.Type, blob)
-}
-
-func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.m.Stats())
 }
 
 // metrics serves the manager's registry in Prometheus text exposition

@@ -2,7 +2,10 @@ package serve_test
 
 import (
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -38,9 +41,34 @@ func startServer(t *testing.T) *client.Client {
 	return client.New(ts.URL)
 }
 
+// scrape reads a Prometheus text exposition into series name → value.
+func scrape(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	blob, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, line := range strings.Split(string(blob), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
+			out[line[:i]] = v
+		}
+	}
+	return out
+}
+
 // TestServerEndToEnd drives the full REST/SSE surface through the typed
-// client: submit, SSE watch to completion, result artifact, list, stats,
-// and the error paths.
+// client: submit, SSE watch to completion, result artifact, list, the
+// /metrics scrape, and the error paths.
 func TestServerEndToEnd(t *testing.T) {
 	c := startServer(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -132,13 +160,16 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Errorf("list: %+v", jobs)
 	}
 
-	stats, err := c.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// Jobs by state and pool load are /metrics series; /stats is gone.
+	metrics := scrape(t, c.Base+"/metrics")
+	if metrics[`gevo_serve_jobs{state="done"}`] != 1 || metrics[`gevo_serve_jobs{state="cancelled"}`] != 1 ||
+		metrics["gevo_pool_evals_completed_total"] <= 0 || metrics["gevo_pool_workers"] <= 0 {
+		t.Errorf("/metrics: %v", metrics)
 	}
-	if stats.Jobs[string(serve.StateDone)] != 1 || stats.Jobs[string(serve.StateCancelled)] != 1 ||
-		stats.Pool.Completed == 0 || stats.Pool.Workers <= 0 {
-		t.Errorf("stats: %+v", stats)
+	if resp, err := http.Get(c.Base + "/stats"); err != nil {
+		t.Error(err)
+	} else if resp.Body.Close(); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats: HTTP %d, want 404", resp.StatusCode)
 	}
 
 	// Error paths: unknown job, invalid spec (error must name the registry).

@@ -5,7 +5,9 @@
 // durable state (a versioned job ledger plus the island checkpoint format),
 // so a killed server resumes every in-flight job bit-identically on
 // restart. server.go exposes the manager over REST with SSE progress
-// streaming; client/ is the typed API used by cmd/gevo-submit.
+// streaming and Prometheus /metrics; client/ is the typed API used by
+// cmd/gevo-submit. A job is the search cmd/gevo runs from the command line:
+// the same island ring, the same arch-cycling rule (island.ArchRing).
 package serve
 
 import (
@@ -152,20 +154,13 @@ func (s *JobSpec) Key() string {
 func jobID(key string) string { return "j" + key[:16] }
 
 // islandConfig maps a normalized, validated spec onto the island search
-// configuration, cycling Archs across the ring exactly like
-// cmd/gevo-islands: a single arch is the homogeneous base, several become
-// per-deme overrides. The pool is the manager's shared evaluation pool.
-func (s *JobSpec) islandConfig(pool *core.EvalPool) island.Config {
-	archs := make([]*gpu.Arch, len(s.Archs))
-	for i, n := range s.Archs {
-		archs[i] = gpu.ArchByName(n)
-	}
-	var overrides []island.Override
-	if len(archs) > 1 {
-		overrides = make([]island.Override, s.Demes)
-		for i := range overrides {
-			overrides[i].Arch = archs[i%len(archs)]
-		}
+// configuration, cycling Archs across the ring by island.ArchRing, the rule
+// cmd/gevo applies to its -archs list. The pool is the manager's shared
+// evaluation pool.
+func (s *JobSpec) islandConfig(pool *core.EvalPool) (island.Config, error) {
+	arch, overrides, err := island.ArchRing(s.Archs, s.Demes)
+	if err != nil {
+		return island.Config{}, fmt.Errorf("serve: %w", err)
 	}
 	return island.Config{
 		Demes:             s.Demes,
@@ -177,9 +172,9 @@ func (s *JobSpec) islandConfig(pool *core.EvalPool) island.Config {
 		Overrides:         overrides,
 		Base: core.Config{
 			Pop:           s.Pop,
-			Arch:          archs[0],
+			Arch:          arch,
 			MutationRate:  *s.MutationRate,
 			CrossoverRate: *s.CrossoverRate,
 		},
-	}
+	}, nil
 }

@@ -19,7 +19,9 @@ BASE="http://$ADDR"
 SEEDS=(5 6 9)
 WLS=(simcov simcov "synth:stencil2d:seed=8:n=256")
 RETRY_ARGS=(-retries 3 -retry-max-wait 1s)
-SUBMIT_ARGS=(-demes 2 -pop 4 -gens 20 -interval 2 -k 1 "${RETRY_ARGS[@]}")
+# 400 generations, as in serve_smoke.sh: the third submission must meet two
+# running jobs, and the kill must land mid-flight.
+SUBMIT_ARGS=(-demes 2 -pop 4 -gens 400 -interval 2 -k 1 "${RETRY_ARGS[@]}")
 FAULTS='eval.dispatch:panic@3,9,15;eval.dispatch:error@6;persist.write:error@2;persist.sync:error@4;http.request:error@2,5'
 
 say() { echo "chaos_smoke: $*"; }
@@ -134,8 +136,15 @@ say "fault accounting OK: $fired injections fired since restart, health ok"
 stop_server_hard
 
 say "phase 5: golden comparison against the fault-free reference"
+# The costs block (trace ID, CPU time, counts) is process-local by design;
+# compare the rest.
+strip_costs() { # $1 = result json → $1.stripped
+  python3 -c 'import json, sys; d = json.load(open(sys.argv[1])); d.pop("costs"); json.dump(d, open(sys.argv[1] + ".stripped", "w"), indent=1, sort_keys=True)' "$1"
+}
 for i in "${!IDS[@]}"; do
-  diff -u "$WORK/ref.$i.json" "$WORK/chaos.$i.json" \
+  strip_costs "$WORK/ref.$i.json"
+  strip_costs "$WORK/chaos.$i.json"
+  diff -u "$WORK/ref.$i.json.stripped" "$WORK/chaos.$i.json.stripped" \
     || die "job $i: chaos-run result differs from fault-free run"
 done
 say "PASS: faults injected, shed, killed -9 and resumed — results bit-identical"

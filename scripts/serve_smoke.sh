@@ -14,7 +14,10 @@ ADDR=127.0.0.1:8791
 BASE="http://$ADDR"
 SEEDS=(5 6 9)
 WLS=(simcov simcov "synth:stencil2d:seed=8:n=256")
-SUBMIT_ARGS=(-demes 2 -pop 4 -gens 20 -interval 2 -k 1)
+# 400 generations: the kill must land mid-flight, and on a 2-vCPU host these
+# jobs advance ~70 generations in the time the script takes to see all three
+# start (20 finished before the kill; the whole smoke takes ~30 s).
+SUBMIT_ARGS=(-demes 2 -pop 4 -gens 400 -interval 2 -k 1)
 
 say() { echo "serve_smoke: $*"; }
 die() { say "FAIL: $*"; exit 1; }
