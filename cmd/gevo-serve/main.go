@@ -40,7 +40,7 @@ func main() {
 	dir := flag.String("dir", "serve-state", "durable state directory ('' = in-memory only, no crash resume)")
 	workers := flag.Int("workers", 0, "shared evaluation-pool workers (0 = GOMAXPROCS)")
 	executors := flag.Int("executors", 2, "jobs advancing a slice concurrently")
-	cacheSize := flag.Int("cache", 64, "LRU result-cache capacity")
+	cacheSize := flag.Int("cache", 64, "finished job records retained (least recently submitted pruned first)")
 	enablePprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	maxJobs := flag.Int("max-jobs", 0, "max queued+running jobs before submissions shed with 429 (0 = unlimited)")
 	faults := flag.String("faults", "", "deterministic fault-injection schedule, e.g. 'eval.dispatch:panic@3;persist.write:error/5' (chaos testing; '' = off)")

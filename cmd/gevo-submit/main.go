@@ -14,8 +14,8 @@
 //	gevo-submit -cancel j0123456789abcdef
 //
 // Submitting the same spec twice attaches to the same job (single-flight);
-// a spec the server has already finished answers instantly from its result
-// cache.
+// a spec the server has already finished answers instantly from the job's
+// retained record.
 package main
 
 import (

@@ -20,11 +20,11 @@ import (
 // so summing every account always reconciles exactly with the pool-wide
 // counters (the TestCostReconciliation invariant, DESIGN.md §3).
 //
-// All fields are atomics: many workers charge one account concurrently.
-// The account only observes — nothing reads it back into scheduling or
-// fitness, so determinism is untouched.
+// All fields are atomics: many workers charge one account concurrently,
+// and the zero Cost is an empty account ready to charge. The account only
+// observes — nothing reads it back into scheduling or fitness, so
+// determinism is untouched.
 type Cost struct {
-	label string
 	// span is the account's current root span (an obs.SpanContext), set by
 	// the orchestrator per executor slice so evaluation spans parent under
 	// the slice that requested them. Zero/invalid = spans off.
@@ -46,12 +46,6 @@ type Cost struct {
 	failedLaunches  atomic.Int64
 	failedDynInstrs atomic.Int64
 }
-
-// NewCost creates an account labeled for metrics (typically the job ID).
-func NewCost(label string) *Cost { return &Cost{label: label} }
-
-// Label returns the account's metrics label.
-func (c *Cost) Label() string { return c.label }
 
 // SetSpan sets the account's current parent span context. Pass the zero
 // SpanContext to detach (evaluations stop emitting spans).

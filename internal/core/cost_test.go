@@ -49,8 +49,7 @@ func TestCostReconciliation(t *testing.T) {
 		t.Fatalf("workload: %v", err)
 	}
 	p := NewEvalPool(4)
-	a := NewCost("job-a")
-	b := NewCost("job-b")
+	a, b := new(Cost), new(Cost)
 
 	// Two identical fixed-seed searches on distinct accounts: the second
 	// requests genomes the first already computed, so its account collects
@@ -85,7 +84,7 @@ func TestCostReconciliation(t *testing.T) {
 		t.Fatalf("a failed launch charged no instructions: %+v", ft)
 	}
 
-	at, bt, ut := a.Totals(), b.Totals(), p.Unattributed().Totals()
+	at, bt, ut := a.Totals(), b.Totals(), p.unattributed.Totals()
 	for _, c := range []struct {
 		label string
 		t     CostTotals

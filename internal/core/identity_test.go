@@ -43,7 +43,7 @@ func TestPhenotypeIdentity(t *testing.T) {
 	}
 
 	pool := NewEvalPool(2)
-	acct := NewCost("job")
+	acct := new(Cost)
 	engine := func(w workload.Workload, arch *gpu.Arch) *Engine {
 		return NewEngine(w, Config{Pop: 4, Seed: 1, Arch: arch, Pool: pool, Cost: acct})
 	}
@@ -87,6 +87,39 @@ func TestPhenotypeIdentity(t *testing.T) {
 	if got, want := acct.Totals(), pool.ChargedTotals(); got != want {
 		t.Errorf("job account %+v does not reconcile with the pool %+v", got, want)
 	}
+}
+
+// TestReleaseDropsTables pins what Release forgets: every table of the
+// released instance, on every architecture, so the same genome simulates
+// again to the same fitness — while another instance's entries still hit.
+func TestReleaseDropsTables(t *testing.T) {
+	w, other := tinyADEPT(t), tinyADEPT(t)
+	pool := NewEvalPool(2)
+	want := func(what string, completed, hits int64) {
+		t.Helper()
+		if st := pool.Stats(); st.Completed != completed || st.CacheHits != hits {
+			t.Fatalf("%s: completed %d, hits %d, want %d and %d", what, st.Completed, st.CacheHits, completed, hits)
+		}
+	}
+	first := pool.evaluateGenome(w, gpu.P100, nil, nil)
+	pool.evaluateGenome(w, gpu.V100, nil, nil)
+	pool.evaluateGenome(other, gpu.P100, nil, nil)
+	pool.evaluateGenome(w, gpu.P100, nil, nil)
+	want("before release", 3, 1)
+
+	pool.Release(w)
+	if len(pool.tables) != 1 {
+		t.Fatalf("%d tables after releasing one of two instances, want 1", len(pool.tables))
+	}
+	again := pool.evaluateGenome(w, gpu.P100, nil, nil)
+	want("released instance on P100", 4, 1)
+	if math.Float64bits(first) != math.Float64bits(again) {
+		t.Errorf("fitness after release %v, before %v", again, first)
+	}
+	pool.evaluateGenome(w, gpu.V100, nil, nil)
+	want("released instance on V100", 5, 1)
+	pool.evaluateGenome(other, gpu.P100, nil, nil)
+	want("the other instance", 5, 2)
 }
 
 // gatedWorkload holds every evaluation at a gate, so a test can park one

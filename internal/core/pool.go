@@ -17,41 +17,36 @@ import (
 	"gevo/internal/workload"
 )
 
-// EvalPool is a shared fitness-evaluation pool: one worker budget and one
-// single-flight table of measured programs serving any number of engines.
-// Island searches hand every deme the same pool, so heterogeneous rings draw
-// from a single GOMAXPROCS-sized budget instead of oversubscribing the
-// machine with per-deme worker shares.
+// EvalPool is a shared fitness-evaluation pool: one worker budget serving
+// any number of engines, and one single-flight table of measured programs
+// per fitness function (workload instance, architecture). Island searches
+// hand every deme the same pool, so heterogeneous rings draw from a single
+// GOMAXPROCS-sized budget instead of oversubscribing the machine with
+// per-deme worker shares.
 //
-// The table answers "has anyone run this program on this architecture": it
+// Each table answers "has anyone run this program on this architecture": it
 // is keyed by the content of the materialised variant (gpu.ModuleKey), not
 // by the edit list that bred it, so two genomes that collapse to one program
 // — an inapplicable edit, an edit on a vanished target, the same genome in
-// another deme or another job — cost one simulation per (workload instance,
-// architecture). Engines answer "have I bred this genome" themselves
-// (Engine.seen) and never ask the pool twice.
+// another deme — cost one simulation per (workload instance, architecture).
+// Engines answer "have I bred this genome" themselves (Engine.seen) and
+// never ask the pool twice. A workload's tables live until its owner calls
+// Release.
 //
 // Determinism: the pool only affects *which goroutine* runs a simulation
 // and *whether* a duplicate simulation is skipped. Fitness is a pure
 // function of (workload instance, architecture, module content) — the
 // program cache relies on the same purity for compilation — so results are
-// bit-identical for any worker count and any scheduling.
+// bit-identical for any worker count, any scheduling and any Release.
 type EvalPool struct {
 	sem chan struct{}
 
 	mu sync.Mutex
-	// settled holds the fitness of every program measured so far;
-	// guarded by mu.
-	settled map[evalKey]float64
-	// flights holds the evaluations running right now, for duplicates to
-	// wait on; an entry moves to settled when its simulation returns;
-	// guarded by mu.
-	flights map[evalKey]*flight
-	// spaces assigns each (workload instance, architecture) a table
-	// namespace. Workload names identify content shape, not datasets: two
-	// ADEPT workloads built with different seeds share a name but must
-	// never share fitness entries; guarded by mu.
-	spaces map[evalSpace]uint32
+	// tables holds one fitness table per (workload instance, architecture).
+	// Workload names identify content shape, not datasets: two ADEPT
+	// workloads built with different seeds share a name but must never
+	// share fitness entries; guarded by mu.
+	tables map[evalSpace]*fitnessTable
 
 	// Instrumentation gauges/counters (obs instruments, so Register can
 	// attach them to a metrics registry), read via Stats. They never
@@ -101,11 +96,14 @@ type evalSpace struct {
 	arch string
 }
 
-// evalKey identifies one measured program: the namespace of its fitness
-// function and the content of its module.
-type evalKey struct {
-	space uint32
-	mod   gpu.ModuleKey
+// fitnessTable is one fitness function's measured programs, keyed by module
+// content. The pool's mu protects both maps.
+type fitnessTable struct {
+	// settled holds the fitness of every program measured so far.
+	settled map[gpu.ModuleKey]float64
+	// flights holds the evaluations running right now, for duplicates to
+	// wait on; an entry moves to settled when its simulation returns.
+	flights map[gpu.ModuleKey]*flight
 }
 
 // flight is one evaluation in progress. done is closed once ms is set;
@@ -122,27 +120,37 @@ func NewEvalPool(workers int) *EvalPool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &EvalPool{
-		sem:     make(chan struct{}, workers),
-		settled: make(map[evalKey]float64),
-		flights: make(map[evalKey]*flight),
-		spaces:  make(map[evalSpace]uint32),
+	return &EvalPool{
+		sem:    make(chan struct{}, workers),
+		tables: make(map[evalSpace]*fitnessTable),
 	}
-	p.unattributed.label = "unattributed"
-	return p
 }
 
-// spaceLocked returns the table namespace of a fitness function, assigning
-// one on first sight. Only key values depend on the first-seen order, never
-// results. Caller holds p.mu.
-func (p *EvalPool) spaceLocked(w workload.Workload, arch *gpu.Arch) uint32 {
+// tableLocked returns the fitness table of w on arch, creating it on first
+// sight. Caller holds p.mu.
+func (p *EvalPool) tableLocked(w workload.Workload, arch *gpu.Arch) *fitnessTable {
 	sp := evalSpace{w: w, arch: arch.Name}
-	id, ok := p.spaces[sp]
-	if !ok {
-		id = uint32(len(p.spaces))
-		p.spaces[sp] = id
+	t := p.tables[sp]
+	if t == nil {
+		t = &fitnessTable{settled: make(map[gpu.ModuleKey]float64), flights: make(map[gpu.ModuleKey]*flight)}
+		p.tables[sp] = t
 	}
-	return id
+	return t
+}
+
+// Release drops every fitness table of w, so the pool no longer holds the
+// workload instance or anything measured on it. Evaluations of w still in
+// flight finish and answer their waiters; a later request of w starts a new
+// table. Fitness is pure, so a release can cost a re-simulation but never
+// change a value.
+func (p *EvalPool) Release(w workload.Workload) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for sp := range p.tables {
+		if sp.w == w {
+			delete(p.tables, sp)
+		}
+	}
 }
 
 // PoolStats is a point-in-time sample of an EvalPool's load.
@@ -217,10 +225,6 @@ func (p *EvalPool) Register(r *obs.Registry) {
 	r.CounterFunc("gevo_pool_memo_hits_total", "Timing-memo replays charged through evaluations.",
 		func() float64 { return float64(p.memoHits.Value()) })
 }
-
-// Unattributed returns the pool's built-in account for evaluations
-// requested without one.
-func (p *EvalPool) Unattributed() *Cost { return &p.unattributed }
 
 // account resolves a caller's (possibly nil) cost account.
 func (p *EvalPool) account(acct *Cost) *Cost {
@@ -306,7 +310,7 @@ const maxRedispatch = 8
 
 // evaluateGenome returns the fitness of a genome of a workload on an
 // architecture, simulating each distinct *program* at most once across every
-// engine sharing the pool. It takes a worker slot, materialises the variant
+// engine sharing the pool (until the workload is released). It takes a worker slot, materialises the variant
 // and hashes it (~45 µs), and looks the content key up: a program already
 // measured returns its recorded fitness with no verify, compile, device or
 // launch; a duplicate of a running one gives its slot back and waits for it;
@@ -350,9 +354,9 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 	}
 
 	p.mu.Lock()
-	key := evalKey{space: p.spaceLocked(w, arch), mod: mod}
-	ms, settled := p.settled[key]
-	fl := p.flights[key]
+	t := p.tableLocked(w, arch)
+	ms, settled := t.settled[mod]
+	fl := t.flights[mod]
 	if settled || fl != nil {
 		p.mu.Unlock()
 		// A repeat does no simulator work: it returns its slot before
@@ -369,7 +373,7 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 	// Poisoned default: should anything below escape past run's recover,
 	// waiters still observe worst fitness, never a hang.
 	fl = &flight{done: make(chan struct{}), ms: math.Inf(1)}
-	p.flights[key] = fl
+	t.flights[mod] = fl
 	p.mu.Unlock()
 
 	p.inFlight.Add(1)
@@ -386,9 +390,11 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 		p.memoHits.Add(st.MemoHits)
 		p.failedLaunches.Add(st.FailedLaunches)
 		p.failedDynInstrs.Add(st.FailedDynInstrs)
+		// A table released meanwhile is settled all the same: nobody can
+		// reach it any more, and its waiters already hold fl.
 		p.mu.Lock()
-		p.settled[key] = fl.ms
-		delete(p.flights, key)
+		t.settled[mod] = fl.ms
+		delete(t.flights, mod)
 		p.mu.Unlock()
 		<-p.sem
 		close(fl.done)

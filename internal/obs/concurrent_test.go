@@ -33,14 +33,15 @@ func TestCollectorConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			cost := core.NewCost(fmt.Sprintf("job-%d", i))
+			id := fmt.Sprintf("job-%d", i)
+			cost := new(core.Cost)
 			root := obs.StartSpanFrom(obs.SpanContext{}, col, "job")
 			cost.SetSpan(root.Context())
 			eng := core.NewEngine(w, core.Config{
 				Pop: 6, Generations: 3, Seed: uint64(i + 1), Arch: gpu.P100,
 				MutationRate: 0.5, CrossoverRate: 0.8,
 				Pool: pool, Cost: cost,
-				Sink: obs.WithAttrs(col, obs.A("job", cost.Label())), SinkID: cost.Label(),
+				Sink: obs.WithAttrs(col, obs.A("job", id)), SinkID: id,
 			})
 			if _, err := eng.Run(); err != nil {
 				t.Errorf("engine %d: %v", i, err)

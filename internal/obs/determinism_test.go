@@ -95,7 +95,7 @@ func runSpannedSearch(t *testing.T, col *obs.Collector) *core.EngineState {
 	cfg.Pool.AttachSink(col)
 	root := obs.StartSpanFrom(obs.SpanContext{}, col, "job")
 	defer root.End()
-	cost := core.NewCost("span-test")
+	cost := new(core.Cost)
 	cost.SetSpan(root.Context())
 	cfg.Cost = cost
 	eng := core.NewEngine(w, cfg)

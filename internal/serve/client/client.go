@@ -170,8 +170,9 @@ func (c *Client) doOnce(ctx context.Context, method, path string, body []byte, o
 	return false, json.Unmarshal(blob, out)
 }
 
-// Submit submits a job spec, returning the (possibly deduplicated or
-// cache-answered) job status.
+// Submit submits a job spec, returning the job status: a new job's, or
+// that of the existing record the spec attached to (a job in flight, or a
+// retained finished one carrying its result).
 func (c *Client) Submit(ctx context.Context, spec serve.JobSpec) (serve.JobStatus, error) {
 	var st serve.JobStatus
 	err := c.do(ctx, http.MethodPost, "/jobs", spec, &st)

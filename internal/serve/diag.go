@@ -29,8 +29,9 @@ type DiagDoc struct {
 
 // Diag builds the diagnosis document for a job. The kernel report runs a
 // profiled re-evaluation of the best genome synchronously — one extra
-// fitness evaluation through the reference interpreter, off the search
-// path, so polling diagnosis never perturbs results.
+// fitness evaluation through the reference interpreter, on a workload
+// instance of its own, off the search path, so polling diagnosis never
+// perturbs results or races the executor that holds the job.
 func (m *Manager) Diag(id string) (*DiagDoc, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -57,7 +58,7 @@ func (m *Manager) Diag(id string) (*DiagDoc, error) {
 		doc.ReportError = "no valid best genome observed in this process yet"
 		return doc, nil
 	}
-	w, err := m.workloadFor(workloadName)
+	w, err := m.opts.Workloads(workloadName)
 	if err != nil {
 		doc.ReportError = err.Error()
 		return doc, nil

@@ -4,6 +4,7 @@ import (
 	"gevo/internal/core"
 	"gevo/internal/island"
 	"gevo/internal/obs"
+	"gevo/internal/workload"
 )
 
 // State is a job's lifecycle position. The machine is
@@ -50,7 +51,7 @@ type JobResult struct {
 	Migrations  int     `json:"migrations"`
 	GenomeEdits int     `json:"genome_edits"`
 	// Costs is the job's cost account, attached when the result is served —
-	// never when it is persisted or cached: costs are process-local
+	// never when it is persisted: costs are process-local
 	// telemetry (a resumed job recounts only the work it redid), so keeping
 	// them out of the stored document preserves its byte-identity
 	// invariant. Consumers diffing result documents across runs must strip
@@ -115,10 +116,8 @@ type JobStatus struct {
 	Evaluations int     `json:"evaluations,omitempty"`
 	// Submits counts submissions coalesced into this job (single-flight
 	// dedup): 1 for the first caller, +1 for every identical spec.
-	Submits int `json:"submits"`
-	// Cached marks a job satisfied from the result cache without running.
-	Cached bool   `json:"cached,omitempty"`
-	Error  string `json:"error,omitempty"`
+	Submits int    `json:"submits"`
+	Error   string `json:"error,omitempty"`
 	// Warnings records non-fatal anomalies the job survived — today, a
 	// corrupt checkpoint quarantined aside at resume. Warnings never affect
 	// the result (searches restart deterministically); they exist so an
@@ -148,8 +147,10 @@ type job struct {
 	migrations  int
 	evaluations int
 	submits     int
-	cached      bool
-	errMsg      string
+	// lastSubmit is the manager's submission number at this job's latest
+	// submission: its recency, which pruning reads.
+	lastSubmit uint64
+	errMsg     string
 	// warnings mirrors JobStatus.Warnings, under the manager's mutex like
 	// every mutable field here.
 	warnings []string
@@ -173,8 +174,10 @@ type job struct {
 	rootSpan *obs.Span
 
 	// search is the live island search, built lazily on first claim (from
-	// scratch or from the job's checkpoint).
+	// scratch or from the job's checkpoint); w is the workload instance it
+	// runs on, the job's own. Both are dropped at every terminal transition.
 	search *island.Search
+	w      workload.Workload
 	// lastEventGen tracks the newest generation already published to
 	// subscribers, so each progress event carries exactly the new points.
 	lastEventGen int
@@ -204,7 +207,6 @@ func (j *job) status() JobStatus {
 		Migrations:      j.migrations,
 		Evaluations:     j.evaluations,
 		Submits:         j.submits,
-		Cached:          j.cached,
 		Error:           j.errMsg,
 		Warnings:        append([]string(nil), j.warnings...),
 		SubmittedUnixMs: j.submittedMs,

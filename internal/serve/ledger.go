@@ -17,7 +17,8 @@ const LedgerVersion = 1
 // search from scratch), the lifecycle position, and bookkeeping. The
 // search state itself lives next door in the island checkpoint file — the
 // ledger answers "which jobs exist and where do they stand", the
-// checkpoint answers "resume bit-identically from here".
+// checkpoint answers "resume bit-identically from here". Unknown fields
+// (older ledgers carry a "cached" flag) parse and are ignored.
 type ledgerJob struct {
 	ID              string  `json:"id"`
 	Key             string  `json:"key"`
@@ -25,7 +26,6 @@ type ledgerJob struct {
 	State           State   `json:"state"`
 	Gen             int     `json:"gen"`
 	Submits         int     `json:"submits"`
-	Cached          bool    `json:"cached,omitempty"`
 	Error           string  `json:"error,omitempty"`
 	Trace           string  `json:"trace,omitempty"`
 	SubmittedUnixMs int64   `json:"submitted_unix_ms"`

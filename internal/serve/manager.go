@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,16 +23,19 @@ type Options struct {
 	// a restart.
 	Dir string
 	// Workers bounds concurrent fitness evaluations across every job
-	// (0 = GOMAXPROCS). All jobs share one core.EvalPool, so two jobs that
-	// request the same (workload, arch, genome) evaluation — or the same
-	// job resubmitted — simulate it once.
+	// (0 = GOMAXPROCS). All jobs share one core.EvalPool's worker budget;
+	// fitness entries are shared within a job's ring (a program two demes
+	// breed simulates once per architecture) and released when the job
+	// finishes.
 	Workers int
 	// Executors is the number of scheduler goroutines, i.e. how many jobs
 	// advance a slice concurrently (default 2). Parallelism inside a slice
 	// comes from the pool; executors only control inter-job overlap.
 	Executors int
-	// CacheSize caps the LRU result cache and the retained terminal job
-	// records (default 64).
+	// CacheSize caps the retained terminal job records (default 64); past
+	// it, the least recently submitted are pruned. A retained done job
+	// answers a resubmission of its spec without running; a pruned one
+	// re-runs to the identical result.
 	CacheSize int
 	// SkipValidation skips the held-out validation of finished jobs
 	// (benchmarks flip this; the service default matches the CLIs).
@@ -40,7 +44,8 @@ type Options struct {
 	// (nil = workload.ByName, the standard registry). Embedders use it to
 	// serve custom datasets; tests use it to serve small ones. Names must
 	// still come from workload.Names — the spec validator checks against
-	// the registry either way.
+	// the registry either way. Each job builds its own instance when its
+	// search opens and drops it when the job ends.
 	Workloads func(name string) (workload.Workload, error)
 	// Registry receives the manager's metrics (nil = obs.Default). The
 	// process-global gpu instruments live in obs.Default either way, so
@@ -52,8 +57,8 @@ type Options struct {
 	// MaxActiveJobs bounds queued+running jobs (0 = unlimited). A
 	// submission that would create a new job beyond the bound is shed with
 	// an *OverloadedError (the HTTP layer answers 429 + Retry-After);
-	// submissions that attach to an existing job or answer from the result
-	// cache are always admitted — they cost nothing to serve.
+	// submissions that attach to an existing job record are always
+	// admitted — they cost nothing to serve.
 	MaxActiveJobs int
 	// Inject is the fault injector wired through the manager's failure
 	// domains: the shared eval pool's dispatch site and every step of the
@@ -73,12 +78,15 @@ func (o *Options) fill() {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 64
 	}
+	if o.Workloads == nil {
+		o.Workloads = workload.ByName
+	}
 }
 
 // Manager orchestrates many concurrent optimization searches in one
 // process. Jobs are content-addressed (identical specs coalesce into one
-// search, finished specs answer from an LRU cache), scheduled fair-share —
-// each executor claims the next runnable job round-robin and advances it
+// search; a retained finished job answers its spec), scheduled fair-share
+// — each executor claims the next runnable job round-robin and advances it
 // by exactly one migration round before requeueing it — and durable: after
 // every slice the island checkpoint is written atomically (and a done
 // job's result before its state flips), with the job ledger following
@@ -99,7 +107,6 @@ type Manager struct {
 	slicesTotal     *obs.Counter
 	submitsTotal    *obs.Counter
 	dedupTotal      *obs.Counter
-	cacheHitsTotal  *obs.Counter
 	eventsPublished *obs.Counter
 	ledgerWrites    *obs.Counter
 	ledgerSeconds   *obs.Histogram
@@ -120,22 +127,17 @@ type Manager struct {
 	// by healthMu.
 	degradedReason string
 
-	// workloads shares one instance per registered name across jobs, so
-	// the pool's per-instance cache namespace deduplicates evaluations
-	// across every job on that workload.
-	wlMu sync.Mutex
-	// workloads is the name -> shared instance table; guarded by wlMu.
-	workloads map[string]workload.Workload
-
 	mu sync.Mutex
-	// jobs is the job table; guarded by mu.
+	// jobs is the job table, and with it the result cache: a retained done
+	// job answers its spec; guarded by mu.
 	jobs map[string]*job
 	// order is submission order, the round-robin ring; guarded by mu.
 	order []string
 	// cursor is the ring position of the next slice; guarded by mu.
 	cursor int
-	// cache is the completed-job LRU; guarded by mu.
-	cache *resultCache
+	// submitSeq numbers submissions, so pruning can tell which terminal
+	// record was submitted least recently; guarded by mu.
+	submitSeq uint64
 	// closed marks a shut-down manager; guarded by mu.
 	closed bool
 	// pendingRemove queues pruned jobs' state directories for deletion by
@@ -162,15 +164,13 @@ type Manager struct {
 func Open(opts Options) (*Manager, error) {
 	opts.fill()
 	m := &Manager{
-		opts:      opts,
-		pool:      core.NewEvalPool(opts.Workers),
-		hub:       newHub(),
-		workloads: make(map[string]workload.Workload),
-		jobs:      make(map[string]*job),
-		cache:     newResultCache(opts.CacheSize),
-		wake:      make(chan struct{}, 1),
-		stopc:     make(chan struct{}),
-		fs:        fsio{inj: opts.Inject},
+		opts:  opts,
+		pool:  core.NewEvalPool(opts.Workers),
+		hub:   newHub(),
+		jobs:  make(map[string]*job),
+		wake:  make(chan struct{}, 1),
+		stopc: make(chan struct{}),
+		fs:    fsio{inj: opts.Inject},
 	}
 	m.pool.SetInjector(opts.Inject)
 	m.initObs()
@@ -207,9 +207,8 @@ func (m *Manager) initObs() {
 	}
 	m.col = obs.NewCollector(m.reg, m.opts.JournalCap)
 	m.slicesTotal = m.reg.Counter("gevo_serve_slices_total", "Scheduler slices executed (one migration round each).")
-	m.submitsTotal = m.reg.Counter("gevo_serve_submits_total", "Job submissions accepted (including coalesced and cached).")
-	m.dedupTotal = m.reg.Counter("gevo_serve_dedup_hits_total", "Submissions coalesced into an existing job (single-flight).")
-	m.cacheHitsTotal = m.reg.Counter("gevo_serve_result_cache_hits_total", "Submissions answered from the LRU result cache without running.")
+	m.submitsTotal = m.reg.Counter("gevo_serve_submits_total", "Job submissions accepted (including coalesced).")
+	m.dedupTotal = m.reg.Counter("gevo_serve_dedup_hits_total", "Submissions attached to an existing job record (single-flight, or a retained finished job).")
 	m.eventsPublished = m.reg.Counter("gevo_serve_events_published_total", "Progress/terminal events published to SSE subscribers.")
 	m.ledgerWrites = m.reg.Counter("gevo_serve_ledger_writes_total", "Ledger snapshots written by the persister.")
 	m.ledgerSeconds = m.reg.Histogram("gevo_serve_ledger_write_seconds", "Wall time of one durable ledger write.", nil)
@@ -229,12 +228,6 @@ func (m *Manager) initObs() {
 	m.opts.Inject.Register(m.reg)
 	m.reg.GaugeFunc("gevo_serve_executors", "Configured slice concurrency.",
 		func() float64 { return float64(m.opts.Executors) })
-	m.reg.GaugeFunc("gevo_serve_cached_results", "LRU result-cache occupancy.",
-		func() float64 {
-			m.mu.Lock()
-			defer m.mu.Unlock()
-			return float64(m.cache.len())
-		})
 	m.reg.RegisterBuildInfo()
 	// Search-health aggregates over live (non-terminal) jobs' latest deme
 	// stats: how stagnant the most-stuck search is, and how collapsed the
@@ -276,40 +269,6 @@ func (m *Manager) initObs() {
 			}
 			return min
 		})
-	// Per-job cost accounting as dynamic labeled families: the children are
-	// materialized from the live job table (plus the pool's unattributed
-	// account) at snapshot time, so pruned jobs' series vanish with them —
-	// no unregister step, no label leak.
-	type costCol struct {
-		base, help string
-		get        func(t core.CostTotals) float64
-	}
-	cols := []costCol{
-		{"gevo_job_evals_total", "Evaluation requests charged to the job (cache hits + computes).", func(t core.CostTotals) float64 { return float64(t.Evals) }},
-		{"gevo_job_evals_completed_total", "Simulations the job's requests actually ran.", func(t core.CostTotals) float64 { return float64(t.Completed) }},
-		{"gevo_job_cache_hits_total", "Fitness-cache hits charged to the job.", func(t core.CostTotals) float64 { return float64(t.CacheHits) }},
-		{"gevo_job_slices_total", "Executor slices charged to the job.", func(t core.CostTotals) float64 { return float64(t.Slices) }},
-		{"gevo_job_slice_seconds_total", "Wall time of the job's executor slices.", func(t core.CostTotals) float64 { return float64(t.SliceCPUNs) / 1e9 }},
-		{"gevo_job_launches_total", "Kernel launches charged to the job.", func(t core.CostTotals) float64 { return float64(t.Launches) }},
-		{"gevo_job_dyn_instrs_total", "Dynamic instructions charged to the job.", func(t core.CostTotals) float64 { return float64(t.DynInstrs) }},
-		{"gevo_job_program_hits_total", "Program-cache hits charged to the job.", func(t core.CostTotals) float64 { return float64(t.ProgramHits) }},
-		{"gevo_job_program_misses_total", "Program compiles charged to the job.", func(t core.CostTotals) float64 { return float64(t.ProgramMisses) }},
-		{"gevo_job_memo_hits_total", "Timing-memo replays charged to the job.", func(t core.CostTotals) float64 { return float64(t.MemoHits) }},
-	}
-	for _, c := range cols {
-		c := c
-		m.reg.SeriesFunc(c.base, c.help, obs.KindCounter, func() []obs.Series {
-			accts := m.costAccounts()
-			out := make([]obs.Series, 0, len(accts))
-			for _, a := range accts {
-				out = append(out, obs.Series{
-					Name:  obs.Labels(c.base, "job", a.Label()),
-					Value: c.get(a.Totals()),
-				})
-			}
-			return out
-		})
-	}
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
 		st := st
 		m.reg.GaugeFunc(obs.Labels("gevo_serve_jobs", "state", string(st)), "Jobs by lifecycle state.",
@@ -332,21 +291,6 @@ func (m *Manager) initObs() {
 	// above. Without this the compile leg of a job's trace never reaches
 	// /debug/trace.
 	gpu.SetSink(m.col)
-}
-
-// costAccounts snapshots the accounts behind the gevo_job_* families: one
-// per live job record, plus the pool's unattributed account — so the scrape
-// always sums to the pool-wide gevo_pool_* counters.
-func (m *Manager) costAccounts() []*core.Cost {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*core.Cost, 0, len(m.order)+1)
-	for _, id := range m.order {
-		if j, ok := m.jobs[id]; ok && j.cost != nil {
-			out = append(out, j.cost)
-		}
-	}
-	return append(out, m.pool.Unattributed())
 }
 
 // crashGuard returns the deferred recover hook for manager-owned
@@ -398,9 +342,9 @@ func (m *Manager) publish(ev Event) {
 
 // recover rebuilds the job table from the ledger. Jobs interrupted by the
 // crash (queued or running) return to queued; their searches restore from
-// checkpoints when next claimed. Finished jobs reload their results into
-// the LRU cache; a done job whose result file is unreadable is requeued
-// and recomputed (deterministic, so the replacement is identical).
+// checkpoints when next claimed. Done jobs reload their results; a done job
+// whose result file is unreadable is requeued like an interrupted one and
+// recomputed (deterministic, so the replacement is identical).
 func (m *Manager) recover() error {
 	jobs, err := loadLedger(m.opts.Dir)
 	if err != nil {
@@ -412,23 +356,24 @@ func (m *Manager) recover() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, lj := range jobs {
+		m.submitSeq++
 		j := &job{
 			id: lj.ID, key: lj.Key, spec: lj.Spec,
 			state: lj.State, gen: lj.Gen, bestDeme: -1,
-			submits: lj.Submits, cached: lj.Cached, errMsg: lj.Error,
+			submits: lj.Submits, lastSubmit: m.submitSeq, errMsg: lj.Error,
 			submittedMs: lj.SubmittedUnixMs, startedMs: lj.StartedUnixMs, doneMs: lj.DoneUnixMs,
-			cost: core.NewCost(lj.ID), trace: lj.Trace,
+			cost: new(core.Cost), trace: lj.Trace,
 		}
 		switch lj.State {
 		case StateDone:
-			res, err := loadResult(m.opts.Dir, lj.ID)
-			if err != nil {
-				j.state, j.gen, j.doneMs, j.errMsg = StateQueued, 0, 0, ""
-			} else {
+			if res, err := loadResult(m.opts.Dir, lj.ID); err == nil {
 				j.result = res
 				j.bestSpeedup, j.bestDeme, j.migrations = res.Speedup, res.BestDeme, res.Migrations
-				m.cache.put(j.key, res)
+				break
 			}
+			// An unreadable result is recomputed like an interrupted job.
+			j.gen, j.doneMs = 0, 0
+			fallthrough
 		case StateQueued, StateRunning:
 			j.state = StateQueued
 			j.startedMs = 0
@@ -444,26 +389,6 @@ func (m *Manager) recover() error {
 	return nil
 }
 
-// workloadFor returns the shared instance of a registered workload,
-// constructing it (dataset generation included) on first use.
-func (m *Manager) workloadFor(name string) (workload.Workload, error) {
-	m.wlMu.Lock()
-	defer m.wlMu.Unlock()
-	if w, ok := m.workloads[name]; ok {
-		return w, nil
-	}
-	build := m.opts.Workloads
-	if build == nil {
-		build = workload.ByName
-	}
-	w, err := build(name)
-	if err != nil {
-		return nil, err
-	}
-	m.workloads[name] = w
-	return w, nil
-}
-
 // wakeup nudges one idle executor (non-blocking; the signal is level, not
 // counted — executors rescan the ring whenever they wake).
 func (m *Manager) wakeup() {
@@ -474,9 +399,9 @@ func (m *Manager) wakeup() {
 }
 
 // OverloadedError is Submit's admission-control rejection: the manager is
-// at its configured max active jobs and the spec matched neither a live
-// job nor a cached result. The HTTP layer maps it to 429 + Retry-After;
-// submissions are content-addressed, so a client retry is idempotent.
+// at its configured max active jobs and the spec matched no job record.
+// The HTTP layer maps it to 429 + Retry-After; submissions are
+// content-addressed, so a client retry is idempotent.
 type OverloadedError struct {
 	Active, Max int
 }
@@ -489,9 +414,10 @@ func (e *OverloadedError) Error() string {
 // specs coalesce: while a job for the same content key is queued or
 // running, the submission attaches to it (single-flight); once done, the
 // status carries the finished result; a failed or cancelled job is
-// requeued and resumes from its checkpoint. A spec whose job record has
-// been pruned but whose result is still in the LRU cache is answered
-// without running anything.
+// requeued and resumes from its checkpoint. Every attachment refreshes the
+// record's recency, so the records pruning drops are the least recently
+// submitted; a spec whose record was pruned runs again, to the identical
+// result.
 func (m *Manager) Submit(spec JobSpec) (JobStatus, error) {
 	return m.SubmitTraced(spec, obs.SpanContext{})
 }
@@ -516,8 +442,10 @@ func (m *Manager) SubmitTraced(spec JobSpec, parent obs.SpanContext) (JobStatus,
 	if m.closed {
 		return JobStatus{}, fmt.Errorf("serve: manager is closed")
 	}
+	m.submitSeq++
 	if j, ok := m.jobs[id]; ok {
 		j.submits++
+		j.lastSubmit = m.submitSeq
 		m.dedupTotal.Inc()
 		if j.state == StateFailed || j.state == StateCancelled {
 			j.state = StateQueued
@@ -536,44 +464,8 @@ func (m *Manager) SubmitTraced(spec JobSpec, parent obs.SpanContext) (JobStatus,
 		m.persistLocked()
 		return j.status(), nil
 	}
-	now := time.Now().UnixMilli()
-	if res, ok := m.cache.get(key); ok {
-		m.cacheHitsTotal.Inc()
-		m.jobEvent(id, StateDone)
-		j := &job{
-			id: id, key: key, spec: spec,
-			state: StateDone, gen: spec.Generations, bestDeme: res.BestDeme,
-			bestSpeedup: res.Speedup, migrations: res.Migrations,
-			submits: 1, cached: true, result: res,
-			submittedMs: now, doneMs: now,
-			cost: core.NewCost(id),
-		}
-		// A cached answer still joins the caller's trace: a zero-length job
-		// root span records that the work was served without running.
-		m.beginJobSpan(j, parent)
-		j.endJobSpan(StateDone)
-		m.jobs[id] = j
-		m.order = append(m.order, id)
-		// A cache hit resurrects a pruned job record: withdraw any queued
-		// removal of its directory before rewriting the result there.
-		for i, rid := range m.pendingRemove {
-			if rid == id {
-				m.pendingRemove = append(m.pendingRemove[:i], m.pendingRemove[i+1:]...)
-				break
-			}
-		}
-		if m.opts.Dir != "" {
-			if err := m.saveResultRetry(id, res); err != nil {
-				delete(m.jobs, id)
-				m.order = m.order[:len(m.order)-1]
-				return JobStatus{}, err
-			}
-		}
-		m.persistLocked()
-		return j.status(), nil
-	}
 	// Admission control: only the creation of a new job is bounded —
-	// dedup attachments and cache hits above are always admitted.
+	// attachments above are always admitted.
 	if m.opts.MaxActiveJobs > 0 {
 		active := 0
 		for _, j := range m.jobs {
@@ -588,8 +480,8 @@ func (m *Manager) SubmitTraced(spec JobSpec, parent obs.SpanContext) (JobStatus,
 	}
 	j := &job{
 		id: id, key: key, spec: spec,
-		state: StateQueued, bestDeme: -1, submits: 1, submittedMs: now,
-		cost: core.NewCost(id),
+		state: StateQueued, bestDeme: -1, submits: 1, lastSubmit: m.submitSeq,
+		submittedMs: time.Now().UnixMilli(), cost: new(core.Cost),
 	}
 	m.beginJobSpan(j, parent)
 	m.jobs[id] = j
@@ -860,9 +752,11 @@ func (m *Manager) runSlice(j *job) {
 	m.publish(*ev)
 }
 
-// openSearch builds the job's island search: from the job's checkpoint
-// when one exists (resume), from the spec otherwise. Both paths attach the
-// manager's shared pool.
+// openSearch builds the job's workload instance and its island search: from
+// the job's checkpoint when one exists (resume), from the spec otherwise.
+// Both paths attach the manager's shared pool. The job owns the instance
+// until it ends (finalizeLocked), so nothing outlives the search that
+// measured on it.
 //
 // Checkpoint failure handling distinguishes the three load outcomes: a
 // missing file is a fresh start (first slice ever); a checkpoint that
@@ -873,10 +767,11 @@ func (m *Manager) runSlice(j *job) {
 // but equally deterministic: a restarted search replays to the exact same
 // result.
 func (m *Manager) openSearch(j *job) error {
-	w, err := m.workloadFor(j.spec.Workload)
+	w, err := m.opts.Workloads(j.spec.Workload)
 	if err != nil {
 		return err
 	}
+	j.w = w
 	if m.opts.Dir != "" {
 		cpath := checkpointPath(m.opts.Dir, j.id)
 		cp, err := island.Load(cpath)
@@ -954,11 +849,7 @@ func (m *Manager) buildResult(j *job) (*JobResult, error) {
 		})
 	}
 	if !m.opts.SkipValidation {
-		w, err := m.workloadFor(j.spec.Workload)
-		if err != nil {
-			return nil, err
-		}
-		eng := core.NewEngine(w, core.Config{Arch: gpu.ArchByName(bestArch), Pool: m.pool, Cost: j.cost})
+		eng := core.NewEngine(j.w, core.Config{Arch: gpu.ArchByName(bestArch), Pool: m.pool, Cost: j.cost})
 		res.Validated = eng.Validate(r.Best.Genome) == nil
 	}
 	return res, nil
@@ -995,7 +886,6 @@ func (m *Manager) finalize(j *job, state State, errMsg string, res *JobResult) {
 	j.result = res
 	if res != nil {
 		j.bestSpeedup, j.bestDeme = res.Speedup, res.BestDeme
-		m.cache.put(j.key, res)
 	}
 	m.finalizeLocked(j, state, errMsg)
 	ev := Event{Type: string(state), Job: j.status(), Trace: j.trace, Span: j.root.SpanID}
@@ -1004,7 +894,8 @@ func (m *Manager) finalize(j *job, state State, errMsg string, res *JobResult) {
 }
 
 // finalizeLocked is the lock-held core of finalize: state flip, unclaim,
-// prune, persist.
+// release of the search, its workload instance and the pool's tables for
+// it, prune, persist.
 func (m *Manager) finalizeLocked(j *job, state State, errMsg string) {
 	j.state = state
 	j.errMsg = errMsg
@@ -1014,32 +905,40 @@ func (m *Manager) finalizeLocked(j *job, state State, errMsg string) {
 	j.cancelWanted = false
 	j.doneMs = time.Now().UnixMilli()
 	j.search = nil
+	if j.w != nil {
+		m.pool.Release(j.w)
+		j.w = nil
+	}
 	m.pruneLocked()
 	m.persistLocked()
 }
 
 // pruneLocked caps retained terminal job records at the cache size,
-// dropping oldest-first. Their results stay in the LRU cache (and on disk)
-// — resubmitting a pruned spec is a cache hit, not a re-run.
+// dropping the least recently submitted. A pruned spec's next submission
+// runs it again.
 func (m *Manager) pruneLocked() {
-	terminal := 0
+	var seqs []uint64
 	for _, j := range m.jobs {
 		if j.state.Terminal() {
-			terminal++
+			seqs = append(seqs, j.lastSubmit)
 		}
 	}
-	if terminal <= m.opts.CacheSize {
+	excess := len(seqs) - m.opts.CacheSize
+	if excess <= 0 {
 		return
 	}
+	// Submission numbers are unique, so exactly excess records are at or
+	// below the cut.
+	slices.Sort(seqs)
+	cut := seqs[excess-1]
 	kept := m.order[:0]
 	for _, id := range m.order {
 		j := m.jobs[id]
-		if terminal > m.opts.CacheSize && j != nil && j.state.Terminal() {
+		if j != nil && j.state.Terminal() && j.lastSubmit <= cut {
 			delete(m.jobs, id)
 			if m.opts.Dir != "" {
 				m.pendingRemove = append(m.pendingRemove, id)
 			}
-			terminal--
 			continue
 		}
 		kept = append(kept, id)
@@ -1214,11 +1113,17 @@ func (m *Manager) writeLedger() error {
 		}
 		jobs = append(jobs, ledgerJob{
 			ID: j.id, Key: j.key, Spec: j.spec, State: j.state, Gen: j.gen,
-			Submits: j.submits, Cached: j.cached, Error: j.errMsg, Trace: j.trace,
+			Submits: j.submits, Error: j.errMsg, Trace: j.trace,
 			SubmittedUnixMs: j.submittedMs, StartedUnixMs: j.startedMs, DoneUnixMs: j.doneMs,
 		})
 	}
-	remove := m.pendingRemove
+	var remove []string
+	for _, id := range m.pendingRemove {
+		// A spec resubmitted since its prune owns the directory again.
+		if _, ok := m.jobs[id]; !ok {
+			remove = append(remove, id)
+		}
+	}
 	m.pendingRemove = nil
 	m.mu.Unlock()
 

@@ -1,12 +1,24 @@
 package serve
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"gevo/internal/island"
+	"gevo/internal/obs"
+	"gevo/internal/synth"
 	"gevo/internal/workload"
 )
 
@@ -171,29 +183,218 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCacheHit pins the LRU path: a spec whose job record is gone but
-// whose result is cached answers without running a search.
-func TestCacheHit(t *testing.T) {
-	m := openTest(t, Options{})
-	spec := testSpec(3)
-	spec.Normalize()
-	canned := &JobResult{Workload: spec.Workload, Seed: spec.Seed, Speedup: 1.25, BestArch: "P100"}
-	m.mu.Lock()
-	m.cache.put(spec.Key(), canned)
-	m.mu.Unlock()
-
-	st, err := m.Submit(testSpec(3))
+// runToDone submits spec and waits for its job to finish.
+func runToDone(t *testing.T, m *Manager, spec JobSpec) JobStatus {
+	t.Helper()
+	st, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone || !st.Cached {
-		t.Fatalf("cache hit: state %s cached %v", st.State, st.Cached)
+	return waitFor(t, m, st.ID, "done", isDone)
+}
+
+// TestCacheHit pins the job table as the result cache: resubmitting a
+// finished spec attaches to its retained done record, which answers with
+// the same result and without a simulation.
+func TestCacheHit(t *testing.T) {
+	m := openTest(t, Options{})
+	a := runToDone(t, m, testSpec(3))
+
+	sims := m.pool.Stats().Completed
+	again, err := m.Submit(testSpec(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(st.Result, canned) {
-		t.Errorf("cached result mangled: %+v", st.Result)
+	if again.ID != a.ID || again.State != StateDone || !reflect.DeepEqual(again.Result, a.Result) {
+		t.Fatalf("resubmission answered job %s state %s result %+v; want done record %s",
+			again.ID, again.State, again.Result, a.ID)
 	}
-	if c := m.pool.Stats().Completed; c != 0 {
-		t.Errorf("cache hit ran %d evaluations", c)
+	if again.Submits != 2 {
+		t.Errorf("submits = %d, want 2", again.Submits)
+	}
+	if n := m.pool.Stats().Completed - sims; n != 0 {
+		t.Errorf("answering the done record ran %d simulations", n)
+	}
+}
+
+// TestResultCacheLRU pins the eviction order and refresh-on-use of
+// terminal-record pruning: past CacheSize the least recently submitted
+// terminal record is pruned, a resubmission refreshes a record's recency,
+// and a pruned spec re-runs to a byte-identical result.
+func TestResultCacheLRU(t *testing.T) {
+	m := openTest(t, Options{CacheSize: 2})
+	a, b := runToDone(t, m, testSpec(3)), runToDone(t, m, testSpec(13))
+	if _, err := m.Submit(testSpec(3)); err != nil { // a is now more recent than b
+		t.Fatal(err)
+	}
+	c := runToDone(t, m, testSpec(23))
+	if _, ok := m.Get(b.ID); ok {
+		t.Fatal("b survived the prune despite being the least recently submitted")
+	}
+	for _, id := range []string{a.ID, c.ID} {
+		if _, ok := m.Get(id); !ok {
+			t.Fatalf("record %s pruned; only b should be", id)
+		}
+	}
+
+	rerun := runToDone(t, m, testSpec(13))
+	if rerun.Submits != 1 {
+		t.Errorf("pruned b re-ran as a record with %d submits, want a new record", rerun.Submits)
+	}
+	want, _ := json.Marshal(b.Result)
+	got, _ := json.Marshal(rerun.Result)
+	if !bytes.Equal(got, want) {
+		t.Errorf("re-run of pruned b differs:\n%s\n%s", got, want)
+	}
+}
+
+// TestExpositionSizeIsFlatInJobs pins that /metrics carries no per-job
+// series: the exposition has as many sample lines after three finished jobs
+// as after one. Per-job totals are /jobs/{id}/costs'. Jobs go through the
+// manager, not HTTP, so the only route with series of its own is the scrape.
+func TestExpositionSizeIsFlatInJobs(t *testing.T) {
+	m := openTest(t, Options{Registry: obs.NewRegistry()})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+	samples := func() int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		n := 0
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if line := sc.Text(); line != "" && !strings.HasPrefix(line, "#") {
+				if strings.Contains(line, `job="`) {
+					t.Errorf("per-job series on /metrics: %s", line)
+				}
+				n++
+			}
+		}
+		return n
+	}
+	finish := func(seed uint64) {
+		t.Helper()
+		st, err := m.Submit(testSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, m, st.ID, "done", isDone)
+	}
+	finish(51)
+	samples() // the first scrape brings the /metrics route's own series
+	one := samples()
+	finish(52)
+	finish(53)
+	if three := samples(); three != one {
+		t.Errorf("/metrics has %d sample lines after three finished jobs, %d after one", three, one)
+	}
+}
+
+// TestCorruptResultResumesOnLedgerTrace reopens a state directory whose done
+// job lost its result document: the job re-runs like an interrupted one,
+// under a root span on the ledgered trace, so its costs document and every
+// slice it runs stay on the trace the submitter started.
+func TestCorruptResultResumesOnLedgerTrace(t *testing.T) {
+	dir := t.TempDir()
+	m := openTest(t, Options{Dir: dir})
+	st, err := m.Submit(testSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st = waitFor(t, m, st.ID, "done", isDone)
+	m.Close()
+	if st.Trace == "" {
+		t.Fatal("job has no trace")
+	}
+	if err := os.WriteFile(resultPath(dir, st.ID), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := openTest(t, Options{Dir: dir})
+	again := waitFor(t, m2, st.ID, "done after requeue", isDone)
+	if !reflect.DeepEqual(again.Result, st.Result) {
+		t.Errorf("recomputed result differs:\n%+v\n%+v", again.Result, st.Result)
+	}
+	costs, err := m2.Costs(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if costs.Trace != st.Trace || costs.Span == "" || costs.Slices == 0 {
+		t.Errorf("costs doc %+v, want a root span and slices on trace %s", costs, st.Trace)
+	}
+	var buf bytes.Buffer
+	if err := m2.Trace().WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var events []struct {
+		Name  string            `json:"name"`
+		Phase string            `json:"ph"`
+		Args  map[string]string `json:"args"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	slices := 0
+	for _, ev := range events {
+		if ev.Phase == "X" && ev.Name == "slice" && ev.Args["job"] == st.ID {
+			slices++
+			if ev.Args["trace"] != st.Trace {
+				t.Errorf("slice on trace %s, want the ledgered %s", ev.Args["trace"], st.Trace)
+			}
+		}
+	}
+	if slices == 0 {
+		t.Error("the requeued job ran no slice in the reopened manager")
+	}
+}
+
+// TestFinishedJobReleasesItsWorkload pins that a job's record is the only
+// thing that outlives its search: once distinct jobs are done, nothing the
+// manager or its pool keeps still reaches the workload instances they ran on.
+func TestFinishedJobReleasesItsWorkload(t *testing.T) {
+	var mu sync.Mutex
+	var built []weak.Pointer[synth.Workload]
+	m, err := Open(Options{Workloads: func(name string) (workload.Workload, error) {
+		w, err := workload.ByName(name)
+		if sw, ok := w.(*synth.Workload); ok {
+			mu.Lock()
+			built = append(built, weak.Make(sw))
+			mu.Unlock()
+		}
+		return w, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	var ids []string
+	for i, fam := range []string{"stencil1d", "reduce", "stencil1d", "reduce"} {
+		st, err := m.Submit(JobSpec{
+			Workload: fmt.Sprintf("synth:%s:seed=%d:n=64", fam, i+1), Demes: 2, Pop: 4,
+			Generations: 4, MigrationInterval: 2, Seed: uint64(i + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	for _, id := range ids {
+		waitFor(t, m, id, "done", isDone)
+	}
+	runtime.GC()
+	runtime.GC()
+	mu.Lock()
+	defer mu.Unlock()
+	if len(built) < len(ids) {
+		t.Fatalf("factory built %d synth instances for %d jobs", len(built), len(ids))
+	}
+	for i, p := range built {
+		if p.Value() != nil {
+			t.Errorf("workload instance %d still reachable after its job finished", i)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 // Server exposes a Manager over REST with SSE progress streaming:
 //
-//	POST   /jobs             submit a JobSpec → JobStatus (dedup/cache aware)
+//	POST   /jobs             submit a JobSpec → JobStatus (dedup aware)
 //	GET    /jobs             list jobs → []JobStatus
 //	GET    /jobs/{id}        one job → JobStatus
 //	DELETE /jobs/{id}        cancel → JobStatus

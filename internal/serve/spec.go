@@ -1,7 +1,7 @@
 // Package serve is the search-as-a-service subsystem: a JobManager runs
 // many concurrent optimization searches in one process, scheduling
 // fair-share slices of island rounds over one shared evaluation pool, with
-// content-addressed job deduplication, an LRU result cache, and crash-safe
+// content-addressed job deduplication, retained finished jobs, and crash-safe
 // durable state (a versioned job ledger plus the island checkpoint format),
 // so a killed server resumes every in-flight job bit-identically on
 // restart. server.go exposes the manager over REST with SSE progress
@@ -26,8 +26,8 @@ import (
 // JobSpec describes one optimization search: the workload, the island
 // topology and architectures, the operator rates, the seed and the budget.
 // It is the unit of content addressing — two specs that normalize to the
-// same document are the same job (single-flight while running, LRU cache
-// hit once done). Every field therefore participates in the canonical key;
+// same document are the same job (single-flight while running, answered
+// by the retained record once done). Every field therefore participates in the canonical key;
 // zero fields mean the documented defaults and are filled by Normalize so
 // an explicit default and an omitted field address the same job.
 type JobSpec struct {

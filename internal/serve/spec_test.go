@@ -116,27 +116,3 @@ func TestSpecValidate(t *testing.T) {
 		}
 	}
 }
-
-// TestResultCacheLRU pins the eviction order and refresh-on-use.
-func TestResultCacheLRU(t *testing.T) {
-	c := newResultCache(2)
-	r1, r2, r3 := &JobResult{Seed: 1}, &JobResult{Seed: 2}, &JobResult{Seed: 3}
-	c.put("a", r1)
-	c.put("b", r2)
-	if _, ok := c.get("a"); !ok { // refresh a: b becomes LRU
-		t.Fatal("a missing")
-	}
-	c.put("c", r3)
-	if _, ok := c.get("b"); ok {
-		t.Error("b survived eviction despite being least recently used")
-	}
-	if res, ok := c.get("a"); !ok || res != r1 {
-		t.Error("a evicted or corrupted")
-	}
-	if res, ok := c.get("c"); !ok || res != r3 {
-		t.Error("c missing")
-	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
-	}
-}

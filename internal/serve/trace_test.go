@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -144,7 +145,8 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestCostsEndpointLifecycle checks /jobs/{id}/costs for an unknown job and
-// the reconciling shape of a finished one against /metrics' labeled series.
+// a finished one against the pool-wide counter on /metrics (exact
+// reconciliation is TestCostReconciliation's).
 func TestCostsEndpointLifecycle(t *testing.T) {
 	c, base := startObsServer(t, serve.ServerOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
@@ -173,20 +175,26 @@ func TestCostsEndpointLifecycle(t *testing.T) {
 		t.Fatalf("costs after done: %+v", costs)
 	}
 
-	// The same totals surface as gevo_job_* series labeled with the job ID.
+	// The job's simulations are among the pool's.
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	blob, _ := io.ReadAll(resp.Body)
-	for _, want := range []string{
-		`gevo_job_evals_total{job="` + st.ID + `"} `,
-		`gevo_job_slices_total{job="` + st.ID + `"} `,
-		`gevo_job_evals_total{job="unattributed"} `,
-	} {
-		if !strings.Contains(string(blob), want) {
-			t.Fatalf("metrics missing %q:\n%s", want, blob)
+	const series = "gevo_pool_evals_completed_total "
+	pool := -1.0
+	for _, line := range strings.Split(string(blob), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			if pool, err = strconv.ParseFloat(v, 64); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	if pool < 0 {
+		t.Fatalf("metrics missing %q:\n%s", series, blob)
+	}
+	if float64(costs.Completed) > pool {
+		t.Fatalf("job completed %d simulations, the pool %v", costs.Completed, pool)
 	}
 }

@@ -86,10 +86,14 @@ check_metrics() {
     'gevo_http_request_seconds_bucket{route="POST /jobs",le="+Inf"}' \
     'gevo_http_request_seconds_bucket{route="GET /jobs/{id}",le="+Inf"}' \
     'gevo_http_responses_total{route="POST /jobs",code="202"}' \
-    gevo_http_in_flight \
-    'gevo_job_evals_total{job="unattributed"}'; do
+    gevo_http_in_flight; do
     grep -qF "$series" "$scrape" || die "/metrics missing series $series"
   done
+  # Per-job totals live at /jobs/{id}/costs only; /metrics stays the same
+  # size however many jobs the server has run.
+  if grep -F 'job="' "$scrape"; then
+    die "/metrics carries per-job series"
+  fi
   # Exposition-format 0.0.4 metadata: every metric family is announced with
   # # HELP and # TYPE lines, and the declared types are ones Prometheus
   # accepts.
@@ -132,6 +136,13 @@ check_traceparent() {
   esac
 }
 
+check_costs() { # $1 = job id
+  local evals
+  evals="$(curl -sf "$BASE/jobs/$1/costs" | field evals)" || die "GET /jobs/$1/costs failed"
+  [ "$evals" -gt 0 ] || die "job $1 costs report evals=$evals"
+  say "costs OK: job $1 charged $evals evals"
+}
+
 run_uninterrupted() { # $1 = state dir, $2 = result prefix
   start_server "$1"
   local ids=()
@@ -140,6 +151,7 @@ run_uninterrupted() { # $1 = state dir, $2 = result prefix
     wait_done "${ids[$i]}"
     "$WORK/bin/gevo-submit" -server "$BASE" -result "${ids[$i]}" > "$2.$i.json"
   done
+  check_costs "${ids[0]}"
   check_metrics
   check_traceparent
   stop_server_hard
