@@ -188,8 +188,8 @@ func RestoreWithPool(w workload.Workload, cp *Checkpoint, pool *core.EvalPool) (
 
 // Save writes the checkpoint as JSON, atomically: a temp file in the target
 // directory is renamed into place, so a crash mid-write never corrupts an
-// existing checkpoint.
-func (cp *Checkpoint) Save(path string) error {
+// existing checkpoint. The temp file is removed only if the write fails.
+func (cp *Checkpoint) Save(path string) (err error) {
 	blob, err := json.MarshalIndent(cp, "", " ")
 	if err != nil {
 		return fmt.Errorf("island: marshal checkpoint: %w", err)
@@ -202,7 +202,11 @@ func (cp *Checkpoint) Save(path string) error {
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if _, err := tmp.Write(blob); err != nil {
 		tmp.Close()
 		return err

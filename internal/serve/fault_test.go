@@ -3,7 +3,9 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +69,20 @@ func TestLedgerFaultRecovery(t *testing.T) {
 		t.Fatalf("health did not heal: %+v", h)
 	}
 	m.Close()
+
+	// Failed writes removed their temp files, and committed ones left none.
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if name := d.Name(); strings.HasPrefix(name, ".tmp-") || strings.HasPrefix(name, ".checkpoint-") {
+			t.Errorf("temp file left in the state directory: %s", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A clean reopen recovers every job as done with the identical result.
 	m2 := openTest(t, Options{Dir: dir, Registry: obs.NewRegistry()})

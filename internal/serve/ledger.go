@@ -60,8 +60,9 @@ type fsio struct {
 // writeFileAtomic writes blob to path via a synced temp file renamed into
 // place, so a crash (or an injected failure) mid-write never leaves a
 // truncated document where a good one was: the rename is the commit point,
-// and every failure before it leaves the previous file intact.
-func (f fsio) writeFileAtomic(path string, blob []byte) error {
+// and every failure before it leaves the previous file intact and removes
+// the temp file.
+func (f fsio) writeFileAtomic(path string, blob []byte) (err error) {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -70,7 +71,11 @@ func (f fsio) writeFileAtomic(path string, blob []byte) error {
 	if err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
+	defer func() {
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}()
 	if flt := f.inj.Hit(fault.SitePersistWrite); flt.Kind != "" {
 		if flt.Kind == fault.KindTorn {
 			// Torn write: a prefix reaches the temp file, then the writer
@@ -106,10 +111,11 @@ func (f fsio) writeFileAtomic(path string, blob []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// saveLedger persists the manager's job table. The write is atomic, so a
-// kill at any instant leaves either the previous or the new ledger.
+// saveLedger persists the manager's job table as compact JSON (older
+// indented ledgers load the same). The write is atomic, so a kill at any
+// instant leaves either the previous or the new ledger.
 func saveLedger(f fsio, dir string, jobs []ledgerJob) error {
-	blob, err := json.MarshalIndent(ledgerDoc{Version: LedgerVersion, Jobs: jobs}, "", " ")
+	blob, err := json.Marshal(ledgerDoc{Version: LedgerVersion, Jobs: jobs})
 	if err != nil {
 		return fmt.Errorf("serve: marshal ledger: %w", err)
 	}

@@ -87,12 +87,12 @@ func (o *Options) fill() {
 // process. Jobs are content-addressed (identical specs coalesce into one
 // search; a retained finished job answers its spec), scheduled fair-share
 // — each executor claims the next runnable job round-robin and advances it
-// by exactly one migration round before requeueing it — and durable: after
-// every slice the island checkpoint is written atomically (and a done
-// job's result before its state flips), with the job ledger following
-// asynchronously via the persister, so a kill -9 at any instant loses at
-// most the in-flight slice, which the restarted manager re-runs to a
-// bit-identical result.
+// by exactly one migration round before requeueing it — and durable, for
+// what recovery reads (DESIGN §6): a checkpoint after every slice but the
+// last, a done job's result before its state flips, and the ledger when a
+// job is created, requeued or ends. A kill -9 at any instant loses at most
+// the slice since the last checkpoint, which the restarted manager re-runs
+// to a bit-identical result.
 type Manager struct {
 	opts Options
 	pool *core.EvalPool
@@ -459,9 +459,9 @@ func (m *Manager) SubmitTraced(spec JobSpec, parent obs.SpanContext) (JobStatus,
 				m.beginJobSpan(j, obs.SpanContext{TraceID: j.trace})
 			}
 			m.jobEvent(id, StateQueued)
+			m.persistLocked()
 			m.wakeup()
 		}
-		m.persistLocked()
 		return j.status(), nil
 	}
 	// Admission control: only the creation of a new job is bounded —
@@ -581,9 +581,9 @@ func (m *Manager) Subscribe(job string) (<-chan Event, func()) {
 }
 
 // Close stops the executors (finishing any in-flight slices) and
-// disconnects subscribers. Durable state needs no flush — it is already
-// written after every slice; Close exists for tidiness, not correctness,
-// which is the crash-safety invariant.
+// disconnects subscribers. Durable state needs no flush — everything
+// recovery reads is already on disk; Close exists for tidiness, not
+// correctness, which is the crash-safety invariant.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -645,7 +645,6 @@ func (m *Manager) claimNext() *job {
 				j.startedMs = time.Now().UnixMilli()
 			}
 			m.jobEvent(j.id, StateRunning)
-			m.persistLocked()
 		}
 		m.cursor = (idx + 1) % len(m.order)
 		return j
@@ -657,7 +656,9 @@ func (m *Manager) claimNext() *job {
 // the search if this is the job's first slice in this process, step,
 // checkpoint, then publish progress — search-state durability strictly
 // before visibility, so no progress a client observed can exceed what a
-// crash-restart replays.
+// crash-restart replays. The last slice writes no checkpoint: the result
+// document supersedes it, and a crash before the result lands replays the
+// slice.
 func (m *Manager) runSlice(j *job) {
 	defer m.wakeup()
 	// serve.slice is the executor's own failure domain: a fault here fires
@@ -698,7 +699,7 @@ func (m *Manager) runSlice(j *job) {
 	}})
 	sliceDone()
 	done := j.search.Done()
-	if m.opts.Dir != "" {
+	if m.opts.Dir != "" && !done {
 		cp, err := j.search.Snapshot()
 		if err == nil {
 			err = cp.Save(checkpointPath(m.opts.Dir, j.id))
@@ -741,7 +742,6 @@ func (m *Manager) runSlice(j *job) {
 		e := Event{Type: string(StateCancelled), Job: j.status(), Trace: j.trace, Span: j.root.SpanID}
 		ev = &e
 	} else {
-		m.persistLocked()
 		// The per-deme stats give SSE watchers search health without
 		// polling /jobs/{id}/diag; pool load is on /metrics.
 		e := Event{Type: "progress", Job: j.status(), Gens: points, Stats: stats,
@@ -781,7 +781,11 @@ func (m *Manager) openSearch(j *job) error {
 				s.AttachSink(obs.WithAttrs(m.col, obs.A("job", j.id)))
 				s.AttachCost(j.cost)
 				j.search = s
-				j.lastEventGen = s.Generation()
+				// The ledger does not carry progress; the checkpoint does.
+				m.mu.Lock()
+				j.gen = s.Generation()
+				j.lastEventGen = j.gen
+				m.mu.Unlock()
 				return nil
 			}
 			err = rerr
@@ -856,9 +860,9 @@ func (m *Manager) buildResult(j *job) (*JobResult, error) {
 }
 
 // finalize moves a claimed job to a terminal state and publishes the
-// terminal event. Done results are persisted before the state flips, so a
-// crash between the two leaves a running job with a complete checkpoint —
-// re-finalized identically on resume.
+// terminal event. Done results are persisted before the state flips and the
+// ledger follows, so a crash before that write leaves a queued job whose
+// resume replays the last slice to the identical result.
 func (m *Manager) finalize(j *job, state State, errMsg string, res *JobResult) {
 	if state == StateDone && m.opts.Dir != "" {
 		if err := m.saveResultRetry(j.id, res); err != nil {
@@ -1011,7 +1015,7 @@ func persistBackoff(attempt int) time.Duration {
 
 // resultWriteAttempts bounds the synchronous retry of a result-document
 // write before the failure is surfaced (the persister's ledger retry, by
-// contrast, never gives up — the ledger is rewritten on every change).
+// contrast, never gives up — each attempt writes the then-current table).
 const resultWriteAttempts = 5
 
 // saveResultRetry writes a result document with capped deterministic
@@ -1035,11 +1039,12 @@ func (m *Manager) saveResultRetry(id string, res *JobResult) error {
 }
 
 // persistLocked marks the ledger dirty (no-op without a state directory);
-// the persister goroutine performs the actual write. Mutations are
-// therefore durable within one persister round trip of happening, not
-// synchronously — the crash-resume invariant never depends on the ledger
-// being fresher than the checkpoints, which are written synchronously by
-// the executor that owns the slice.
+// the persister goroutine performs the actual write. Only what recovery
+// reads calls it — creation, requeue, terminal states; a resubmit's count,
+// running and progress ride along with the next write. Mutations are
+// durable within one persister round trip of happening, not synchronously
+// — the crash-resume invariant never depends on the ledger being fresher
+// than the checkpoints, which the executor that owns the slice writes.
 func (m *Manager) persistLocked() {
 	if m.dirty == nil {
 		return

@@ -33,10 +33,13 @@ func tinyWorkloads(name string) (workload.Workload, error) {
 	})
 }
 
-// openTest opens a manager on tiny workloads with validation off.
+// openTest opens a manager on tiny workloads (unless opts names its own)
+// with validation off.
 func openTest(t *testing.T, opts Options) *Manager {
 	t.Helper()
-	opts.Workloads = tinyWorkloads
+	if opts.Workloads == nil {
+		opts.Workloads = tinyWorkloads
+	}
 	opts.SkipValidation = true
 	m, err := Open(opts)
 	if err != nil {

@@ -45,7 +45,10 @@ type dataset struct {
 // golden output; validation repeats that on an independently generated
 // held-out dataset.
 type Workload struct {
-	spec     Spec
+	spec Spec
+	// name is spec.Name(), rendered once: the pool asks for it on every
+	// evaluation.
+	name     string
 	sc       *scenario
 	base     *ir.Module
 	baseProg *gpu.Program
@@ -77,16 +80,17 @@ func New(sp Spec) (*Workload, error) {
 		return nil, err
 	}
 	sc := f.build(sp, sp.shapeRng())
-	m := &ir.Module{Name: sp.Name(), Funcs: []*ir.Function{sc.fn}, Source: sc.source}
+	name := sp.Name()
+	m := &ir.Module{Name: name, Funcs: []*ir.Function{sc.fn}, Source: sc.source}
 	// Strict verification: a generator has no business emitting unreachable
 	// blocks, unlike a mutant (for which plain Verify tolerates them).
 	if err := m.VerifyStrict(); err != nil {
-		return nil, fmt.Errorf("synth: generated module %s fails verification: %w", sp.Name(), err)
+		return nil, fmt.Errorf("synth: generated module %s fails verification: %w", name, err)
 	}
-	w := &Workload{spec: sp, sc: sc, base: m}
+	w := &Workload{spec: sp, name: name, sc: sc, base: m}
 	prog, err := gpu.Prepare(m)
 	if err != nil {
-		return nil, fmt.Errorf("synth: %s: %w", sp.Name(), err)
+		return nil, fmt.Errorf("synth: %s: %w", name, err)
 	}
 	w.baseProg = prog
 
@@ -94,7 +98,7 @@ func New(sp Spec) (*Workload, error) {
 		ds := &dataset{in: sc.gen(sp.dataRng(uint64(sel)))}
 		ds.golden = sc.oracle(ds.in)
 		if len(ds.golden) != sc.outLen {
-			return nil, fmt.Errorf("synth: %s: oracle produced %d bytes, scenario declares %d", sp.Name(), len(ds.golden), sc.outLen)
+			return nil, fmt.Errorf("synth: %s: oracle produced %d bytes, scenario declares %d", name, len(ds.golden), sc.outLen)
 		}
 		*slot = ds
 	}
@@ -106,11 +110,11 @@ func New(sp Spec) (*Workload, error) {
 	for _, ds := range []*dataset{w.fit, w.hold} {
 		res, out, err := w.launch(m, gpu.P100, ds, gpu.BackendInterp, 0, nil)
 		if err != nil {
-			return nil, fmt.Errorf("synth: %s: base program failed its oracle run: %w", sp.Name(), err)
+			return nil, fmt.Errorf("synth: %s: base program failed its oracle run: %w", name, err)
 		}
 		if i := firstDiff(out, ds.golden); i >= 0 {
 			return nil, fmt.Errorf("synth: %s: base output disagrees with the host oracle at byte %d (got %#x, want %#x)",
-				sp.Name(), i, out[i], ds.golden[i])
+				name, i, out[i], ds.golden[i])
 		}
 		if b := res.DynInstrs*budgetHeadroom + budgetFloor; b > w.budget {
 			w.budget = b
@@ -127,7 +131,7 @@ const (
 )
 
 // Name implements Workload: the canonical spec name.
-func (w *Workload) Name() string { return w.spec.Name() }
+func (w *Workload) Name() string { return w.name }
 
 // Spec returns the generating spec.
 func (w *Workload) Spec() Spec { return w.spec }

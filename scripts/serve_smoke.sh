@@ -4,7 +4,8 @@
 # same state directory, and assert every job resumes and finishes with
 # results byte-identical to an uninterrupted run of the same specs (the
 # crash-resume invariant, across real processes). The reference run also
-# scrapes /metrics and fails on missing or malformed Prometheus series.
+# scrapes /metrics and fails on missing or malformed Prometheus series, and
+# fails if resubmitting a finished spec writes the ledger.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
 set -euo pipefail
@@ -143,6 +144,31 @@ check_costs() { # $1 = job id
   say "costs OK: job $1 charged $evals evals"
 }
 
+ledger_writes() { curl -sf "$BASE/metrics" | awk '$1 == "gevo_serve_ledger_writes_total" { print $2 }'; }
+
+# check_resubmit_writes_nothing resubmits a finished spec ten times and fails
+# if the ledger was written: the job's record answers, and a read never
+# writes. The count is taken once the ledger on disk holds every job as done,
+# so no terminal write is still in flight.
+check_resubmit_writes_nothing() { # $1 = state dir
+  local before after
+  for _ in $(seq 1 100); do
+    python3 - "$1/ledger.json" <<'EOF' && break
+import json, sys
+jobs = json.load(open(sys.argv[1]))["jobs"]
+sys.exit(0 if jobs and all(j["state"] == "done" for j in jobs) else 1)
+EOF
+    sleep 0.1
+  done
+  before="$(ledger_writes)"
+  for _ in $(seq 1 10); do submit_job "${SEEDS[0]}" "${WLS[0]}" >/dev/null; done
+  sleep 1 # the persister writes asynchronously; give a stray write time to land
+  after="$(ledger_writes)"
+  [ -n "$before" ] && [ "$before" = "$after" ] \
+    || die "10 resubmits of a finished spec moved gevo_serve_ledger_writes_total from '$before' to '$after'"
+  say "resubmits OK: ledger writes stayed at $before"
+}
+
 run_uninterrupted() { # $1 = state dir, $2 = result prefix
   start_server "$1"
   local ids=()
@@ -154,6 +180,7 @@ run_uninterrupted() { # $1 = state dir, $2 = result prefix
   check_costs "${ids[0]}"
   check_metrics
   check_traceparent
+  check_resubmit_writes_nothing "$1"
   stop_server_hard
 }
 
