@@ -325,9 +325,8 @@ func (e *Engine) Step(gens int) {
 			e.hist.AddLineage(entry)
 			e.emitBest(entry)
 		}
-		e.updateStats()
+		e.updateStats(e.hist.Records[len(e.hist.Records)-1])
 		e.emitGen()
-		e.emitStats()
 	}
 }
 
@@ -343,21 +342,38 @@ func (e *Engine) emit(typ string, attrs []obs.Attr) {
 	e.cfg.Sink.Emit(obs.Event{Type: typ, Attrs: attrs})
 }
 
-// emitGen reports the generation summary just recorded. Emitted from the
-// serial Step path, so one engine's event sequence is deterministic.
+// emitGen reports the generation just completed — its history record and
+// search-health snapshot (GenStats) — as one engine.gen event. Emitted from
+// the serial Step path, so one engine's event sequence is deterministic.
 func (e *Engine) emitGen() {
 	if e.cfg.Sink == nil {
 		return
 	}
-	rec := e.hist.Records[len(e.hist.Records)-1]
-	e.emit("engine.gen", []obs.Attr{
+	rec, s := e.hist.Records[len(e.hist.Records)-1], e.stats
+	attrs := []obs.Attr{
 		obs.AI("gen", int64(rec.Gen)),
 		obs.AF("best_ms", rec.BestFitness),
 		obs.AF("mean_ms", rec.MeanFitness),
 		obs.AF("valid_frac", rec.ValidFrac),
 		obs.AF("speedup", speedupOf(e.base, e.hist.BestEver())),
 		obs.AI("evals", e.evals),
-	})
+		obs.AF("q1_ms", s.Q1Ms),
+		obs.AF("median_ms", s.MedianMs),
+		obs.AF("q3_ms", s.Q3Ms),
+		obs.AF("worst_ms", s.WorstMs),
+		obs.AI("distinct", int64(s.Distinct)),
+		obs.AF("diversity", s.Diversity),
+		obs.AF("entropy", s.Entropy),
+		obs.AI("plateau", int64(s.Plateau)),
+	}
+	for _, o := range s.Ops {
+		attrs = append(attrs,
+			obs.AI("op_"+o.Op+"_attempts", o.Attempts),
+			obs.AI("op_"+o.Op+"_valid", o.Valid),
+			obs.AI("op_"+o.Op+"_improved", o.Improved),
+		)
+	}
+	e.emit("engine.gen", attrs)
 }
 
 // emitBest reports a best-ever improvement with its lineage.

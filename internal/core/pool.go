@@ -324,8 +324,8 @@ const maxRedispatch = 8
 // workload.Costed get the handle, others evaluate uninstrumented (their
 // launches simply go uncharged — fitness is identical either way). When the
 // account carries a span context and the pool has a sink, the compute is
-// wrapped in a pool.eval span parented under it, and the handle carries the
-// span IDs down into compile events.
+// wrapped in a pool.eval span parented under it, and the handle carries that
+// span down as the parent of any gpu.compile span.
 //
 // Failure containment: the workload runs behind a recover. However it exits
 // — value, injected fault, panic — the deferred block settles the entry and
@@ -403,8 +403,7 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 	if parent := acct.Span(); parent.Valid() {
 		sp = obs.StartSpanFrom(parent, p.sink, "pool.eval",
 			obs.A("workload", id.Workload), obs.A("arch", id.Arch), obs.A("module", id.Module))
-		sc := sp.Context()
-		st.Trace, st.Span = sc.TraceID, sc.SpanID
+		st.Parent = sp.Context()
 	}
 	fl.ms = p.run(id, func() float64 {
 		var ms float64

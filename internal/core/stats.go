@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"sort"
-
-	"gevo/internal/obs"
 )
 
 // GenStats is the search-health summary of one completed generation: the
@@ -56,25 +54,20 @@ type OpStats struct {
 }
 
 // updateStats recomputes e.stats from the freshly evaluated, sorted
-// population and folds this generation's breeding outcomes into the
-// cumulative per-operator counters. Called from the serial Step path after
-// history is recorded; it draws no randomness and mutates nothing the
-// search reads back.
-func (e *Engine) updateStats() {
-	s := GenStats{Gen: e.gen}
+// population and rec, the history record just written for it, and folds
+// this generation's breeding outcomes into the cumulative per-operator
+// counters. Called from the serial Step path; it draws no randomness and
+// mutates nothing the search reads back.
+func (e *Engine) updateStats(rec GenRecord) {
+	s := GenStats{Gen: e.gen, ValidFrac: rec.ValidFrac, MeanMs: rec.MeanFitness}
 
 	// The population is sorted best-first and +Inf sorts last, so the valid
 	// individuals are a prefix and quartiles are direct indexing.
 	valid := 0
-	var sum float64
 	for i := range e.pop {
 		if e.pop[i].Valid() {
 			valid++
-			sum += e.pop[i].Fitness
 		}
-	}
-	if len(e.pop) > 0 {
-		s.ValidFrac = float64(valid) / float64(len(e.pop))
 	}
 	if valid > 0 {
 		q := func(p float64) float64 {
@@ -82,7 +75,6 @@ func (e *Engine) updateStats() {
 		}
 		s.BestMs, s.Q1Ms, s.MedianMs = q(0), q(0.25), q(0.5)
 		s.Q3Ms, s.WorstMs = q(0.75), q(1)
-		s.MeanMs = sum / float64(valid)
 	}
 
 	// Diversity and entropy over genome hashes, accumulated in
@@ -199,36 +191,4 @@ func (e *Engine) Stats() GenStats {
 	s := e.stats
 	s.Ops = append([]OpStats(nil), s.Ops...)
 	return s
-}
-
-// emitStats reports the generation's search-health snapshot. Emitted from
-// the serial Step path after engine.gen, so the event sequence per engine
-// stays deterministic.
-func (e *Engine) emitStats() {
-	if e.cfg.Sink == nil {
-		return
-	}
-	s := e.stats
-	attrs := []obs.Attr{
-		obs.AI("gen", int64(s.Gen)),
-		obs.AF("valid_frac", s.ValidFrac),
-		obs.AF("best_ms", s.BestMs),
-		obs.AF("q1_ms", s.Q1Ms),
-		obs.AF("median_ms", s.MedianMs),
-		obs.AF("q3_ms", s.Q3Ms),
-		obs.AF("worst_ms", s.WorstMs),
-		obs.AF("mean_ms", s.MeanMs),
-		obs.AI("distinct", int64(s.Distinct)),
-		obs.AF("diversity", s.Diversity),
-		obs.AF("entropy", s.Entropy),
-		obs.AI("plateau", int64(s.Plateau)),
-	}
-	for _, o := range s.Ops {
-		attrs = append(attrs,
-			obs.AI("op_"+o.Op+"_attempts", o.Attempts),
-			obs.AI("op_"+o.Op+"_valid", o.Valid),
-			obs.AI("op_"+o.Op+"_improved", o.Improved),
-		)
-	}
-	e.emit("engine.stats", attrs)
 }

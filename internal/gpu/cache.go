@@ -156,11 +156,12 @@ func PrepareStats(m *ir.Module, st *EvalStats) (*Program, error) {
 func (c *ProgramCache) Prepare(m *ir.Module) (*Program, error) { return c.PrepareStats(m, nil) }
 
 // PrepareStats is Prepare with a per-evaluation stats handle: cache
-// outcomes are charged to st, and when st carries span linkage the compile
-// events are stamped with it, tying the compile slice into the eval span's
-// trace. A handle that already carries the module's content key (the
-// evaluation pool hashed the variant to look its fitness up) spares the
-// second hash; a nil st, or one without a key, is the plain Prepare path.
+// outcomes are charged to st, and with a sink attached a compile is a
+// gpu.compile span opened under st.Parent, tying the compile slice into the
+// eval span's trace. A handle that already carries the module's content key
+// (the evaluation pool hashed the variant to look its fitness up) spares
+// the second hash; a nil st, or one without a key, is the plain Prepare
+// path.
 func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, error) {
 	var key ModuleKey
 	if st != nil && st.Module != (ModuleKey{}) {
@@ -177,9 +178,6 @@ func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, erro
 		metricProgramHits.Inc()
 		if st != nil {
 			st.ProgramHits++
-		}
-		if s := sink(); s != nil {
-			s.Emit(obs.Event{Type: "gpu.cache.hit", Attrs: []obs.Attr{obs.A("module", key.Short())}})
 		}
 		<-e.done
 		return e.prog, e.err
@@ -198,13 +196,13 @@ func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, erro
 	sh.mu.Unlock()
 
 	metricProgramMisses.Inc()
+	var parent obs.SpanContext
 	if st != nil {
 		st.ProgramMisses++
+		parent = st.Parent
 	}
 	s := sink()
-	if s != nil {
-		s.Emit(obs.Event{Type: "gpu.compile.begin", Attrs: compileAttrs(key, st)})
-	}
+	sp := obs.StartSpanFrom(parent, s, "gpu.compile", obs.A("module", key.Short()))
 	var stages stageTimes
 	e.prog, stages, e.err = build(m, s != nil)
 	if s != nil {
@@ -212,17 +210,18 @@ func (c *ProgramCache) PrepareStats(m *ir.Module, st *EvalStats) (*Program, erro
 		if e.err != nil {
 			ok = "0"
 		}
-		s.Emit(obs.Event{Type: "gpu.compile.end", Attrs: append(compileAttrs(key, st), obs.A("ok", ok),
+		metricCompileSeconds.Observe((stages.verify + stages.lower + stages.finalize).Seconds())
+		sp.End(obs.A("ok", ok),
 			obs.A("verify_us", micros(stages.verify)),
 			obs.A("lower_us", micros(stages.lower)),
-			obs.A("finalize_us", micros(stages.finalize)))})
+			obs.A("finalize_us", micros(stages.finalize)))
 	}
 	close(e.done)
 	return e.prog, e.err
 }
 
-// stageTimes splits one build's wall time by stage for the gpu.compile.end
-// event: verification (with the CFG analysis), lowering to decoded
+// stageTimes splits one build's wall time by stage for the gpu.compile
+// span: verification (with the CFG analysis), lowering to decoded
 // instructions, and finalization (slot layout, threaded code, taint).
 type stageTimes struct {
 	verify, lower, finalize time.Duration
@@ -267,16 +266,6 @@ func build(m *ir.Module, timed bool) (*Program, stageTimes, error) {
 		}
 	}
 	return prog, stages, nil
-}
-
-// compileAttrs builds the compile event payload: the module identity, plus
-// span linkage when the evaluation that triggered the compile is traced.
-func compileAttrs(key ModuleKey, st *EvalStats) []obs.Attr {
-	attrs := []obs.Attr{obs.A("module", key.Short())}
-	if st != nil && st.Trace != "" {
-		attrs = append(attrs, obs.A("trace", st.Trace), obs.A("parent", st.Span))
-	}
-	return attrs
 }
 
 // markUsedLocked moves the key to the back of the shard's LRU order.

@@ -40,36 +40,67 @@ func TestHashModuleContentAddressed(t *testing.T) {
 	}
 }
 
-// TestCompileEventCarriesStageTimes: with a sink attached, gpu.compile.end
-// splits the build into verify, lower and finalize, and the trace export's
-// gpu.compile slice shows the split in its args — "which stage of prepare
-// regressed" is answerable from a shipped trace.
+// TestCompileEventCarriesStageTimes: with a sink attached, a cache miss is a
+// gpu.compile span opened under the evaluation's span whose end splits the
+// build into verify, lower and finalize, and the trace export's gpu.compile
+// slice shows the split in its args — "which stage of prepare regressed" is
+// answerable from a shipped trace. gevo_gpu_compile_seconds gains one
+// observation per miss while the sink is attached, none for a hit and none
+// for a miss without a sink.
 func TestCompileEventCarriesStageTimes(t *testing.T) {
 	c := obs.NewCollector(obs.NewRegistry(), 64)
+	eval := obs.StartSpanFrom(obs.SpanContext{}, c, "pool.eval")
+	cache := NewProgramCache()
+	observed := metricCompileSeconds.Count()
 	SetSink(c)
 	defer SetSink(nil)
-	if _, err := NewProgramCache().Prepare(vecAddModule()); err != nil {
+	if _, err := cache.PrepareStats(vecAddModule(), &EvalStats{Parent: eval.Context()}); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := cache.Prepare(vecAddModule()); err != nil { // a hit
+		t.Fatal(err)
+	}
+	if got := metricCompileSeconds.Count() - observed; got != 1 {
+		t.Errorf("compile histogram gained %d observations for one miss and one hit, want 1", got)
+	}
 	SetSink(nil)
+	other := vecAddModule()
+	other.Funcs[0].Name = "other"
+	if _, err := cache.Prepare(other); err != nil { // a miss, untraced
+		t.Fatal(err)
+	}
+	if got := metricCompileSeconds.Count() - observed; got != 1 {
+		t.Errorf("compile histogram gained %d observations, want 1: an untraced miss is not timed", got)
+	}
+	eval.End()
 
 	stages := []string{"verify_us", "lower_us", "finalize_us"}
-	var end *obs.Record
+	attrs := func(rec obs.Record) map[string]string {
+		m := map[string]string{}
+		for _, a := range rec.Attrs {
+			m[a.K] = a.V
+		}
+		return m
+	}
+	var begin, have map[string]string
 	for _, rec := range c.Records() {
-		if rec.Type == "gpu.compile.end" {
-			end = &rec
+		switch a := attrs(rec); {
+		case rec.Type == "span.begin" && a["name"] == "gpu.compile":
+			begin = a
+		case rec.Type == "span.end" && begin != nil && a["span"] == begin["span"]:
+			have = a
 		}
 	}
-	if end == nil {
-		t.Fatal("no gpu.compile.end event")
+	if begin == nil || have == nil {
+		t.Fatal("no gpu.compile span in the journal")
 	}
-	have := map[string]string{}
-	for _, a := range end.Attrs {
-		have[a.K] = a.V
+	if begin["parent"] != eval.Context().SpanID || begin["trace"] != eval.Context().TraceID {
+		t.Errorf("gpu.compile span opened under %s on trace %s, want the eval span %+v",
+			begin["parent"], begin["trace"], eval.Context())
 	}
 	for _, k := range stages {
 		if us, err := strconv.ParseInt(have[k], 10, 64); err != nil || us < 0 {
-			t.Errorf("gpu.compile.end attr %s = %q, want a non-negative integer", k, have[k])
+			t.Errorf("gpu.compile span end attr %s = %q, want a non-negative integer", k, have[k])
 		}
 	}
 
@@ -90,10 +121,13 @@ func TestCompileEventCarriesStageTimes(t *testing.T) {
 			continue
 		}
 		slices++
-		for _, k := range stages {
+		for _, k := range append(stages, "ok") {
 			if ev.Args[k] != have[k] {
-				t.Errorf("gpu.compile slice arg %s = %q, event has %q", k, ev.Args[k], have[k])
+				t.Errorf("gpu.compile slice arg %s = %q, span end has %q", k, ev.Args[k], have[k])
 			}
+		}
+		if ev.Args["module"] != begin["module"] {
+			t.Errorf("gpu.compile slice arg module = %q, span begin has %q", ev.Args["module"], begin["module"])
 		}
 	}
 	if slices != 1 {

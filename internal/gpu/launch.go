@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"gevo/internal/ir"
-	"gevo/internal/obs"
 )
 
 // LaunchConfig describes one kernel launch: the grid geometry (1-D, as in
@@ -143,9 +142,6 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 		memoCycles, replay = d.memoGet(k, d.Arch, &cfg)
 		if replay {
 			metricMemoHits.Inc()
-			if s := sink(); s != nil {
-				s.Emit(obs.Event{Type: "gpu.memo.hit", Attrs: []obs.Attr{obs.A("kernel", k.Name)}})
-			}
 		} else {
 			metricMemoTimed.Inc()
 		}
@@ -260,7 +256,7 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 		cycles = memoCycles
 	} else {
 		ls.smTime = grow(ls.smTime, max(d.Arch.SMs, 1))
-		cycles = scheduleBlocks(ls.blockCycles, ls.smTime)
+		cycles = scheduleBlocks(ls.blockCycles, ls.smTime, nil)
 		if threaded && k.oblivious {
 			d.memoPut(k, d.Arch, &cfg, cycles)
 		}
@@ -425,26 +421,21 @@ func (c *blockCtx) runBlock(blockID int32) (float64, error) {
 // (earliest-finish-first) and returns the makespan. This is the grid-level
 // throughput model: SMs run blocks back to back, concurrency across SMs
 // only; within-SM overlap is folded into the per-instruction costs. smTime
-// is caller-provided scratch, one slot per SM.
-func scheduleBlocks(blockCycles, smTime []float64) float64 {
-	if len(blockCycles) == 0 {
-		return 0
-	}
+// is caller-provided scratch, one slot per SM, left holding each SM's load;
+// a non-nil assign receives each block's SM.
+func scheduleBlocks(blockCycles, smTime []float64, assign []int) (makespan float64) {
 	clear(smTime)
-	sms := len(smTime)
-	for _, bc := range blockCycles {
+	for b, bc := range blockCycles {
 		mi := 0
-		for i := 1; i < sms; i++ {
+		for i := 1; i < len(smTime); i++ {
 			if smTime[i] < smTime[mi] {
 				mi = i
 			}
 		}
 		smTime[mi] += bc
-	}
-	var makespan float64
-	for _, t := range smTime {
-		if t > makespan {
-			makespan = t
+		makespan = max(makespan, smTime[mi])
+		if assign != nil {
+			assign[b] = mi
 		}
 	}
 	return makespan
@@ -452,26 +443,11 @@ func scheduleBlocks(blockCycles, smTime []float64) float64 {
 
 // ScheduleSMLoads replays the grid scheduler over a recorded block-cycle
 // vector, returning each SM's total load and each block's SM assignment.
-// It MUST mirror scheduleBlocks' greedy loop and float64 addition order
-// exactly: diagnosis relies on max(loads) equaling the recorded launch
-// makespan bit for bit, and on the critical SM's blocks summing to it with
-// zero residue.
+// It runs the launch's own loop, so max(loads) is the recorded makespan bit
+// for bit and the critical SM's blocks sum to it with zero residue.
 func ScheduleSMLoads(blockCycles []float64, sms int) (loads []float64, assign []int) {
-	if sms < 1 {
-		sms = 1
-	}
-	loads = make([]float64, sms)
-	assign = make([]int, len(blockCycles))
-	for b, bc := range blockCycles {
-		mi := 0
-		for i := 1; i < sms; i++ {
-			if loads[i] < loads[mi] {
-				mi = i
-			}
-		}
-		loads[mi] += bc
-		assign[b] = mi
-	}
+	loads, assign = make([]float64, max(sms, 1)), make([]int, len(blockCycles))
+	scheduleBlocks(blockCycles, loads, assign)
 	return loads, assign
 }
 

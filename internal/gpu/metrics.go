@@ -25,6 +25,9 @@ var (
 	metricTimeouts      = obs.Default.Counter("gevo_gpu_launch_timeouts_total", "Launches that ended in a TimeoutError: the dynamic-instruction budget ran out, or the warp was proven never to finish.")
 	metricProofs        = obs.Default.Counter("gevo_gpu_nontermination_proofs_total", "Launch timeouts returned early by the threaded backend's non-termination witness instead of by the budget.")
 	metricDeviceReuse   = obs.Default.Counter("gevo_gpu_device_reuse_total", "Devices recycled from the per-capacity free pool instead of allocated.")
+	// The compile histogram is timed only while a trace sink is attached:
+	// an untraced build reads no clock.
+	metricCompileSeconds = obs.Default.Histogram("gevo_gpu_compile_seconds", "Wall time of program verify+compile (observed while a trace sink is attached).", nil)
 )
 
 // sinkBox wraps the sink so atomic.Value always stores one concrete type.
@@ -32,10 +35,11 @@ type sinkBox struct{ s obs.Sink }
 
 var sinkVal atomic.Value // of sinkBox
 
-// SetSink installs the package trace sink (nil disables). Events carry
-// only deterministic payloads — module content hashes and kernel names —
-// so a process-global sink is safe; their *interleaving* across concurrent
-// evaluations is scheduling-dependent.
+// SetSink installs the package trace sink (nil disables): the destination
+// of gpu.compile spans, which carry module content hashes and stage times
+// and never feed back into a result, so a process-global sink is safe;
+// their *interleaving* across concurrent evaluations is
+// scheduling-dependent.
 func SetSink(s obs.Sink) { sinkVal.Store(sinkBox{s: s}) }
 
 // sink returns the installed sink or nil.

@@ -38,9 +38,9 @@ type Profile struct {
 // LaunchRecord captures one profiled launch's grid-level timing: the
 // per-block cycle counts in execution order and the makespan the SM
 // scheduler derived from them. Replaying ScheduleSMLoads over BlockCycles
-// reproduces Cycles exactly (same greedy loop, same float64 addition
-// order), which is what lets diagnosis attribute the launch total to SMs
-// and blocks with zero residue.
+// reproduces Cycles exactly (it runs the launch's scheduler loop), which is
+// what lets diagnosis attribute the launch total to SMs and blocks with
+// zero residue.
 type LaunchRecord struct {
 	// Grid and Block are the launch geometry.
 	Grid, Block int

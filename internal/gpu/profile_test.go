@@ -102,26 +102,26 @@ func TestProfileCountersAndTop(t *testing.T) {
 
 func TestScheduleBlocksEdgeCases(t *testing.T) {
 	// Zero blocks: an empty grid takes no time regardless of SM count.
-	if got := scheduleBlocks(nil, make([]float64, 4)); got != 0 {
+	if got := scheduleBlocks(nil, make([]float64, 4), nil); got != 0 {
 		t.Errorf("zero blocks makespan = %v, want 0", got)
 	}
 
 	// More SMs than blocks: every block gets its own SM, so the makespan
 	// is the single slowest block.
 	blocks := []float64{10, 30, 20}
-	if got := scheduleBlocks(blocks, make([]float64, 8)); got != 30 {
+	if got := scheduleBlocks(blocks, make([]float64, 8), nil); got != 30 {
 		t.Errorf("SMs>blocks makespan = %v, want 30", got)
 	}
 
 	// One SM serializes everything.
-	if got := scheduleBlocks(blocks, make([]float64, 1)); got != 60 {
+	if got := scheduleBlocks(blocks, make([]float64, 1), nil); got != 60 {
 		t.Errorf("1-SM makespan = %v, want 60", got)
 	}
 
 	// Greedy earliest-finish-first packing: 4 blocks on 2 SMs.
 	blocks = []float64{8, 6, 4, 2}
 	// SM0: 8, then +2 = 10; SM1: 6, then +4 = 10.
-	if got := scheduleBlocks(blocks, make([]float64, 2)); got != 10 {
+	if got := scheduleBlocks(blocks, make([]float64, 2), nil); got != 10 {
 		t.Errorf("2-SM makespan = %v, want 10", got)
 	}
 }

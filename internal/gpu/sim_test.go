@@ -524,17 +524,17 @@ func TestMultiBlockScheduling(t *testing.T) {
 
 func TestScheduleBlocks(t *testing.T) {
 	sms := func(n int) []float64 { return make([]float64, n) }
-	if got := scheduleBlocks(nil, sms(4)); got != 0 {
+	if got := scheduleBlocks(nil, sms(4), nil); got != 0 {
 		t.Errorf("empty schedule = %v, want 0", got)
 	}
-	if got := scheduleBlocks([]float64{10, 10, 10, 10}, sms(2)); got != 20 {
+	if got := scheduleBlocks([]float64{10, 10, 10, 10}, sms(2), nil); got != 20 {
 		t.Errorf("schedule = %v, want 20", got)
 	}
-	if got := scheduleBlocks([]float64{30, 10, 10, 10}, sms(2)); got != 30 {
+	if got := scheduleBlocks([]float64{30, 10, 10, 10}, sms(2), nil); got != 30 {
 		t.Errorf("LPT-ish schedule = %v, want 30", got)
 	}
 	// Launch clamps the SM count to at least one.
-	if got := scheduleBlocks([]float64{5}, sms(1)); got != 5 {
+	if got := scheduleBlocks([]float64{5}, sms(1), nil); got != 5 {
 		t.Errorf("schedule with 1 SM = %v, want 5", got)
 	}
 }

@@ -1,5 +1,7 @@
 package gpu
 
+import "gevo/internal/obs"
+
 // EvalStats is the per-evaluation cost and trace handle: the evaluation
 // pool allocates one per dispatched evaluation, workloads thread it through
 // their launch path (Device.Stats) and the program cache (PrepareStats),
@@ -11,11 +13,9 @@ package gpu
 // hits depend on scheduling and cache retention, so they are operational
 // telemetry, never inputs to fitness (DESIGN.md §9).
 type EvalStats struct {
-	// Trace and Span link events emitted during this evaluation (compile
-	// begin/end) to the eval span that caused them; empty when the
-	// evaluation is untraced.
-	Trace string
-	Span  string
+	// Parent is the eval span a compile this evaluation triggers opens its
+	// gpu.compile span under; zero when the evaluation is untraced.
+	Parent obs.SpanContext
 
 	// Module, when non-zero, is the content key of the module this
 	// evaluation runs — set by a caller that has already hashed it, and

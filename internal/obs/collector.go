@@ -27,20 +27,16 @@ const DefaultJournalCap = 65536
 
 // Collector is the flight recorder: a Sink that stamps events with
 // sequence numbers and wall-clock timestamps, retains the newest records
-// in a bounded ring, feeds derived metrics (event counts, compile
-// durations) into a Registry, and exports the journal as JSONL or Chrome
-// trace_event JSON.
+// in a bounded ring, counts them in a Registry, and exports the journal as
+// JSONL or Chrome trace_event JSON.
 //
 // This is where wall-clock time legitimately meets the deterministic event
 // stream: emitters in the determinism scope never read the clock, the
 // collector stamps arrivals, and nothing downstream of a stamp can reach
 // back into search results.
 type Collector struct {
-	reg         *Registry
-	events      *Counter
-	dropped     *Counter
-	compileHist *Histogram
-	spanHist    *Histogram
+	events  *Counter
+	dropped *Counter
 
 	mu sync.Mutex
 	// ring is the bounded journal; guarded by mu.
@@ -49,23 +45,10 @@ type Collector struct {
 	head int
 	// seq numbers the next record; guarded by mu.
 	seq uint64
-	// compileStart maps an in-flight compile's module key to its begin
-	// stamp, pairing gpu.compile.begin/end into one duration observation;
-	// guarded by mu.
-	compileStart map[string]int64
-	// spanStart maps an open span's ID to its begin stamp, pairing
-	// span.begin/end into a duration observation; guarded by mu. Bounded:
-	// entries leave on span.end, and abandoned spans (a panic between begin
-	// and end) are evicted once the map exceeds spanStartCap.
-	spanStart map[string]int64
 }
 
-// spanStartCap bounds the open-span table against spans abandoned by
-// panics; normal operation never approaches it.
-const spanStartCap = 16384
-
 // NewCollector creates a collector journaling up to capacity records
-// (<=0 = DefaultJournalCap) and registering its derived metrics in reg
+// (<=0 = DefaultJournalCap) and registering its event counters in reg
 // (nil = Default).
 func NewCollector(reg *Registry, capacity int) *Collector {
 	if reg == nil {
@@ -75,18 +58,13 @@ func NewCollector(reg *Registry, capacity int) *Collector {
 		capacity = DefaultJournalCap
 	}
 	return &Collector{
-		reg:          reg,
-		events:       reg.Counter("gevo_trace_events_total", "Trace events journaled by the collector."),
-		dropped:      reg.Counter("gevo_trace_events_dropped_total", "Trace events overwritten by ring wrap-around."),
-		compileHist:  reg.Histogram("gevo_gpu_compile_seconds", "Wall time of program verify+compile, paired from gpu.compile.begin/end events.", nil),
-		spanHist:     reg.Histogram("gevo_span_seconds", "Wall time of spans, paired from span.begin/end events.", nil),
-		ring:         make([]Record, 0, capacity),
-		compileStart: make(map[string]int64, 8),
-		spanStart:    make(map[string]int64, 8),
+		events:  reg.Counter("gevo_trace_events_total", "Trace events journaled by the collector."),
+		dropped: reg.Counter("gevo_trace_events_dropped_total", "Trace events overwritten by ring wrap-around."),
+		ring:    make([]Record, 0, capacity),
 	}
 }
 
-// Emit implements Sink: stamp, journal, derive metrics.
+// Emit implements Sink: stamp and journal.
 func (c *Collector) Emit(ev Event) {
 	now := time.Now().UnixNano() //gevo:allow the collector is the one stamping point for wall time; stamps never flow back into search results
 	c.events.Inc()
@@ -100,35 +78,7 @@ func (c *Collector) Emit(ev Event) {
 		c.head = (c.head + 1) % len(c.ring)
 		c.dropped.Inc()
 	}
-	var compileNs, spanNs int64 = -1, -1
-	switch ev.Type {
-	case "gpu.compile.begin":
-		c.compileStart[attrValue(ev.Attrs, "module")] = now
-	case "gpu.compile.end":
-		key := attrValue(ev.Attrs, "module")
-		if begin, ok := c.compileStart[key]; ok {
-			delete(c.compileStart, key)
-			compileNs = now - begin
-		}
-	case "span.begin":
-		if len(c.spanStart) >= spanStartCap {
-			clear(c.spanStart)
-		}
-		c.spanStart[attrValue(ev.Attrs, "span")] = now
-	case "span.end":
-		key := attrValue(ev.Attrs, "span")
-		if begin, ok := c.spanStart[key]; ok {
-			delete(c.spanStart, key)
-			spanNs = now - begin
-		}
-	}
 	c.mu.Unlock()
-	if compileNs >= 0 {
-		c.compileHist.Observe(float64(compileNs) / 1e9)
-	}
-	if spanNs >= 0 {
-		c.spanHist.Observe(float64(spanNs) / 1e9)
-	}
 }
 
 // attrValue returns the value of the first attribute named k ("" if none).
@@ -180,14 +130,15 @@ type traceEvent struct {
 
 // WriteChromeTrace writes the journal in Chrome trace_event JSON. Events
 // become instants on one track per emitting search identity (the "id"/
-// "job" attributes); paired gpu.compile.begin/end records become complete
-// ("X") slices whose args are the end record's attributes, the per-stage
-// verify_us / lower_us / finalize_us split included; engine.gen records
-// additionally emit a counter ("C") sample of the running best speedup,
-// which Perfetto renders as the search-trajectory graph. Paired span.begin/end records become complete
-// slices named after the span, and a span with a parent in the journal is
-// flow-linked to it ("s"/"f" events keyed by the child span ID), so one
-// trace ID reads as a connected request tree across tracks.
+// "job" attributes); engine.gen records additionally emit a counter ("C")
+// sample of the running best speedup, which Perfetto renders as the
+// search-trajectory graph. Paired span.begin/end records become complete
+// ("X") slices named after the span whose args are the attributes of both
+// records — what the span was opened with and what it ended with (an HTTP
+// code, a job state, a compile's verify_us / lower_us / finalize_us) — and
+// a span with a parent in the journal is flow-linked to it ("s"/"f" events
+// keyed by the child span ID), so one trace ID reads as a connected request
+// tree across tracks.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	recs := c.Records()
 	if _, err := io.WriteString(w, "[\n"); err != nil {
@@ -205,7 +156,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 		return tid
 	}
-	begin := map[string]Record{}
 	// spanBegin holds each seen span's begin record by span ID, kept after
 	// the span ends so later children can still flow-link to it.
 	spanBegin := map[string]Record{}
@@ -226,10 +176,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	for _, rec := range recs {
 		ts := float64(rec.WallNs) / 1e3
-		args := make(map[string]string, len(rec.Attrs))
-		for _, a := range rec.Attrs {
-			args[a.K] = a.V
-		}
 		switch rec.Type {
 		case "span.begin":
 			spanBegin[attrValue(rec.Attrs, "span")] = rec
@@ -240,15 +186,11 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			if !ok {
 				continue
 			}
-			bArgs := make(map[string]string, len(b.Attrs))
-			for _, a := range b.Attrs {
-				bArgs[a.K] = a.V
-			}
 			tid := tidOf(b.Attrs)
 			if err := emit(traceEvent{
 				Name: attrValue(b.Attrs, "name"), Phase: "X",
 				TsUs: float64(b.WallNs) / 1e3, DurUs: float64(rec.WallNs-b.WallNs) / 1e3,
-				PID: 1, TID: tid, Args: bArgs,
+				PID: 1, TID: tid, Args: argsOf(b.Attrs, rec.Attrs),
 			}); err != nil {
 				return err
 			}
@@ -273,47 +215,10 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 				return err
 			}
 			continue
-		case "gpu.compile.begin":
-			begin[attrValue(rec.Attrs, "module")] = rec
-			continue
-		case "gpu.compile.end":
-			key := attrValue(rec.Attrs, "module")
-			b, ok := begin[key]
-			if !ok {
-				continue
-			}
-			delete(begin, key)
-			tid := tidOf(rec.Attrs)
-			if err := emit(traceEvent{
-				Name: "gpu.compile", Phase: "X",
-				TsUs: float64(b.WallNs) / 1e3, DurUs: float64(rec.WallNs-b.WallNs) / 1e3,
-				PID: 1, TID: tid, Args: args,
-			}); err != nil {
-				return err
-			}
-			// A compile reached through a traced evaluation carries the eval
-			// span as its parent: flow-link the slice like a child span.
-			if pb, ok := spanBegin[attrValue(b.Attrs, "parent")]; ok {
-				flowTs := float64(b.WallNs) / 1e3
-				flowID := "compile-" + key
-				if err := emit(traceEvent{
-					Name: "span", Phase: "s", TsUs: flowTs,
-					PID: 1, TID: tidOf(pb.Attrs), Cat: "span", ID: flowID,
-				}); err != nil {
-					return err
-				}
-				if err := emit(traceEvent{
-					Name: "span", Phase: "f", TsUs: flowTs,
-					PID: 1, TID: tid, Cat: "span", ID: flowID, BP: "e",
-				}); err != nil {
-					return err
-				}
-			}
-			continue
 		}
 		if err := emit(traceEvent{
 			Name: rec.Type, Phase: "i", TsUs: ts,
-			PID: 1, TID: tidOf(rec.Attrs), Scope: "t", Args: args,
+			PID: 1, TID: tidOf(rec.Attrs), Scope: "t", Args: argsOf(rec.Attrs),
 		}); err != nil {
 			return err
 		}
@@ -335,6 +240,18 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, "\n]\n")
 	return err
+}
+
+// argsOf flattens attribute lists into trace-event args; a later list's
+// value wins for a key both carry.
+func argsOf(lists ...[]Attr) map[string]string {
+	args := map[string]string{}
+	for _, attrs := range lists {
+		for _, a := range attrs {
+			args[a.K] = a.V
+		}
+	}
+	return args
 }
 
 // WriteTo writes the journal in the format implied by the file name:

@@ -34,33 +34,73 @@ func TestCollectorJournalAndSeq(t *testing.T) {
 	}
 }
 
-func TestCollectorCompilePairing(t *testing.T) {
-	r := NewRegistry()
-	c := NewCollector(r, 16)
-	c.Emit(Event{Type: "gpu.compile.begin", Attrs: []Attr{A("module", "m1")}})
-	c.Emit(Event{Type: "gpu.compile.end", Attrs: []Attr{A("module", "m1"), A("ok", "1")}})
-	// An unmatched end must not observe anything.
-	c.Emit(Event{Type: "gpu.compile.end", Attrs: []Attr{A("module", "m2"), A("ok", "1")}})
+// chromeEvent is the part of a Chrome trace entry the export tests read.
+type chromeEvent struct {
+	Name  string            `json:"name"`
+	Phase string            `json:"ph"`
+	ID    string            `json:"id"`
+	Args  map[string]string `json:"args"`
+}
 
-	var found bool
-	for _, s := range r.Snapshot() {
-		if s.Name == "gevo_gpu_compile_seconds" {
-			found = true
-			if s.Count != 1 {
-				t.Fatalf("compile histogram count = %d, want 1", s.Count)
-			}
-		}
+func chromeEvents(t *testing.T, c *Collector) []chromeEvent {
+	t.Helper()
+	var ct strings.Builder
+	if err := c.WriteChromeTrace(&ct); err != nil {
+		t.Fatalf("WriteChromeTrace: %v", err)
 	}
-	if !found {
-		t.Fatalf("gevo_gpu_compile_seconds missing from snapshot")
+	var evs []chromeEvent
+	if err := json.Unmarshal([]byte(ct.String()), &evs); err != nil {
+		t.Fatalf("Chrome trace is not a JSON array: %v", err)
+	}
+	return evs
+}
+
+// spanTree journals the request tree serve builds — an http request, a job,
+// a pool.eval under the job and a gpu.compile under the eval — each span
+// ending with the attributes its emitter closes it with.
+func spanTree(c *Collector) (eval, compile *Span) {
+	http := StartSpanFrom(SpanContext{}, c, "http", A("method", "POST"))
+	job := StartSpanFrom(http.Context(), c, "job", A("job", "j1"))
+	eval = StartSpanFrom(job.Context(), c, "pool.eval", A("module", "m"))
+	compile = StartSpanFrom(eval.Context(), c, "gpu.compile", A("module", "m"))
+	compile.End(A("ok", "1"), A("verify_us", "7"), A("lower_us", "3"), A("finalize_us", "2"))
+	eval.End()
+	job.End(A("state", "done"))
+	http.End(A("route", "POST /jobs"), A("code", "202"))
+	return eval, compile
+}
+
+// TestCollectorSpanFlowLinks: a gpu.compile span opened under a pool.eval
+// span is flow-linked to it — an "s" arrow tail and an "f" head keyed by the
+// compile's span ID — and the journal derives no metric from the pairing:
+// spans cost two records and nothing else.
+func TestCollectorSpanFlowLinks(t *testing.T) {
+	r := NewRegistry()
+	c := NewCollector(r, 64)
+	eval, compile := spanTree(c)
+
+	id := compile.Context().SpanID
+	var tail, head bool
+	for _, e := range chromeEvents(t, c) {
+		tail = tail || e.Phase == "s" && e.ID == id
+		head = head || e.Phase == "f" && e.ID == id
+	}
+	if !tail || !head {
+		t.Fatalf("gpu.compile span %s not flow-linked to pool.eval %s (tail %v, head %v)",
+			id, eval.Context().SpanID, tail, head)
+	}
+
+	for _, s := range r.Snapshot() {
+		if s.Name != "gevo_trace_events_total" && s.Name != "gevo_trace_events_dropped_total" {
+			t.Errorf("collector registered %s; it journals and counts, nothing more", s.Name)
+		}
 	}
 }
 
 func TestCollectorExports(t *testing.T) {
 	c := NewCollector(NewRegistry(), 16)
 	c.Emit(Event{Type: "engine.gen", Attrs: []Attr{A("id", "deme0"), AI("gen", 1), AF("speedup", 1.25)}})
-	c.Emit(Event{Type: "gpu.compile.begin", Attrs: []Attr{A("module", "m")}})
-	c.Emit(Event{Type: "gpu.compile.end", Attrs: []Attr{A("module", "m"), A("ok", "1")}})
+	spanTree(c)
 
 	var jl strings.Builder
 	if err := c.WriteJSONL(&jl); err != nil {
@@ -75,25 +115,31 @@ func TestCollectorExports(t *testing.T) {
 		}
 		lines++
 	}
-	if lines != 3 {
-		t.Fatalf("JSONL lines = %d, want 3", lines)
+	if lines != 9 {
+		t.Fatalf("JSONL lines = %d, want 9 (engine.gen + 4 span begins + 4 span ends)", lines)
 	}
 
-	var ct strings.Builder
-	if err := c.WriteChromeTrace(&ct); err != nil {
-		t.Fatalf("WriteChromeTrace: %v", err)
-	}
-	var evs []map[string]any
-	if err := json.Unmarshal([]byte(ct.String()), &evs); err != nil {
-		t.Fatalf("Chrome trace is not a JSON array: %v", err)
-	}
-	// engine.gen instant + its speedup counter + one compile "X" slice.
+	// engine.gen instant + its speedup counter + four span slices, each
+	// carrying what it was opened with and what it ended with.
 	phases := map[string]int{}
-	for _, e := range evs {
-		phases[e["ph"].(string)]++
+	slices := map[string]map[string]string{}
+	for _, e := range chromeEvents(t, c) {
+		phases[e.Phase]++
+		if e.Phase == "X" {
+			slices[e.Name] = e.Args
+		}
 	}
-	if phases["i"] != 1 || phases["C"] != 1 || phases["X"] != 1 {
-		t.Fatalf("phases = %v, want 1 instant, 1 counter, 1 slice", phases)
+	if phases["i"] != 1 || phases["C"] != 1 || phases["X"] != 4 {
+		t.Fatalf("phases = %v, want 1 instant, 1 counter, 4 slices", phases)
+	}
+	for _, want := range []struct{ slice, k, v string }{
+		{"http", "method", "POST"}, {"http", "code", "202"}, {"http", "route", "POST /jobs"},
+		{"job", "job", "j1"}, {"job", "state", "done"},
+		{"gpu.compile", "module", "m"}, {"gpu.compile", "verify_us", "7"}, {"gpu.compile", "ok", "1"},
+	} {
+		if got := slices[want.slice][want.k]; got != want.v {
+			t.Errorf("%s slice arg %s = %q, want %q (args %v)", want.slice, want.k, got, want.v, slices[want.slice])
+		}
 	}
 }
 

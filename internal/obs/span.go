@@ -8,13 +8,14 @@ import (
 )
 
 // Span tracing rides the same nil-default Sink pattern as every other trace
-// event: a span is two journal records (span.begin / span.end) whose
-// payloads carry W3C-style trace and span identifiers, and the Collector
-// pairs them into flow-linked Chrome trace slices at export time. Span IDs
-// come from crypto/rand — they are identifiers, never inputs to the search,
-// so generating them does not touch the determinism contract (and with a
-// nil sink no IDs are generated at all: the spans-off path is one pointer
-// compare, exactly like metrics and events).
+// event: a span is two journal records — span.begin with W3C-style trace,
+// span and parent identifiers, span.end with the span ID and what the span
+// ended with — and the Collector pairs them by span ID into flow-linked
+// Chrome trace slices at export time. Span IDs come from crypto/rand —
+// they are identifiers, never inputs to the search, so generating them does
+// not touch the determinism contract (and with a nil sink no IDs are
+// generated at all: the spans-off path is one pointer compare, exactly like
+// metrics and events).
 
 // SpanContext is a position in a distributed trace: a 32-hex-digit trace ID
 // shared by every span of one causal chain, and the 16-hex-digit ID of the
@@ -123,10 +124,8 @@ func SpanFromContext(ctx context.Context) (SpanContext, bool) {
 // Span is one live span. A nil *Span is a valid no-op (the spans-off path),
 // so callers never branch around End.
 type Span struct {
-	sink   Sink
-	name   string
-	sc     SpanContext
-	parent string
+	sink Sink
+	sc   SpanContext
 }
 
 // Context returns the span's identifiers (zero for a nil span).
@@ -164,7 +163,7 @@ func StartSpanFrom(parent SpanContext, sink Sink, name string, attrs ...Attr) *S
 		sc.TraceID = NewTraceID()
 		par = ""
 	}
-	sp := &Span{sink: sink, name: name, sc: sc, parent: par}
+	sp := &Span{sink: sink, sc: sc}
 	out := make([]Attr, 0, len(attrs)+4)
 	out = append(out, A("trace", sc.TraceID), A("span", sc.SpanID))
 	if par != "" {
@@ -177,13 +176,15 @@ func StartSpanFrom(parent SpanContext, sink Sink, name string, attrs ...Attr) *S
 }
 
 // End emits span.end, closing the span. Safe on a nil span; extra
-// attributes annotate the closing record (e.g. an outcome code).
+// attributes annotate the closing record (e.g. an outcome code). The record
+// carries the span ID and those attributes only: the trace, parent and name
+// are on span.begin, which the exporter pairs it with.
 func (s *Span) End(attrs ...Attr) {
 	if s == nil {
 		return
 	}
-	out := make([]Attr, 0, len(attrs)+3)
-	out = append(out, A("trace", s.sc.TraceID), A("span", s.sc.SpanID), A("name", s.name))
+	out := make([]Attr, 0, len(attrs)+1)
+	out = append(out, A("span", s.sc.SpanID))
 	out = append(out, attrs...)
 	s.sink.Emit(Event{Type: "span.end", Attrs: out})
 }

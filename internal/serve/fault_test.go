@@ -104,6 +104,24 @@ func TestLedgerFaultRecovery(t *testing.T) {
 	}
 }
 
+// TestPersistBackoffIsCapped: the persister retries a failing ledger write
+// without bound, so the backoff must hold its cap at any attempt count — an
+// overflowing shift would turn it negative or zero and the retry loop into a
+// busy loop against the failing disk.
+func TestPersistBackoffIsCapped(t *testing.T) {
+	prev := time.Duration(0)
+	for attempt := 0; attempt <= 200; attempt++ {
+		d := persistBackoff(attempt)
+		if d < 5*time.Millisecond || d > 250*time.Millisecond {
+			t.Fatalf("persistBackoff(%d) = %v, want within [5ms, 250ms]", attempt, d)
+		}
+		if d < prev {
+			t.Fatalf("persistBackoff(%d) = %v, below attempt %d's %v", attempt, d, attempt-1, prev)
+		}
+		prev = d
+	}
+}
+
 // TestPruneNeverHalfApplied: pruned job directories are removed only after
 // the ledger that no longer lists them is durable. With every second write
 // failing, prunes interleave with ledger failures; the invariant is that a

@@ -51,9 +51,6 @@ type Options struct {
 	// process-global gpu instruments live in obs.Default either way, so
 	// the default gives /metrics the complete picture.
 	Registry *obs.Registry
-	// JournalCap bounds the trace-event flight recorder
-	// (0 = obs.DefaultJournalCap).
-	JournalCap int
 	// MaxActiveJobs bounds queued+running jobs (0 = unlimited). A
 	// submission that would create a new job beyond the bound is shed with
 	// an *OverloadedError (the HTTP layer answers 429 + Retry-After);
@@ -205,7 +202,7 @@ func (m *Manager) initObs() {
 	if m.reg == nil {
 		m.reg = obs.Default
 	}
-	m.col = obs.NewCollector(m.reg, m.opts.JournalCap)
+	m.col = obs.NewCollector(m.reg, obs.DefaultJournalCap)
 	m.slicesTotal = m.reg.Counter("gevo_serve_slices_total", "Scheduler slices executed (one migration round each).")
 	m.submitsTotal = m.reg.Counter("gevo_serve_submits_total", "Job submissions accepted (including coalesced).")
 	m.dedupTotal = m.reg.Counter("gevo_serve_dedup_hits_total", "Submissions attached to an existing job record (single-flight, or a retained finished job).")
@@ -285,8 +282,8 @@ func (m *Manager) initObs() {
 			})
 	}
 	m.pool.Register(m.reg)
-	// Compile/cache events are emitted through the gpu package-global sink
-	// (the process-wide program cache cannot carry per-manager sinks); the
+	// Compile spans are emitted through the gpu package-global sink (the
+	// process-wide program cache cannot carry per-manager sinks); the
 	// newest manager claims it, same as the func-instrument registrations
 	// above. Without this the compile leg of a job's trace never reaches
 	// /debug/trace.
@@ -671,19 +668,20 @@ func (m *Manager) runSlice(j *job) {
 	}
 	// The slice span parents every evaluation the slice requests: the job's
 	// cost account carries it to the pool, which opens pool.eval children
-	// under it (and compiles flow-link from those). Wall time is charged to
-	// the account on the way out, span set or not.
+	// under it (and gpu.compile spans under those). Wall time is charged to
+	// the account on the way out, span set or not; the span ends with the
+	// generation the slice reached.
 	start := time.Now()
 	sp := obs.StartSpanFrom(j.root, m.col, "slice", obs.A("job", j.id))
 	if j.cost != nil {
 		j.cost.SetSpan(sp.Context())
 	}
-	sliceDone := func() {
+	sliceDone := func(attrs ...obs.Attr) {
 		if j.cost != nil {
 			j.cost.AddSliceNs(time.Since(start).Nanoseconds())
 			j.cost.SetSpan(obs.SpanContext{})
 		}
-		sp.End()
+		sp.End(attrs...)
 	}
 	if j.search == nil {
 		if err := m.openSearch(j); err != nil {
@@ -694,10 +692,7 @@ func (m *Manager) runSlice(j *job) {
 	}
 	j.search.StepRound()
 	m.slicesTotal.Inc()
-	m.col.Emit(obs.Event{Type: "serve.slice", Attrs: []obs.Attr{
-		obs.A("job", j.id), obs.AI("gen", int64(j.search.Generation())),
-	}})
-	sliceDone()
+	sliceDone(obs.AI("gen", int64(j.search.Generation())))
 	done := j.search.Done()
 	if m.opts.Dir != "" && !done {
 		cp, err := j.search.Snapshot()
@@ -1004,13 +999,11 @@ func (m *Manager) clearDegraded() {
 
 // persistBackoff is the deterministic capped backoff between durable-write
 // retries: 5ms doubling to a 250ms cap, a fixed function of the attempt
-// number — no jitter, so a fault schedule replays identically.
+// number — no jitter, so a fault schedule replays identically. The shift is
+// clamped before it is taken: the persister retries a ledger write without
+// bound, and an unclamped shift overflows from attempt 41 on.
 func persistBackoff(attempt int) time.Duration {
-	d := 5 * time.Millisecond << attempt
-	if d > 250*time.Millisecond {
-		d = 250 * time.Millisecond
-	}
-	return d
+	return min(5*time.Millisecond<<min(attempt, 6), 250*time.Millisecond)
 }
 
 // resultWriteAttempts bounds the synchronous retry of a result-document

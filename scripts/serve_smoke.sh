@@ -4,7 +4,8 @@
 # same state directory, and assert every job resumes and finishes with
 # results byte-identical to an uninterrupted run of the same specs (the
 # crash-resume invariant, across real processes). The reference run also
-# scrapes /metrics and fails on missing or malformed Prometheus series, and
+# scrapes /metrics and fails on missing or malformed Prometheus series,
+# fails if the /debug/trace span slices lack their end attributes, and
 # fails if resubmitting a finished spec writes the ledger.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
@@ -83,6 +84,7 @@ check_metrics() {
     gevo_serve_submits_total \
     gevo_gpu_program_cache_hits_total \
     'gevo_serve_ledger_write_seconds_bucket{le="+Inf"}' \
+    'gevo_gpu_compile_seconds_bucket{le="+Inf"}' \
     gevo_trace_events_total \
     'gevo_http_request_seconds_bucket{route="POST /jobs",le="+Inf"}' \
     'gevo_http_request_seconds_bucket{route="GET /jobs/{id}",le="+Inf"}' \
@@ -137,6 +139,23 @@ check_traceparent() {
   esac
 }
 
+# check_trace fetches the Chrome trace export and asserts span slices carry
+# the attributes their spans ended with: a gpu.compile slice its verify_us,
+# an http slice its response code.
+check_trace() {
+  curl -sf "$BASE/debug/trace" > "$WORK/trace.json" || die "GET /debug/trace failed"
+  python3 - "$WORK/trace.json" <<'EOF' || die "/debug/trace span slices lack their end attributes"
+import json, sys
+evs = json.load(open(sys.argv[1]))
+def has(name, key):
+    return any(e.get("ph") == "X" and e.get("name") == name and key in e.get("args", {}) for e in evs)
+missing = [f"{n} slice with {k}" for n, k in (("gpu.compile", "verify_us"), ("http", "code")) if not has(n, k)]
+if missing:
+    sys.exit("serve_smoke: no " + ", no ".join(missing))
+EOF
+  say "trace OK: gpu.compile slices carry verify_us, http slices carry code"
+}
+
 check_costs() { # $1 = job id
   local evals
   evals="$(curl -sf "$BASE/jobs/$1/costs" | field evals)" || die "GET /jobs/$1/costs failed"
@@ -179,6 +198,7 @@ run_uninterrupted() { # $1 = state dir, $2 = result prefix
   done
   check_costs "${ids[0]}"
   check_metrics
+  check_trace
   check_traceparent
   check_resubmit_writes_nothing "$1"
   stop_server_hard
