@@ -224,6 +224,10 @@ func main() {
 		if err := writeFile(*traceOut, func(f *os.File) error { return col.WriteTo(f, *traceOut) }); err != nil {
 			fatal(err)
 		}
+		if st := col.Stats(); st.Dropped > 0 {
+			fmt.Fprintf(os.Stderr, "gevo: %s holds the newest %d records; the %d oldest were dropped to keep the journal within its %d-byte budget\n",
+				*traceOut, st.Records, st.Dropped, st.Budget)
+		}
 	}
 
 	validated := false

@@ -7,17 +7,24 @@ import (
 	"testing"
 )
 
+// padded is event i of a test stream, padded so that its JSONL line is
+// about pad bytes long.
+func padded(i, pad int) Event {
+	return Event{Type: "e", Attrs: []Attr{AI("i", int64(i)), A("pad", strings.Repeat("x", pad))}}
+}
+
 func TestCollectorJournalAndSeq(t *testing.T) {
 	r := NewRegistry()
-	c := NewCollector(r, 4)
+	c := NewCollector(r, slabBytes)
+	// Lines of ~15 000 bytes: four fit in one slab, five do not.
 	for i := 0; i < 6; i++ {
-		c.Emit(Event{Type: "e", Attrs: []Attr{AI("i", int64(i))}})
+		c.Emit(padded(i, 15000))
 	}
 	recs := c.Records()
 	if len(recs) != 4 {
-		t.Fatalf("journal holds %d records, want 4 (bounded ring)", len(recs))
+		t.Fatalf("journal holds %d records, want 4 (bounded in bytes)", len(recs))
 	}
-	// Oldest two were overwritten; the survivors are 2..5 in sequence order.
+	// Oldest two were evicted; the survivors are 2..5 in sequence order.
 	for i, rec := range recs {
 		if want := uint64(i + 2); rec.Seq != want {
 			t.Fatalf("record %d seq = %d, want %d", i, rec.Seq, want)
@@ -159,5 +166,137 @@ func TestWithAttrs(t *testing.T) {
 	}
 	if WithAttrs(nil, A("a", "b")) != nil {
 		t.Fatalf("WithAttrs(nil) must stay nil (no-op sink)")
+	}
+}
+
+// TestEmitEncodesLikeEncodingJSON pins the journal's one encoding: the line
+// Emit stores for an event is byte for byte what json.Encoder writes for the
+// Record it stamps — escapes, invalid UTF-8 and the omitted empty attrs
+// included — so every JSONL consumer reads the journal as before.
+func TestEmitEncodesLikeEncodingJSON(t *testing.T) {
+	var ctl strings.Builder
+	for b := 0; b < 0x20; b++ {
+		ctl.WriteByte(byte(b))
+	}
+	ctl.WriteByte(0x7f)
+	cases := []Event{
+		{Type: "html", Attrs: []Attr{A("<a href=\"x\">", "a&b>c<d")}},
+		{Type: `q"uo\te`, Attrs: []Attr{A(`back\slash`, `"quoted"`), A("", "")}},
+		{Type: "ctl", Attrs: []Attr{A("all", ctl.String()), A("tab", "a\tb\nc\rd\be\ff")}},
+		{Type: "utf8", Attrs: []Attr{A("bad", "a\xffb\xc3(c\xe2\x82"), A("ok", "héllo, 世界 🚀")}},
+		{Type: "sep", Attrs: []Attr{A("ls", "a\u2028b"), A("ps", "\u2029")}},
+		{Type: "empty", Attrs: []Attr{}},
+		{Type: "nil"},
+		{Type: ""},
+	}
+	c := NewCollector(NewRegistry(), 0)
+	for _, ev := range cases {
+		c.Emit(ev)
+	}
+	var got strings.Builder
+	if err := c.WriteJSONL(&got); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(got.String(), "\n")
+	if len(lines) != len(cases)+1 || lines[len(cases)] != "" {
+		t.Fatalf("journal has %d lines for %d events:\n%s", len(lines)-1, len(cases), got.String())
+	}
+	for i, ev := range cases {
+		// The collector stamps seq and wall_ns; read them back and encode
+		// the Record they make with the original event.
+		var stamp Record
+		if err := json.Unmarshal([]byte(lines[i]), &stamp); err != nil {
+			t.Fatalf("line %d does not decode: %v\n%s", i, err, lines[i])
+		}
+		var want strings.Builder
+		rec := Record{Seq: stamp.Seq, WallNs: stamp.WallNs, Type: ev.Type, Attrs: ev.Attrs}
+		if err := json.NewEncoder(&want).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		if lines[i] != want.String() {
+			t.Errorf("event %q:\nEmit:         %q\njson.Encoder: %q", ev.Type, lines[i], want.String())
+		}
+	}
+}
+
+// TestJournalBytesAreBounded emits records of mixed sizes — one of them
+// larger than the whole budget — and checks after every Emit that the
+// journal stays within its budget, holds the newest records in sequence
+// order and as many of them as fit, and counts every other record dropped.
+func TestJournalBytesAreBounded(t *testing.T) {
+	reg := NewRegistry()
+	c := NewCollector(reg, 2*slabBytes)
+	budget := 2 * slabBytes
+	sizes := map[uint64]int{} // encoded line length by seq, for retained records
+	var line strings.Builder
+	for i := 0; i < 400; i++ {
+		// Sizes spread over 75 bytes to 3 KB, so some lines land within a
+		// few bytes of the budget, and one in 25 is ~31 KB.
+		pad := i * 7919 % 3001
+		if i%25 == 0 {
+			pad = 31000
+		}
+		if i == 217 {
+			pad = budget + 1
+		}
+		c.Emit(padded(i, pad))
+
+		st := c.Stats()
+		if st.Budget != budget || st.Bytes > budget {
+			t.Fatalf("after %d emits: journal holds %d bytes, budget %d (want %d)", i+1, st.Bytes, st.Budget, budget)
+		}
+		line.Reset()
+		if err := c.WriteJSONL(&line); err != nil {
+			t.Fatal(err)
+		}
+		if line.Len() != st.Bytes {
+			t.Fatalf("after %d emits: JSONL is %d bytes, Stats says %d", i+1, line.Len(), st.Bytes)
+		}
+		recs := c.Records()
+		if len(recs) != st.Records {
+			t.Fatalf("after %d emits: %d records decode, Stats says %d", i+1, len(recs), st.Records)
+		}
+		if emitted := uint64(i + 1); st.Dropped != emitted-uint64(len(recs)) ||
+			reg.Value("gevo_trace_events_dropped_total") != float64(st.Dropped) {
+			t.Fatalf("after %d emits: dropped %d (counter %g), retained %d",
+				i+1, st.Dropped, reg.Value("gevo_trace_events_dropped_total"), len(recs))
+		}
+		if i == 217 {
+			if len(recs) != 0 {
+				t.Fatalf("a record over the budget left %d records behind it", len(recs))
+			}
+			continue
+		}
+		// The newest record is kept, the rest are its predecessors in
+		// order, and the next older one would not have fit.
+		if len(recs) == 0 || recs[len(recs)-1].Seq != uint64(i) {
+			t.Fatalf("after %d emits: newest record missing (%d retained)", i+1, len(recs))
+		}
+		last := strings.LastIndex(strings.TrimSuffix(line.String(), "\n"), "\n")
+		sizes[uint64(i)] = line.Len() - last - 1
+		total := 0
+		for k, rec := range recs {
+			if want := uint64(i - len(recs) + 1 + k); rec.Seq != want {
+				t.Fatalf("after %d emits: record %d has seq %d, want %d", i+1, k, rec.Seq, want)
+			}
+			total += sizes[rec.Seq]
+		}
+		if total != st.Bytes {
+			t.Fatalf("after %d emits: line sizes sum to %d, journal holds %d", i+1, total, st.Bytes)
+		}
+		if older, ok := sizes[recs[0].Seq-1]; ok && recs[0].Seq > 0 && total+older <= budget {
+			t.Fatalf("after %d emits: seq %d (%d bytes) evicted though it fit beside %d bytes",
+				i+1, recs[0].Seq-1, older, total)
+		}
+	}
+
+	// Two lines that fill the budget exactly are both kept: records 0 and
+	// 1 encode to the same length but for the padding.
+	exact := NewCollector(NewRegistry(), slabBytes)
+	exact.Emit(padded(0, 0))
+	first := exact.Stats().Bytes
+	exact.Emit(padded(1, slabBytes-2*first))
+	if st := exact.Stats(); st.Records != 2 || st.Bytes != slabBytes {
+		t.Fatalf("lines filling the budget exactly: journal stats %+v, want both records in %d bytes", st, slabBytes)
 	}
 }

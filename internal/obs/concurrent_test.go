@@ -14,13 +14,15 @@ import (
 // TestCollectorConcurrentWriters hammers one collector from the serve
 // shape of traffic — several engines journaling search events and
 // evaluation spans through a shared pool while "HTTP" goroutines open and
-// close request spans — with a ring small enough to wrap. Run under -race
-// this is the data-race check for the whole sink path; the assertions pin
-// the ring invariants: gapless ascending sequence numbers in the retained
-// window, and events = retained + dropped exactly.
+// close request spans — with a byte budget small enough to wrap. Run under
+// -race this is the data-race check for the whole sink path; the assertions
+// pin the journal invariants: gapless ascending sequence numbers in the
+// retained window, the encoded bytes within the budget, and events =
+// retained + dropped exactly.
 func TestCollectorConcurrentWriters(t *testing.T) {
+	const budget = 64 << 10
 	reg := obs.NewRegistry()
-	col := obs.NewCollector(reg, 256)
+	col := obs.NewCollector(reg, budget)
 	w, err := workload.ByName("synth:stencil1d:seed=1:n=32")
 	if err != nil {
 		t.Fatalf("workload: %v", err)
@@ -76,6 +78,9 @@ func TestCollectorConcurrentWriters(t *testing.T) {
 		t.Fatalf("counter mismatch: events %d != retained %d + dropped %d", events, len(recs), dropped)
 	}
 	if dropped == 0 {
-		t.Fatalf("ring never wrapped (%d events into capacity 256) — the test is not exercising overwrite", events)
+		t.Fatalf("journal never wrapped (%d events into %d bytes) — the test is not exercising eviction", events, budget)
+	}
+	if st := col.Stats(); st.Bytes > budget || st.Records != len(recs) || st.Dropped != uint64(dropped) {
+		t.Fatalf("journal stats %+v, want %d records within %d bytes and %d dropped", st, len(recs), budget, dropped)
 	}
 }

@@ -169,7 +169,7 @@ func TestSinkBitIdentity(t *testing.T) {
 // Regenerate with `go test ./internal/obs/ -run Golden -update` after an
 // intentional taxonomy or search-behaviour change.
 func TestGoldenEventSequence(t *testing.T) {
-	col := obs.NewCollector(obs.NewRegistry(), 1024)
+	col := obs.NewCollector(obs.NewRegistry(), 0)
 	runSearch(t, col)
 
 	var buf bytes.Buffer

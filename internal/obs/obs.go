@@ -1,7 +1,8 @@
 // Package obs is the observability substrate: a dependency-free metrics
-// registry (counters, gauges, histograms with atomic fast paths) and a
-// bounded ring-buffer event journal (the flight recorder) exportable as
-// JSONL and Chrome trace_event JSON.
+// registry (counters, gauges, histograms with atomic fast paths) and an
+// event journal bounded in bytes (the flight recorder), which encodes each
+// record once, as the JSONL line it exports, and decodes records only for
+// the Chrome trace_event export and the crash postmortem.
 //
 // Determinism contract (DESIGN.md §9): the deterministic packages (core,
 // island, gpu, synth) emit trace events through the nil-default Sink

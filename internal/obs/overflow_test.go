@@ -83,16 +83,17 @@ func TestBuildInfoGauge(t *testing.T) {
 }
 
 // TestCollectorRingOverflow pins the flight-recorder wrap-around contract:
-// the drop counter grows monotonically by exactly the overflow, the ring
+// the drop counter grows monotonically by exactly the overflow, the journal
 // keeps the newest records in sequence order, and the Chrome trace export
 // stays well-formed JSON after the wrap.
 func TestCollectorRingOverflow(t *testing.T) {
+	// Lines of ~7 700 bytes: eight fit in the one-slab budget, nine do not.
 	const capacity, total = 8, 27
 	reg := NewRegistry()
-	col := NewCollector(reg, capacity)
+	col := NewCollector(reg, slabBytes)
 	var lastDropped int64
 	for i := 0; i < total; i++ {
-		col.Emit(Event{Type: "tick", Attrs: []Attr{AI("i", int64(i))}})
+		col.Emit(Event{Type: "tick", Attrs: []Attr{AI("i", int64(i)), A("pad", strings.Repeat("x", 7700))}})
 		d := col.dropped.Value()
 		if d < lastDropped {
 			t.Fatalf("drop counter went backwards: %d after %d", d, lastDropped)
@@ -106,7 +107,10 @@ func TestCollectorRingOverflow(t *testing.T) {
 	if len(recs) != capacity {
 		t.Fatalf("journal holds %d records, want capacity %d", len(recs), capacity)
 	}
-	// Head overwrite preserved exactly the newest records, oldest first.
+	if st := col.Stats(); st.Bytes > st.Budget || st.Records != capacity || st.Dropped != total-capacity {
+		t.Fatalf("journal stats %+v, want %d records within the budget and %d dropped", st, capacity, total-capacity)
+	}
+	// Eviction preserved exactly the newest records, oldest first.
 	for i, rec := range recs {
 		if want := uint64(total - capacity + i); rec.Seq != want {
 			t.Fatalf("record %d has seq %d, want %d (newest window)", i, rec.Seq, want)
@@ -129,16 +133,23 @@ func TestCollectorRingOverflow(t *testing.T) {
 }
 
 // TestCollectorRingUnderCapacity pins the pre-wrap behaviour: no drops, all
-// records retained.
+// records retained, and the budget a whole number of slabs.
 func TestCollectorRingUnderCapacity(t *testing.T) {
 	col := NewCollector(NewRegistry(), 16)
 	for i := 0; i < 10; i++ {
 		col.Emit(Event{Type: "tick"})
 	}
 	if d := col.dropped.Value(); d != 0 {
-		t.Fatalf("dropped = %d before the ring is full", d)
+		t.Fatalf("dropped = %d before the journal is full", d)
 	}
 	if n := len(col.Records()); n != 10 {
 		t.Fatalf("journal holds %d records, want 10", n)
+	}
+	// Ten `{"seq":N,"wall_ns":T,"type":"tick"}` lines.
+	if st := col.Stats(); st.Budget != slabBytes || st.Bytes < 10*50 || st.Bytes > 10*60 {
+		t.Fatalf("journal stats %+v, want ten ~55-byte lines in a %d-byte budget", st, slabBytes)
+	}
+	if st := NewCollector(NewRegistry(), 0).Stats(); st.Budget != DefaultJournalBytes {
+		t.Fatalf("default budget %d, want DefaultJournalBytes", st.Budget)
 	}
 }

@@ -29,7 +29,7 @@ type PostmortemDoc struct {
 	// Metrics is the registry snapshot in Prometheus text exposition form —
 	// text rather than structured so ±Inf histogram bounds survive JSON.
 	Metrics string `json:"metrics"`
-	// Journal is the collector's ring journal, oldest record first.
+	// Journal is the collector's journal, decoded, oldest record first.
 	Journal []Record `json:"journal"`
 }
 

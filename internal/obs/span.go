@@ -3,19 +3,22 @@ package obs
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"strings"
+	"sync/atomic"
 )
 
 // Span tracing rides the same nil-default Sink pattern as every other trace
 // event: a span is two journal records — span.begin with W3C-style trace,
 // span and parent identifiers, span.end with the span ID and what the span
 // ended with — and the Collector pairs them by span ID into flow-linked
-// Chrome trace slices at export time. Span IDs come from crypto/rand —
-// they are identifiers, never inputs to the search, so generating them does
-// not touch the determinism contract (and with a nil sink no IDs are
-// generated at all: the spans-off path is one pointer compare, exactly like
-// metrics and events).
+// Chrome trace slices at export time. Span IDs are a keyed mix of a
+// process-wide counter under a key drawn once from crypto/rand — they are
+// identifiers, never inputs to the search, so generating them does not touch
+// the determinism contract (and with a nil sink no IDs are generated at all:
+// the spans-off path is one pointer compare, exactly like metrics and
+// events).
 
 // SpanContext is a position in a distributed trace: a 32-hex-digit trace ID
 // shared by every span of one causal chain, and the 16-hex-digit ID of the
@@ -48,26 +51,60 @@ func validHexID(s string, n int) bool {
 	return !zero
 }
 
-// randHex returns n hex digits of cryptographic randomness. crypto/rand
-// never observes or perturbs search state, so IDs are safe inside the
-// determinism scope.
-func randHex(n int) string {
-	buf := make([]byte, n/2)
-	if _, err := rand.Read(buf); err != nil {
-		// crypto/rand failing is a broken platform; an all-ones ID keeps
-		// tracing limping instead of taking the search down.
-		for i := range buf {
-			buf[i] = 0xff
+// idKey keys the ID mix: drawn from crypto/rand once per process, so IDs
+// differ between processes while minting one costs no system call.
+var idKey = func() (k [4]uint64) {
+	var b [32]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		// crypto/rand failing is a broken platform; a fixed key keeps IDs
+		// unique within the process instead of taking the search down.
+		return [4]uint64{1, 2, 3, 4}
+	}
+	for i := range k {
+		k[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	return k
+}()
+
+// idCounter numbers the minted IDs.
+var idCounter atomic.Uint64
+
+// idMix is a keyed bijection on 64 bits: two rounds of key XOR and the
+// splitmix64 finalizer, each step invertible, so distinct counter values
+// always give distinct IDs.
+func idMix(x, k0, k1 uint64) uint64 {
+	for _, k := range [2]uint64{k0, k1} {
+		x ^= k
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		x ^= x >> 31
+	}
+	return x
+}
+
+// nextID draws a fresh counter value and its nonzero span bits (a W3C ID
+// must not be all zeros, and one counter value in 2^64 maps there).
+func nextID() (ctr, bits uint64) {
+	for {
+		ctr = idCounter.Add(1)
+		if bits = idMix(ctr, idKey[0], idKey[1]); bits != 0 {
+			return ctr, bits
 		}
 	}
-	return hex.EncodeToString(buf)
 }
 
 // NewTraceID mints a fresh 32-hex-digit trace ID.
-func NewTraceID() string { return randHex(32) }
+func NewTraceID() string {
+	ctr, lo := nextID()
+	raw := binary.BigEndian.AppendUint64(nil, idMix(ctr, idKey[2], idKey[3]))
+	return hex.EncodeToString(binary.BigEndian.AppendUint64(raw, lo))
+}
 
 // NewSpanID mints a fresh 16-hex-digit span ID.
-func NewSpanID() string { return randHex(16) }
+func NewSpanID() string {
+	_, bits := nextID()
+	return hex.EncodeToString(binary.BigEndian.AppendUint64(nil, bits))
+}
 
 // Traceparent renders the context as a W3C traceparent header value
 // (version 00, sampled flag set), or "" for an invalid context.

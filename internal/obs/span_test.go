@@ -24,6 +24,30 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMintedIDsAreDistinctAndValid: span and trace IDs come from one keyed
+// counter mix, so 10^5 of each are pairwise distinct, well-formed lowercase
+// hex and nonzero.
+func TestMintedIDsAreDistinctAndValid(t *testing.T) {
+	const n = 100_000
+	for _, mint := range []struct {
+		name   string
+		digits int
+		f      func() string
+	}{{"span", 16, NewSpanID}, {"trace", 32, NewTraceID}} {
+		seen := make(map[string]struct{}, n)
+		for i := 0; i < n; i++ {
+			id := mint.f()
+			if !validHexID(id, mint.digits) {
+				t.Fatalf("%s ID %q is not %d nonzero lowercase hex digits", mint.name, id, mint.digits)
+			}
+			if _, dup := seen[id]; dup {
+				t.Fatalf("%s ID %q minted twice in %d", mint.name, id, i+1)
+			}
+			seen[id] = struct{}{}
+		}
+	}
+}
+
 func TestParseTraceparent(t *testing.T) {
 	trace, span := strings.Repeat("ab", 16), strings.Repeat("cd", 8)
 	cases := []struct {

@@ -202,7 +202,7 @@ func (m *Manager) initObs() {
 	if m.reg == nil {
 		m.reg = obs.Default
 	}
-	m.col = obs.NewCollector(m.reg, obs.DefaultJournalCap)
+	m.col = obs.NewCollector(m.reg, obs.DefaultJournalBytes)
 	m.slicesTotal = m.reg.Counter("gevo_serve_slices_total", "Scheduler slices executed (one migration round each).")
 	m.submitsTotal = m.reg.Counter("gevo_serve_submits_total", "Job submissions accepted (including coalesced).")
 	m.dedupTotal = m.reg.Counter("gevo_serve_dedup_hits_total", "Submissions attached to an existing job record (single-flight, or a retained finished job).")
