@@ -20,6 +20,7 @@ import (
 func TestBackendDifferential(t *testing.T) {
 	defer func(b gpu.Backend) { gpu.DefaultBackend = b }(gpu.DefaultBackend)
 	defer gpu.SetVerifyCompiled(gpu.SetVerifyCompiled(true))
+	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
 
 	type wl struct {
 		name string
@@ -100,6 +101,7 @@ func TestBackendDifferential(t *testing.T) {
 // CI runs this test by name and fails if it is skipped.
 func TestBackendDifferentialSynth(t *testing.T) {
 	defer gpu.SetVerifyCompiled(gpu.SetVerifyCompiled(true))
+	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
 	specs := append(synth.DefaultSuite(), synth.SeedSuite(1002)...)
 	for _, sp := range specs {
 		w, err := synth.New(sp)
@@ -136,6 +138,7 @@ func TestBackendDifferentialSynth(t *testing.T) {
 // always runs interpreted) reports the same fitness the threaded search
 // path computes.
 func TestBackendDifferentialProfiledAgrees(t *testing.T) {
+	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
 	w, err := workload.NewADEPT(kernels.ADEPTV1, workload.ADEPTOptions{
 		Seed: 7, FitPairs: 2, HoldoutPairs: 2, RefLen: 48, QueryLen: 32,
 	})

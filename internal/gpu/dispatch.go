@@ -298,7 +298,9 @@ func (c *blockCtx) divergeT(w *warp, succ0, succ1 int32, maskT, maskF uint32, r 
 
 // lowerKernel compiles every instruction and phi edge of the kernel to
 // threaded code: a uop, with an escape closure beside it for the shapes
-// listed at the top of this file.
+// listed at the top of this file, fused where fuseCmpBranches can and marked
+// where markLaneInvariant (uop_invariant.go) proves its operands the same in
+// every active lane.
 // Must run after constant lane images and extended slots are assigned.
 func lowerKernel(k *Kernel) {
 	n := 0
@@ -323,15 +325,18 @@ func lowerKernel(k *Kernel) {
 			cb.fns[ii] = lowerInstr(&cb.ins[ii])
 		}
 	}
-	fuseCmpBranches(k)
+	// One zeroed table serves both passes: the use counts, then the analysis.
+	scratch := make([]int32, k.totalSlots+3*len(k.blocks))
+	fuseCmpBranches(k, scratch[:k.nslots])
+	markLaneInvariant(k, scratch)
 }
 
 // fuseCmpBranches rewrites [icmp/fcmp; condbr] pairs whose compare result
 // has no other use into one fused uop: the compare feeds the branch mask
 // directly and its i1 lanes are never materialized. Budget and cycle
-// accounting remain exactly those of the two original instructions.
-func fuseCmpBranches(k *Kernel) {
-	uses := make([]int32, k.nslots) // by register slot
+// accounting remain exactly those of the two original instructions. uses is
+// a zeroed table with one word per register slot.
+func fuseCmpBranches(k *Kernel, uses []int32) {
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
 		for ii := range cb.ins {

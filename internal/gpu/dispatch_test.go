@@ -304,6 +304,7 @@ func runBackend(t *testing.T, f *ir.Function, backend Backend, grid, block int, 
 // final warps, divergent control flow and a memo-replayed relaunch — for
 // the kernel of uop shapes, the kernel of escapes and the kernel of compares.
 func TestBackendDifferentialSynthetic(t *testing.T) {
+	defer CheckLaneInvariance(CheckLaneInvariance(true))
 	input := make([]int32, 100)
 	for i := range input {
 		input[i] = int32(i*7 - 50)
@@ -595,9 +596,9 @@ func TestDataDependentKernelNotOblivious(t *testing.T) {
 // TestVerifyKernelCatchesCorruption is the mutation test of the compiled-
 // program verifier: the op-soup kernel passes the audit as compiled, and a
 // deliberately broken rewrite of any layer — operand offsets, the uop jump
-// table, escape closures, control targets, phi-copy plans, the shfl
-// zero-init set, def-before-use — is reported, not executed. Each case
-// corrupts a fresh kernel the way a buggy compiler pass would.
+// table, lane-invariance marks, escape closures, control targets, phi-copy
+// plans, the shfl zero-init set, def-before-use — is reported, not executed.
+// Each case corrupts a fresh kernel the way a buggy compiler pass would.
 func TestVerifyKernelCatchesCorruption(t *testing.T) {
 	if err := VerifyKernel(mustCompile(t, buildOpSoup())); err != nil {
 		t.Fatalf("pristine kernel rejected: %v", err)
@@ -669,6 +670,18 @@ func TestVerifyKernelCatchesCorruption(t *testing.T) {
 				return true
 			},
 			want: "sibling flag",
+		},
+		{
+			name: "lane-invariance mark on a warp primitive",
+			corrupt: func(k *Kernel) bool {
+				u := firstUop(k, func(u *uop) bool { return u.code == uShfl })
+				if u == nil {
+					return false
+				}
+				u.inv = true
+				return true
+			},
+			want: "no lane-invariant path",
 		},
 		{
 			name: "escape uop without its closure",

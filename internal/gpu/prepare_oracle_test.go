@@ -1,7 +1,9 @@
 package gpu_test
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -56,9 +58,12 @@ func mutantCorpus(t *testing.T, perBase int) []*ir.Module {
 // prepare pipeline with the compiled-program audit on: the dense liveness
 // pass must agree with the map-based oracle on every function (and size its
 // arenas exactly), Prepare must reject what Module.Verify rejects with the
-// verifier's error, and every program it builds must pass VerifyProgram.
+// verifier's error, and every program it builds must pass VerifyProgram and
+// run the same under both backends (launchBoth) with every lane-invariance
+// claim checked as it executes.
 func TestPrepareMatchesOracles(t *testing.T) {
 	defer gpu.SetVerifyCompiled(gpu.SetVerifyCompiled(true))
+	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
 	accepted, rejected := 0, 0
 	for _, m := range mutantCorpus(t, 60) {
 		for _, f := range m.Funcs {
@@ -102,10 +107,65 @@ func TestPrepareMatchesOracles(t *testing.T) {
 			if len(prog.Kernels) != len(m.Funcs) {
 				t.Fatalf("%s: %d kernels for %d functions", m.Name, len(prog.Kernels), len(m.Funcs))
 			}
+			for _, f := range m.Funcs {
+				launchBoth(t, m.Name, prog.Kernels[f.Name])
+			}
 		}
 	}
 	if accepted < 100 || rejected < 100 {
 		t.Fatalf("corpus too one-sided to mean anything: %d accepted, %d rejected", accepted, rejected)
+	}
+}
+
+// launchBoth launches k under the interpreter and under the threaded backend,
+// each on a fresh arena of small i32 words with every pointer parameter
+// inside it and every integer parameter 24, over two blocks of 40 threads (a
+// full and a ragged warp) and a budget most runaways reach quickly, and fails
+// unless both end in the same error or the same cycles, instruction count
+// and memory.
+func launchBoth(t *testing.T, name string, k *gpu.Kernel) {
+	t.Helper()
+	const arena = 1 << 13
+	var res [2]*gpu.Result
+	var errs [2]error
+	var mems [2][]byte
+	for i, b := range []gpu.Backend{gpu.BackendInterp, gpu.BackendThreaded} {
+		d := gpu.NewDeviceWithMem(gpu.P100, arena)
+		base, err := d.Alloc(arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := make([]int32, arena/4)
+		for w := range words {
+			words[w] = int32(w*7) % 61
+		}
+		if err := d.WriteI32s(base, words); err != nil {
+			t.Fatal(err)
+		}
+		args := make([]uint64, len(k.Params))
+		for p, typ := range k.Params {
+			switch typ {
+			case ir.I64:
+				args[p] = uint64(base) + uint64(p)*512
+			case ir.F64:
+				args[p] = math.Float64bits(1.5)
+			default:
+				args[p] = 24
+			}
+		}
+		res[i], errs[i] = d.Launch(k, gpu.LaunchConfig{Grid: 2, Block: 40, Args: args, MaxDynInstr: 1 << 15, Backend: b})
+		if mems[i], err = d.ReadBytes(base, arena); err != nil {
+			t.Fatal(err)
+		}
+	}
+	switch {
+	case (errs[0] == nil) != (errs[1] == nil) || errs[0] != nil && errs[0].Error() != errs[1].Error():
+		t.Fatalf("%s/%s: interp %v, threaded %v", name, k.Name, errs[0], errs[1])
+	case errs[0] == nil && (res[0].Cycles != res[1].Cycles || res[0].DynInstrs != res[1].DynInstrs):
+		t.Fatalf("%s/%s: interp %v cycles / %d instrs, threaded %v / %d", name, k.Name,
+			res[0].Cycles, res[0].DynInstrs, res[1].Cycles, res[1].DynInstrs)
+	case !bytes.Equal(mems[0], mems[1]):
+		t.Fatalf("%s/%s: memory differs between the backends (error %v)", name, k.Name, errs[0])
 	}
 }
 

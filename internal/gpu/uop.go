@@ -55,17 +55,23 @@ import (
 // with its mean active lanes, and the share by piece — control is branches,
 // barrier and return with fused compares; mul-add is uMulAdd64 and
 // uChargeOnly, which the driver keeps; arithmetic is what pays the call to
-// aluU; re-routed is what the two rules send through another code:
+// aluU; re-routed is what the two rules send through another code; invariant,
+// measured the same way when the lane-invariance analysis came in, is the
+// share that ran its lane-invariant path (uop.inv) — at that change, so of
+// other totals (103 722 548, 211 012 217, 72 798 369 and 115 399 833) and with
+// search_adept's partial-mask share down to 2.4 %:
 //
-//	                  dispatched   partial mask   control  mul-add  memory  arithmetic  escape  re-routed
-//	sim_paper         117 251 576  21.4 % (14.5)   17.6 %   25.8 %  12.9 %      43.3 %   0.5 %     11.1 %
-//	search_adept      478 315 547  56.9 % (1.2)    16.5 %   37.1 %  18.9 %      27.6 %   0            4.9 %
-//	search_synth       61 568 702  43.7 % (12.0)   25.7 %   18.1 %   9.2 %      46.9 %   0.0 %      8.4 %
-//	serve_small_jobs  115 472 077  45.7 % (14.8)   26.5 %   16.5 %   8.5 %      48.5 %   0.0 %      8.4 %
+//	                  dispatched   partial mask   control  mul-add  memory  arithmetic  escape  re-routed  invariant
+//	sim_paper         117 251 576  21.4 % (14.5)   17.6 %   25.8 %  12.9 %      43.3 %   0.5 %     11.1 %     23.2 %
+//	search_adept      478 315 547  56.9 % (1.2)    16.5 %   37.1 %  18.9 %      27.6 %   0            4.9 %     56.3 %
+//	search_synth       61 568 702  43.7 % (12.0)   25.7 %   18.1 %   9.2 %      46.9 %   0.0 %      8.4 %      3.0 %
+//	serve_small_jobs  115 472 077  45.7 % (14.8)   26.5 %   16.5 %   8.5 %      48.5 %   0.0 %      8.4 %      3.1 %
 //
 // (search_adept's 1.2 lanes is ADEPT-V0's one-lane memset loop; serve_reads
 // launches only in set-up.) The masked-only form was measured when the
-// memory micro-ops were split out: 6-8 % slower per paper program.
+// memory micro-ops were split out: 6-8 % slower per paper program. A
+// lane-invariant micro-op runs one lane of its loop and fills the active
+// lanes with the result (fillMasked), or for memory skips shapeOf.
 
 type uopCode uint8
 
@@ -212,10 +218,14 @@ type uop struct {
 	// cls2 is the second instruction's cost class in fused pairs.
 	cls2 costClass
 	both bool
-	d    int32
-	s1   int32
-	s2   int32
-	s3   int32
+	// inv marks a micro-op whose operands are all lane-invariant
+	// (markLaneInvariant): it computes the first active lane and writes that
+	// value to every active lane, and a memory micro-op is a broadcast.
+	inv bool
+	d   int32
+	s1  int32
+	s2  int32
+	s3  int32
 	// control fields (uBr/uCondBr): successor and reconvergence blocks.
 	succ0  int32
 	succ1  int32
@@ -430,6 +440,9 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				goto timeout
 			}
 			u := &uops[pc]
+			if laneInvarianceCheck != nil && u.inv {
+				laneInvarianceCheck(regs, u, mask)
+			}
 			switch u.code {
 			case uEscape:
 				e.pc = pc
@@ -445,7 +458,10 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			case uMulAdd64:
 				s1, s2, s3 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize], regs[u.s3:u.s3+warpSize]
 				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
-				if mask == fullMask {
+				if u.inv {
+					l := bits.TrailingZeros32(mask) & 31
+					fillMasked(dl, mask, uint64(int64(s3[l])+int64(s1[l])*int64(s2[l])))
+				} else if mask == fullMask {
 					s1, s2, s3 := s1[:warpSize], s2[:warpSize], s3[:warpSize]
 					for l := 0; l < warpSize; l++ {
 						dl[l] = uint64(int64(s3[l]) + int64(s1[l])*int64(s2[l]))
@@ -484,7 +500,11 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				var maskT uint32
 				if u.code == uCondBr {
 					cond := regs[u.s1 : u.s1+warpSize]
-					if mask == fullMask {
+					if u.inv {
+						if cond[bits.TrailingZeros32(mask)&31]&1 != 0 {
+							maskT = mask
+						}
+					} else if mask == fullMask {
 						cond := cond[:warpSize]
 						for l := 0; l < warpSize; l++ {
 							maskT |= uint32(cond[l]&1) << l
@@ -497,8 +517,13 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					}
 				} else {
 					// A fused pair: the compare is charged, then the branch
-					// it feeds takes its own unit of budget.
-					maskT = cmpMaskU(regs, u, mask)
+					// it feeds takes its own unit of budget. A lane-invariant
+					// compare tests the lowest active lane for all of them.
+					if !u.inv {
+						maskT = cmpMaskU(regs, u, mask)
+					} else if cmpMaskU(regs, u, mask&-mask) != 0 {
+						maskT = mask
+					}
 					w.cycles += costs[u.cls] + skew
 					bud--
 					if bud <= 0 {
@@ -535,7 +560,15 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				}
 				pc++
 			default:
-				aluU(regs, u, mask)
+				if u.inv {
+					// The lane loop on the lowest active lane alone, then its
+					// value in every active lane.
+					l := bits.TrailingZeros32(mask) & 31
+					aluU(regs, u, 1<<l)
+					fillMasked(regs[u.d:u.d+warpSize], mask, regs[int(u.d)+l])
+				} else {
+					aluU(regs, u, mask)
+				}
 				w.cycles += costs[u.cls] + skew
 				pc++
 			}
@@ -1153,6 +1186,20 @@ func aluU(regs []uint64, u *uop, mask uint32) {
 	}
 }
 
+// fillMasked writes v to the lanes of mask.
+func fillMasked(dl []uint64, mask uint32, v uint64) {
+	if mask == fullMask {
+		dl = dl[:warpSize]
+		for l := range dl {
+			dl[l] = v
+		}
+		return
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		dl[bits.TrailingZeros32(m)&31] = v
+	}
+}
+
 // cmpMaskU returns the taken-mask of a fused compare+branch: bit l is set when
 // active lane l's compare holds. It is the compare's lane loop with the i1
 // result kept in a mask instead of written to a register.
@@ -1320,7 +1367,10 @@ func (c *blockCtx) loadU(w *warp, u *uop, mask uint32, skew float64) error {
 	}
 	src := w.regs[u.s1 : u.s1+warpSize]
 	dl := w.regs[u.d : u.d+warpSize : u.d+warpSize]
-	shape := shapeOf(src, mask, shared && !c.fast)
+	shape := shapeBroadcast
+	if !u.inv {
+		shape = shapeOf(src, mask, shared && !c.fast)
+	}
 	n := 0
 	switch {
 	case shape == shapeBroadcast:
@@ -1452,7 +1502,10 @@ func (c *blockCtx) storeU(w *warp, u *uop, mask uint32, skew float64) error {
 	}
 	vals := w.regs[u.s1 : u.s1+warpSize]
 	src := w.regs[u.s2 : u.s2+warpSize]
-	shape := shapeOf(src, mask, shared && !c.fast)
+	shape := shapeBroadcast
+	if !u.inv {
+		shape = shapeOf(src, mask, shared && !c.fast)
+	}
 	n := 0
 	var maxEnd int64 = -1
 	switch {

@@ -45,6 +45,9 @@ func SetVerifyCompiled(on bool) bool { return verifyCompiled.Swap(on) }
 //   - jump-table validity: every uop carries a known opcode and in-range
 //     cost classes, and every control uop's successors and reconvergence
 //     index name real blocks;
+//   - lane-invariance marks: only a code with a lane-invariant path carries
+//     uop.inv — never an escape, a charge-only copy, br, ret, a barrier or
+//     a warp primitive (shfl, ballot, activemask);
 //   - escape coherence ("mask discipline"): a block position holds an escape
 //     closure if and only if its uop says uEscape — a stale closure under a
 //     hot uop would silently execute under the wrong mask protocol;
@@ -221,8 +224,9 @@ func (v *kernelVerifier) checkExtFills() error {
 }
 
 // checkUops validates every uop in isolation: known opcode, in-range cost
-// classes and operand offsets, in-range control targets, and the
-// uop/closure coherence that escape dispatch relies on.
+// classes and operand offsets, a lane-invariance mark only where the code
+// has a path for it, in-range control targets, and the uop/closure coherence
+// that escape dispatch relies on.
 func (v *kernelVerifier) checkUops() error {
 	for bi := range v.k.blocks {
 		cb := &v.k.blocks[bi]
@@ -234,6 +238,9 @@ func (v *kernelVerifier) checkUops() error {
 			}
 			if u.cls >= numCostClasses || u.cls2 >= numCostClasses {
 				return fmt.Errorf("%s: cost class out of range", where)
+			}
+			if u.inv && invariantArity(u.code) == 0 {
+				return fmt.Errorf("%s: code %d marked lane-invariant, but it has no lane-invariant path", where, u.code)
 			}
 			for _, off := range [...]int32{u.d, u.s1, u.s2, u.s3} {
 				if err := v.checkOffset(off); err != nil {

@@ -72,6 +72,7 @@ func proofsSoFar() float64 { return obs.Default.Value("gevo_gpu_nontermination_p
 // the default budget.
 func TestNonTerminationProofAgreesWithInterpreter(t *testing.T) {
 	defer func(b gpu.Backend) { gpu.DefaultBackend = b }(gpu.DefaultBackend)
+	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
 	const budget = 1 << 19
 
 	adept := func(v kernels.ADEPTVersion, opt workload.ADEPTOptions) *workload.ADEPT {

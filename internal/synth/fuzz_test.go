@@ -32,6 +32,7 @@ func snapN(fd *familyDef, raw int) int {
 // shapes (9-point stencils, max-reduce, weighted histogram, tile-4
 // matmul).
 func FuzzBackendDifferential(f *testing.F) {
+	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
 	for i := range families {
 		f.Add(uint16(i), uint64(1), uint16(0))
 		f.Add(uint16(i), uint64(2), uint16(97))
