@@ -31,10 +31,20 @@ type Kernel struct {
 	// runBlock fill those extra slots (constants and launch-uniform values
 	// once per launch, blockIdx once per block).
 	totalSlots int
-	extConst   []extConstFill
-	extParam   []extIdxFill
-	extSpec    []extIdxFill
-	extBID     []int32
+	// regSlots is the length of a warp's register file in slots: through
+	// the scalar file and its slack, in whole slots, so that the lane images
+	// of every warp of a launch stay on the cache-line boundaries of the
+	// first's (a 256-byte image misaligned spans five 64-byte lines, not
+	// four).
+	regSlots int
+	extConst []extConstFill
+	extParam []extIdxFill
+	extSpec  []extIdxFill
+	extBID   []int32
+	// home is every real slot's register home (homeLanes, homeBoth,
+	// homeScalar; see uop_invariant.go): whether the threaded backend keeps
+	// its value in a word of the scalar file, its 32-lane image, or both.
+	home []int32
 	// clearBases lists the register bases the threaded backend must zero at
 	// block start. Verified SSA guarantees every masked read sees a lane its
 	// def wrote — the only instruction that reads lanes outside its active
@@ -42,6 +52,17 @@ type Kernel struct {
 	// The interpreter conservatively zeroes the whole real register file.
 	clearBases []int32
 }
+
+// The threaded backend's register file, per warp: the real slots' lane
+// images (nslots*warpSize words), the extended slots' (constants, parameters,
+// specials), then the scalar file — one word per real slot, where a
+// lane-invariant value lives (Kernel.home) — and at least warpSize words of
+// slack, so that a micro-op's 32-word operand window starting at a word is in
+// range.
+
+// scalarBase is the offset of the scalar file: slot s's word is at
+// scalarBase + s.
+func (k *Kernel) scalarBase() int32 { return int32(k.totalSlots * warpSize) }
 
 // extConstFill materializes one distinct constant into an extended slot.
 type extConstFill struct {
@@ -183,12 +204,11 @@ type phiEdge struct {
 	// copies directly.
 	snapshot bool
 	// apply is the threaded-code form of the parallel copy (nil when the
-	// edge carries none); see lowerPhiEdge.
+	// edge carries none); see lowerPhiEdges.
 	apply func(c *blockCtx, w *warp, mask uint32)
-	// runs is the merged-memmove plan apply executes on interference-free
-	// edges (nil for snapshot edges). Kept on the edge so VerifyKernel can
-	// cross-check the plan against the copies it claims to realize.
-	runs []regRun
+	// prog is the plan apply executes. Kept on the edge so VerifyKernel can
+	// cross-check it against the copies it claims to realize.
+	prog *edgeProg
 }
 
 // regRun is one contiguous lane transfer of the merged phi-copy plan:
@@ -417,6 +437,7 @@ func finalizeKernel(k *Kernel) {
 			k.extBID = append(k.extBID, f.base)
 		}
 	}
+	k.regSlots = k.totalSlots + k.nslots/warpSize + 2
 
 	// Copy propagation for the threaded backend: sext/trunc to i64 is the
 	// identity on canonical sign-extended registers, so every consumer can

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"gevo/internal/ir"
 )
@@ -14,7 +13,7 @@ import (
 // offsets, cost classes and successor indices pre-bound, and runWarpU runs the
 // block's []uop through one jump-table switch, handing lane arithmetic to
 // aluU and memory to loadU/storeU; phi edges compile to copy
-// programs that degrade to memmoves when the warp is converged (lowerPhiEdge).
+// programs that degrade to memmoves when the warp is converged (lowerPhiEdges).
 // The switch interpreter in exec.go is the reference: it is what runs when
 // per-instruction profiling is requested, and the differential tests assert
 // that both backends produce bit-identical cycle counts and memory effects.
@@ -100,102 +99,231 @@ func (c *blockCtx) accountT(w *warp, cost float64, mask uint32) {
 func normI32(v uint64) uint64 { return uint64(int64(int32(uint32(v)))) }
 
 // Phi-edge lowering. With every source materialized in the extended
-// register file, a phi edge is a flat list of register-to-register copies.
-// Interference-free edges (no copy's destination is another's source —
-// proven at compile time) are order-independent and become straight
-// memmoves when the warp is converged; interfering edges keep the ordered
-// two-phase snapshot of applyPhis.
+// register file, a phi edge is a flat list of register-to-register copies. A
+// copy into a lane-invariant slot moves one word (and fills the destination's
+// active lanes too when it keeps them, homeBoth); every other copy moves
+// lanes. Interference-free lane copies (no copy's destination is another's
+// source — proven at compile time) are order-independent and become straight
+// memmoves when the warp is converged; interfering ones keep the ordered
+// two-phase snapshot of applyPhis. The lane copies go first: they read no
+// word, and the words read no lanes they write (a lane copy's destination is
+// not invariant, a word copy's source is).
 
 type regCopy struct{ s, d int32 }
 
-// lowerPhiEdge compiles the edge's parallel copy into a closure; nil when
-// the edge carries no copies (the overwhelmingly common case).
-func lowerPhiEdge(edge *phiEdge) {
-	copies := edge.copies
-	if len(copies) == 0 {
-		edge.apply = nil
-		return
-	}
-	nCopies := float64(len(copies))
-	prog := make([]regCopy, len(copies))
-	for i := range copies {
-		prog[i] = regCopy{s: copies[i].src.ebase, d: copies[i].dst * warpSize}
-	}
+// edgeProg is the threaded-code plan of one edge's parallel copy.
+type edgeProg struct {
+	lanes []regCopy // lane image to lane image; sorted by destination unless snap
+	runs  []regRun  // the lanes merged into memmoves (nil when snap)
+	// words are the lane-invariant copies, word to word; the last fills of
+	// them have a destination that keeps its lane image as well.
+	words          []regCopy
+	fills          int
+	snap, wordSnap bool    // the lane copies, or the word copies, interfere
+	sb             int32   // the kernel's scalarBase
+	n              float64 // copies, each charged one ALU issue
+}
 
-	if edge.snapshot {
-		need := len(copies) * warpSize
-		edge.apply = func(c *blockCtx, w *warp, mask uint32) {
-			// Parallel-copy semantics: snapshot all sources before writing
-			// any destination, exactly as applyPhis does.
-			if cap(c.phiTmp) < need {
-				c.phiTmp = make([]uint64, need)
+// copiesInterfere reports whether one of cs reads what another writes.
+func copiesInterfere(cs []regCopy) bool {
+	for i := range cs {
+		for j := range cs {
+			if i != j && cs[j].d == cs[i].s {
+				return true
 			}
-			tmp := c.phiTmp[:need]
-			for i := range prog {
-				s := int(prog[i].s)
-				copy(tmp[i*warpSize:(i+1)*warpSize], w.regs[s:s+warpSize])
-			}
-			for i := range prog {
-				d := int(prog[i].d)
-				dl := w.regs[d : d+warpSize : d+warpSize]
-				t := tmp[i*warpSize:]
-				if mask == fullMask {
-					copy(dl, t[:warpSize])
-					continue
-				}
-				for m := mask; m != 0; m &= m - 1 {
-					lane := bits.TrailingZeros32(m) & 31
-					dl[lane] = t[lane]
-				}
-			}
-			w.cycles += c.arch.IssueALU * nCopies
 		}
+	}
+	return false
+}
+
+// lowerPhiEdges compiles every edge's parallel copy into a closure; nil when
+// the edge carries no copies (the overwhelmingly common case). It runs after
+// markLaneInvariant, which gives each destination its home, and takes the
+// plans of all edges from three kernel-wide tables.
+func lowerPhiEdges(k *Kernel) {
+	nEdges, nCopies := 0, 0
+	for bi := range k.blocks {
+		for ei := range k.blocks[bi].phiFrom {
+			if n := len(k.blocks[bi].phiFrom[ei].copies); n > 0 {
+				nEdges, nCopies = nEdges+1, nCopies+n
+			}
+		}
+	}
+	if nEdges == 0 {
 		return
 	}
-
-	// Interference-free copies are order-independent, and phi destinations
-	// are consecutively allocated slots: sorting by destination and merging
-	// contiguous (source, destination) pairs turns a converged transfer
-	// into a handful of long memmoves. (Sources and destinations never
-	// overlap on such edges — no copy's destination is any copy's source.)
-	sorted := append([]regCopy(nil), prog...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].d < sorted[j].d })
-	var runs []regRun
-	for _, cp := range sorted {
-		if len(runs) > 0 {
-			last := &runs[len(runs)-1]
-			if cp.s == last.s+last.n && cp.d == last.d+last.n {
-				last.n += warpSize
+	progs, buf, runs := make([]edgeProg, nEdges), make([]regCopy, 0, nCopies), make([]regRun, 0, nCopies)
+	for bi := range k.blocks {
+		for ei := range k.blocks[bi].phiFrom {
+			edge := &k.blocks[bi].phiFrom[ei]
+			if len(edge.copies) == 0 {
 				continue
 			}
-		}
-		runs = append(runs, regRun{s: cp.s, d: cp.d, n: warpSize})
-	}
-	edge.runs = runs
-
-	edge.apply = func(c *blockCtx, w *warp, mask uint32) {
-		if mask == fullMask {
-			for i := range runs {
-				s, d, n := int(runs[i].s), int(runs[i].d), int(runs[i].n)
-				copy(w.regs[d:d+n], w.regs[s:s+n])
-			}
-		} else {
-			for i := range prog {
-				s, d := int(prog[i].s), int(prog[i].d)
-				src := w.regs[s : s+warpSize : s+warpSize]
-				dl := w.regs[d : d+warpSize : d+warpSize]
-				for m := mask; m != 0; m &= m - 1 {
-					lane := bits.TrailingZeros32(m) & 31
-					dl[lane] = src[lane]
+			p := &progs[0]
+			progs = progs[1:]
+			// Lane copies, then words alone, then words with lanes.
+			from := len(buf)
+			for _, h := range [...]int32{homeLanes, homeScalar, homeBoth} {
+				for ci := range edge.copies {
+					cp := &edge.copies[ci]
+					switch {
+					case k.home[cp.dst] != h:
+					case h == homeLanes:
+						buf = append(buf, regCopy{s: cp.src.ebase, d: cp.dst * warpSize})
+					default:
+						buf = append(buf, regCopy{s: k.wordOf(cp.src.ebase), d: k.wordOf(cp.dst * warpSize)})
+						if h == homeBoth {
+							p.fills++
+						}
+					}
+				}
+				if h == homeLanes {
+					p.lanes = buf[from:len(buf):len(buf)]
 				}
 			}
+			p.words = buf[from+len(p.lanes) : len(buf) : len(buf)]
+			p.snap, p.wordSnap = copiesInterfere(p.lanes), copiesInterfere(p.words)
+			if !p.snap && len(p.lanes) > 0 {
+				// Order-independent: sorted by destination, contiguous
+				// (source, destination) pairs merge into one memmove.
+				slices.SortFunc(p.lanes, func(a, b regCopy) int { return int(a.d - b.d) })
+				from := len(runs)
+				for _, cp := range p.lanes {
+					if n := len(runs); n > from && cp.s == runs[n-1].s+runs[n-1].n && cp.d == runs[n-1].d+runs[n-1].n {
+						runs[n-1].n += warpSize
+						continue
+					}
+					runs = append(runs, regRun{s: cp.s, d: cp.d, n: warpSize})
+				}
+				p.runs = runs[from:len(runs):len(runs)]
+			}
+			p.sb, p.n = k.scalarBase(), float64(len(edge.copies))
+			edge.prog = p
+			edge.apply = p.apply()
 		}
-		w.cycles += c.arch.IssueALU * nCopies
 	}
 }
 
+// apply returns the closure that executes the plan. The two plans nearly
+// every edge has get a closure of their own: lane copies alone that do not
+// interfere, and word copies alone that neither interfere nor fill lanes (a
+// loop running in lane-invariant code, as ADEPT-V0's memset loop does).
+func (p *edgeProg) apply() func(c *blockCtx, w *warp, mask uint32) {
+	n := p.n
+	switch {
+	case len(p.words) == 0 && !p.snap:
+		runs, lanes := p.runs, p.lanes
+		return func(c *blockCtx, w *warp, mask uint32) {
+			if mask == fullMask {
+				for _, r := range runs {
+					copy(w.regs[r.d:r.d+r.n], w.regs[r.s:r.s+r.n])
+				}
+			} else {
+				for _, cp := range lanes {
+					src := w.regs[cp.s : cp.s+warpSize : cp.s+warpSize]
+					dl := w.regs[cp.d : cp.d+warpSize : cp.d+warpSize]
+					for m := mask; m != 0; m &= m - 1 {
+						lane := bits.TrailingZeros32(m) & 31
+						dl[lane] = src[lane]
+					}
+				}
+			}
+			w.cycles += c.arch.IssueALU * n
+		}
+	case len(p.lanes) == 0 && !p.wordSnap && p.fills == 0:
+		words := p.words
+		return func(c *blockCtx, w *warp, mask uint32) {
+			if laneInvarianceCheck != nil {
+				p.run(c, w, mask)
+				return
+			}
+			regs := w.regs
+			for _, cp := range words {
+				regs[cp.d] = regs[cp.s]
+			}
+			w.cycles += c.arch.IssueALU * n
+		}
+	}
+	return p.run
+}
+
+// run executes any plan (see apply).
+func (p *edgeProg) run(c *blockCtx, w *warp, mask uint32) {
+	regs := w.regs
+	if laneInvarianceCheck != nil {
+		checkPhiWords(c.k, regs, p.words, mask)
+	}
+	switch {
+	case len(p.lanes) == 0:
+	case p.snap:
+		// Parallel-copy semantics: snapshot all sources before writing
+		// any destination, exactly as applyPhis does.
+		need := len(p.lanes) * warpSize
+		if cap(c.phiTmp) < need {
+			c.phiTmp = make([]uint64, need)
+		}
+		tmp := c.phiTmp[:need]
+		for i, cp := range p.lanes {
+			copy(tmp[i*warpSize:(i+1)*warpSize], regs[cp.s:cp.s+warpSize])
+		}
+		for i, cp := range p.lanes {
+			dl := regs[cp.d : cp.d+warpSize : cp.d+warpSize]
+			t := tmp[i*warpSize:]
+			if mask == fullMask {
+				copy(dl, t[:warpSize])
+				continue
+			}
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) & 31
+				dl[lane] = t[lane]
+			}
+		}
+	case mask == fullMask:
+		for _, r := range p.runs {
+			copy(regs[r.d:r.d+r.n], regs[r.s:r.s+r.n])
+		}
+	default:
+		for _, cp := range p.lanes {
+			src := regs[cp.s : cp.s+warpSize : cp.s+warpSize]
+			dl := regs[cp.d : cp.d+warpSize : cp.d+warpSize]
+			for m := mask; m != 0; m &= m - 1 {
+				lane := bits.TrailingZeros32(m) & 31
+				dl[lane] = src[lane]
+			}
+		}
+	}
+	if p.wordSnap {
+		if cap(c.phiTmp) < len(p.words) {
+			c.phiTmp = make([]uint64, len(p.words))
+		}
+		tmp := c.phiTmp[:len(p.words)]
+		for i, cp := range p.words {
+			tmp[i] = regs[cp.s]
+		}
+		for i, cp := range p.words {
+			regs[cp.d] = tmp[i]
+		}
+	} else {
+		for _, cp := range p.words {
+			regs[cp.d] = regs[cp.s]
+		}
+	}
+	// The lanes of the destinations that keep them; with the run-time
+	// check on, every destination's, as a shadow.
+	fill := p.words[len(p.words)-p.fills:]
+	if laneInvarianceCheck != nil {
+		fill = p.words
+	}
+	for _, cp := range fill {
+		b := (cp.d - p.sb) * warpSize
+		fillMasked(regs[b:b+warpSize], mask, regs[cp.d])
+	}
+	w.cycles += c.arch.IssueALU * p.n
+}
+
 // The non-termination witness. A warp about to run a block with the same real
-// registers, SIMT stack and retired lanes as at an earlier moment of the same
+// registers and scalar words, SIMT stack and retired lanes as at an earlier
+// moment of the same
 // driver call, with memory untouched in between, takes the same steps again:
 // its next step is a function of exactly that state plus memory — no
 // instruction reads simulated time, cycles or the budget — so it repeats them
@@ -246,7 +374,11 @@ func (c *blockCtx) transferT(w *warp, target int32) (spins bool) {
 // live copy, and on a power-of-two retreat count take a new one.
 func (c *blockCtx) witnessT(w *warp, target int32) (spins bool) {
 	wit := &c.wit
+	// The real slots' lanes and their words: a loop whose only moving state
+	// is a value with a scalar home changes nothing else.
 	real := w.regs[:c.k.nslots*warpSize]
+	sb := c.k.scalarBase()
+	words := w.regs[sb : sb+int32(c.k.nslots)]
 	if wit.left > 0 {
 		switch {
 		case wit.epoch != c.epoch:
@@ -254,7 +386,8 @@ func (c *blockCtx) witnessT(w *warp, target int32) (spins bool) {
 			wit.left = 0
 		case target == wit.block:
 			wit.left--
-			if w.doneMask == wit.doneMask && slices.Equal(w.stack, wit.stack) && slices.Equal(real, wit.regs) {
+			if w.doneMask == wit.doneMask && slices.Equal(w.stack, wit.stack) &&
+				slices.Equal(real, wit.regs[:len(real)]) && slices.Equal(words, wit.regs[len(real):]) {
 				metricProofs.Inc()
 				return true
 			}
@@ -263,7 +396,7 @@ func (c *blockCtx) witnessT(w *warp, target int32) (spins bool) {
 	if n := w.retreats; n&(n-1) == 0 {
 		wit.epoch, wit.left, wit.block, wit.doneMask = c.epoch, witnessWindow, target, w.doneMask
 		wit.stack = append(wit.stack[:0], w.stack...)
-		wit.regs = append(wit.regs[:0], real...)
+		wit.regs = append(append(wit.regs[:0], real...), words...)
 	}
 	return false
 }
@@ -300,7 +433,7 @@ func (c *blockCtx) divergeT(w *warp, succ0, succ1 int32, maskT, maskF uint32, r 
 // threaded code: a uop, with an escape closure beside it for the shapes
 // listed at the top of this file, fused where fuseCmpBranches can and marked
 // where markLaneInvariant (uop_invariant.go) proves its operands the same in
-// every active lane.
+// every active lane, which also gives every register slot its home.
 // Must run after constant lane images and extended slots are assigned.
 func lowerKernel(k *Kernel) {
 	n := 0
@@ -310,9 +443,6 @@ func lowerKernel(k *Kernel) {
 	uops, fns := make([]uop, n), make([]execFn, n)
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
-		for ei := range cb.phiFrom {
-			lowerPhiEdge(&cb.phiFrom[ei])
-		}
 		n = len(cb.ins)
 		cb.uops, uops = uops[:n:n], uops[n:]
 		cb.fns, fns = fns[:n:n], fns[n:]
@@ -326,9 +456,11 @@ func lowerKernel(k *Kernel) {
 		}
 	}
 	// One zeroed table serves both passes: the use counts, then the analysis.
-	scratch := make([]int32, k.totalSlots+3*len(k.blocks))
+	scratch := make([]int32, invariantScratch(k))
 	fuseCmpBranches(k, scratch[:k.nslots])
+	k.home = make([]int32, k.nslots)
 	markLaneInvariant(k, scratch)
+	lowerPhiEdges(k)
 }
 
 // fuseCmpBranches rewrites [icmp/fcmp; condbr] pairs whose compare result

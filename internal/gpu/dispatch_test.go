@@ -684,6 +684,22 @@ func TestVerifyKernelCatchesCorruption(t *testing.T) {
 			want: "no lane-invariant path",
 		},
 		{
+			name: "scalar home read by a lane loop",
+			corrupt: func(k *Kernel) bool {
+				// The op soup has no scalar home: give one to a slot that is
+				// not lane-invariant and that an add's lane loop reads.
+				u := firstUop(k, func(u *uop) bool {
+					return u.code == uAdd32 && !u.inv && u.s1 < int32(k.nslots*warpSize) && k.home[u.s1/warpSize] == homeLanes
+				})
+				if u == nil {
+					return false
+				}
+				k.home[u.s1/warpSize] = homeScalar
+				return true
+			},
+			want: "whose home is a scalar word",
+		},
+		{
 			name: "escape uop without its closure",
 			corrupt: func(k *Kernel) bool {
 				for bi := range k.blocks {
@@ -757,8 +773,8 @@ func TestVerifyKernelCatchesCorruption(t *testing.T) {
 				for bi := range k.blocks {
 					cb := &k.blocks[bi]
 					for ei := range cb.phiFrom {
-						if len(cb.phiFrom[ei].runs) > 0 {
-							cb.phiFrom[ei].runs[0].s += warpSize
+						if p := cb.phiFrom[ei].prog; p != nil && len(p.runs) > 0 {
+							p.runs[0].s += warpSize
 							return true
 						}
 					}

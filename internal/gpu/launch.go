@@ -149,7 +149,7 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	metricLaunches.Inc()
 
 	nwarps := (cfg.Block + warpSize - 1) / warpSize
-	stride := k.totalSlots * warpSize
+	stride := k.regSlots * warpSize
 	ls := &d.launch
 	ls.regs = grow(ls.regs, stride*nwarps)
 	ls.shared = grow(ls.shared, k.SharedBytes)

@@ -59,19 +59,26 @@ import (
 // measured the same way when the lane-invariance analysis came in, is the
 // share that ran its lane-invariant path (uop.inv) — at that change, so of
 // other totals (103 722 548, 211 012 217, 72 798 369 and 115 399 833) and with
-// search_adept's partial-mask share down to 2.4 %:
+// search_adept's partial-mask share down to 2.4 % — with scalar, defined
+// below, in parentheses:
 //
-//	                  dispatched   partial mask   control  mul-add  memory  arithmetic  escape  re-routed  invariant
-//	sim_paper         117 251 576  21.4 % (14.5)   17.6 %   25.8 %  12.9 %      43.3 %   0.5 %     11.1 %     23.2 %
-//	search_adept      478 315 547  56.9 % (1.2)    16.5 %   37.1 %  18.9 %      27.6 %   0            4.9 %     56.3 %
-//	search_synth       61 568 702  43.7 % (12.0)   25.7 %   18.1 %   9.2 %      46.9 %   0.0 %      8.4 %      3.0 %
-//	serve_small_jobs  115 472 077  45.7 % (14.8)   26.5 %   16.5 %   8.5 %      48.5 %   0.0 %      8.4 %      3.1 %
+//	                  dispatched   partial mask   control  mul-add  memory  arithmetic  escape  re-routed  invariant (scalar)
+//	sim_paper         117 251 576  21.4 % (14.5)   17.6 %   25.8 %  12.9 %      43.3 %   0.5 %     11.1 %     23.2 % (17.4 %)
+//	search_adept      478 315 547  56.9 % (1.2)    16.5 %   37.1 %  18.9 %      27.6 %   0            4.9 %     56.3 % (56.1 %)
+//	search_synth       61 568 702  43.7 % (12.0)   25.7 %   18.1 %   9.2 %      46.9 %   0.0 %      8.4 %      3.0 % (0.7 %)
+//	serve_small_jobs  115 472 077  45.7 % (14.8)   26.5 %   16.5 %   8.5 %      48.5 %   0.0 %      8.4 %      3.1 % (0.4 %)
 //
 // (search_adept's 1.2 lanes is ADEPT-V0's one-lane memset loop; serve_reads
 // launches only in set-up.) The masked-only form was measured when the
 // memory micro-ops were split out: 6-8 % slower per paper program. A
-// lane-invariant micro-op runs one lane of its loop and fills the active
-// lanes with the result (fillMasked), or for memory skips shapeOf.
+// lane-invariant micro-op runs its loop on lane 0 of its operands' words and
+// writes its destination's word, filling the active lanes as well
+// (fillMasked) only for a destination that has a lane image; for memory
+// it skips shapeOf. Scalar is the share of all dispatches that ran the
+// lane-invariant path and wrote no lane: a destination that is a word alone
+// (homeScalar), or none — a store or a branch. It was measured the same way
+// at the change that gave slots their homes, of totals of 128 525 766,
+// 211 012 217, 76 411 947 and 115 399 833.
 
 type uopCode uint8
 
@@ -219,18 +226,25 @@ type uop struct {
 	cls2 costClass
 	both bool
 	// inv marks a micro-op whose operands are all lane-invariant
-	// (markLaneInvariant): it computes the first active lane and writes that
-	// value to every active lane, and a memory micro-op is a broadcast.
+	// (markLaneInvariant). Its s1, s2, s3 and d are words (Kernel.wordOf):
+	// it computes one value from the operands' and writes the destination's,
+	// and a memory micro-op is a broadcast.
 	inv bool
-	d   int32
-	s1  int32
-	s2  int32
-	s3  int32
+	// lanes marks a lane-invariant micro-op whose destination has a lane
+	// image (a home other than homeScalar): the value also goes to the
+	// active lanes at fill.
+	lanes bool
+	d     int32
+	s1    int32
+	s2    int32
+	s3    int32
 	// control fields (uBr/uCondBr): successor and reconvergence blocks.
 	succ0  int32
 	succ1  int32
 	reconv int32
 	uid    int32
+	// fill is the lane image of a lane-invariant micro-op's destination.
+	fill int32
 }
 
 // uopFor translates a decoded instruction into its uop; ok=false means the
@@ -441,7 +455,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			}
 			u := &uops[pc]
 			if laneInvarianceCheck != nil && u.inv {
-				laneInvarianceCheck(regs, u, mask)
+				laneInvarianceCheck(c.k, regs, u, mask)
 			}
 			switch u.code {
 			case uEscape:
@@ -456,20 +470,25 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				w.cycles += costs[u.cls] + skew
 				pc++
 			case uMulAdd64:
-				s1, s2, s3 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize], regs[u.s3:u.s3+warpSize]
-				dl := regs[u.d : u.d+warpSize : u.d+warpSize]
 				if u.inv {
-					l := bits.TrailingZeros32(mask) & 31
-					fillMasked(dl, mask, uint64(int64(s3[l])+int64(s1[l])*int64(s2[l])))
-				} else if mask == fullMask {
-					s1, s2, s3 := s1[:warpSize], s2[:warpSize], s3[:warpSize]
-					for l := 0; l < warpSize; l++ {
-						dl[l] = uint64(int64(s3[l]) + int64(s1[l])*int64(s2[l]))
+					v := uint64(int64(regs[u.s3]) + int64(regs[u.s1])*int64(regs[u.s2]))
+					regs[u.d] = v
+					if u.lanes || laneInvarianceCheck != nil {
+						fillMasked(regs[u.fill:u.fill+warpSize], mask, v)
 					}
 				} else {
-					for m := mask; m != 0; m &= m - 1 {
-						l := bits.TrailingZeros32(m) & 31
-						dl[l] = uint64(int64(s3[l]) + int64(s1[l])*int64(s2[l]))
+					s1, s2, s3 := regs[u.s1:u.s1+warpSize], regs[u.s2:u.s2+warpSize], regs[u.s3:u.s3+warpSize]
+					dl := regs[u.d : u.d+warpSize : u.d+warpSize]
+					if mask == fullMask {
+						s1, s2, s3 := s1[:warpSize], s2[:warpSize], s3[:warpSize]
+						for l := 0; l < warpSize; l++ {
+							dl[l] = uint64(int64(s3[l]) + int64(s1[l])*int64(s2[l]))
+						}
+					} else {
+						for m := mask; m != 0; m &= m - 1 {
+							l := bits.TrailingZeros32(m) & 31
+							dl[l] = uint64(int64(s3[l]) + int64(s1[l])*int64(s2[l]))
+						}
 					}
 				}
 				w.cycles += costs[u.cls] + skew
@@ -501,7 +520,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				if u.code == uCondBr {
 					cond := regs[u.s1 : u.s1+warpSize]
 					if u.inv {
-						if cond[bits.TrailingZeros32(mask)&31]&1 != 0 {
+						if cond[0]&1 != 0 {
 							maskT = mask
 						}
 					} else if mask == fullMask {
@@ -518,10 +537,10 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				} else {
 					// A fused pair: the compare is charged, then the branch
 					// it feeds takes its own unit of budget. A lane-invariant
-					// compare tests the lowest active lane for all of them.
+					// compare tests its operands' words for all of them.
 					if !u.inv {
 						maskT = cmpMaskU(regs, u, mask)
-					} else if cmpMaskU(regs, u, mask&-mask) != 0 {
+					} else if cmpMaskU(regs, u, 1) != 0 {
 						maskT = mask
 					}
 					w.cycles += costs[u.cls] + skew
@@ -561,11 +580,12 @@ func (c *blockCtx) runWarpU(w *warp) error {
 				pc++
 			default:
 				if u.inv {
-					// The lane loop on the lowest active lane alone, then its
-					// value in every active lane.
-					l := bits.TrailingZeros32(mask) & 31
-					aluU(regs, u, 1<<l)
-					fillMasked(regs[u.d:u.d+warpSize], mask, regs[int(u.d)+l])
+					// The lane loop on lane 0 of the words, then the value in
+					// the active lanes if the destination keeps them.
+					aluU(regs, u, 1)
+					if u.lanes || laneInvarianceCheck != nil {
+						fillMasked(regs[u.fill:u.fill+warpSize], mask, regs[u.d])
+					}
 				} else {
 					aluU(regs, u, mask)
 				}
@@ -1367,14 +1387,14 @@ func (c *blockCtx) loadU(w *warp, u *uop, mask uint32, skew float64) error {
 	}
 	src := w.regs[u.s1 : u.s1+warpSize]
 	dl := w.regs[u.d : u.d+warpSize : u.d+warpSize]
-	shape := shapeBroadcast
+	shape, first := shapeBroadcast, 0
 	if !u.inv {
-		shape = shapeOf(src, mask, shared && !c.fast)
+		shape, first = shapeOf(src, mask, shared && !c.fast), bits.TrailingZeros32(mask)&31
 	}
 	n := 0
 	switch {
 	case shape == shapeBroadcast:
-		a := int64(src[bits.TrailingZeros32(mask)&31])
+		a := int64(src[first])
 		var v uint64
 		switch {
 		case a < 0 || a > int64(len(mem))-memWidth[k]:
@@ -1386,8 +1406,15 @@ func (c *blockCtx) loadU(w *warp, u *uop, mask uint32, skew float64) error {
 		default:
 			v = uint64(int64(int8(mem[a])))
 		}
-		for m := mask; m != 0; m &= m - 1 {
-			dl[bits.TrailingZeros32(m)&31] = v
+		if !u.inv {
+			for m := mask; m != 0; m &= m - 1 {
+				dl[bits.TrailingZeros32(m)&31] = v
+			}
+		} else {
+			dl[0] = v
+			if u.lanes || laneInvarianceCheck != nil {
+				fillMasked(w.regs[u.fill:u.fill+warpSize], mask, v)
+			}
 		}
 	case k == 0:
 		hi := int64(len(mem)) - 8
@@ -1502,16 +1529,17 @@ func (c *blockCtx) storeU(w *warp, u *uop, mask uint32, skew float64) error {
 	}
 	vals := w.regs[u.s1 : u.s1+warpSize]
 	src := w.regs[u.s2 : u.s2+warpSize]
-	shape := shapeBroadcast
+	shape, first, last := shapeBroadcast, 0, 0
 	if !u.inv {
 		shape = shapeOf(src, mask, shared && !c.fast)
+		first, last = bits.TrailingZeros32(mask)&31, (31-bits.LeadingZeros32(mask))&31
 	}
 	n := 0
 	var maxEnd int64 = -1
 	switch {
 	case shape == shapeBroadcast:
-		a := int64(src[bits.TrailingZeros32(mask)&31])
-		v := vals[(31-bits.LeadingZeros32(mask))&31]
+		a := int64(src[first])
+		v := vals[last]
 		switch {
 		case a < 0 || a > int64(len(mem))-memWidth[k]:
 			return c.storeFault(a, maxEnd, shared, k, u)

@@ -9,23 +9,22 @@ import (
 )
 
 // laneInvariance compiles f and returns the compiled kernel and, by UID, the
-// analysis' verdict on every live value: true when its slot is lane-invariant.
-func laneInvariance(t *testing.T, f *ir.Function) (*Kernel, map[int]bool) {
+// home the analysis gave every live value (homeLanes unless it is
+// lane-invariant).
+func laneInvariance(t *testing.T, f *ir.Function) (*Kernel, map[int]int32) {
 	t.Helper()
 	k := mustCompile(t, f)
 	vals, _, err := liveValues(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := make([]int32, k.totalSlots+3*len(k.blocks))
-	markLaneInvariant(k, scratch)
-	inv := make(map[int]bool)
+	home := make(map[int]int32)
 	for uid, v := range vals {
 		if v.live && v.def != nil && v.def.Typ != ir.Void {
-			inv[uid] = scratch[v.slot] != 0
+			home[uid] = k.home[v.slot]
 		}
 	}
-	return k, inv
+	return k, home
 }
 
 // invarianceCases are the hand-made kernels of TestLaneInvarianceIsSound:
@@ -34,8 +33,12 @@ func laneInvariance(t *testing.T, f *ir.Function) (*Kernel, map[int]bool) {
 // lane-invariant shows in the memory image as well as in the run-time check.
 var invarianceCases = []struct {
 	name, src string
-	// inv and not list UIDs the analysis must and must not hold invariant.
-	inv, not []int
+	// inv and not list UIDs the analysis must and must not hold invariant;
+	// scalar lists those whose home must be their word alone.
+	inv, not, scalar []int
+	// noCheck runs the case with the run-time check off: its shadow lanes
+	// would move registers the case needs to stay still.
+	noCheck bool
 }{{
 	// The two sides of a tid branch write different constants into the phi
 	// at its ipdom: each side's constant is invariant, the merge is not.
@@ -153,50 +156,129 @@ store:
   %18 = store global %14:i32, %17:i64
   %19 = ret
 }`,
-	inv: []int{4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 21},
-	not: []int{0, 15, 16, 17},
+	inv:    []int{4, 5, 6, 7, 8, 9, 10, 11, 13, 14, 21},
+	not:    []int{0, 15, 16, 17},
+	scalar: []int{4, 5, 8, 9, 10, 13, 21},
+}, {
+	// Threads below 16 go round the loop again, redefining its counter at the
+	// header; the others leave for a loop of their own that reads it. The
+	// branch's ipdom is -1, so the low group runs to its end — its last trip
+	// leaves the counter at 9 — before the high group resumes with the 0 it
+	// left with: one word for both would hand it the 9.
+	name: "two rets sharing a loop counter",
+	src: `
+kernel tworet(in:i64, out:i64, n:i32) shared 0 {
+entry:
+  %0 = br head
+head:
+  %1 = phi [entry 0:i32] [back %4:i32] -> i32
+  %2 = icmp.lt @tid:i32, 16:i32 -> i1
+  %3 = condbr %2:i1, back, side
+back:
+  %4 = add %1:i32, 1:i32 -> i32
+  %5 = icmp.lt %4:i32, 10:i32 -> i1
+  %6 = condbr %5:i1, head, done
+done:
+  %7 = sext @tid:i32 -> i64
+  %8 = mul %7:i64, 4:i64 -> i64
+  %9 = add $out:i64, %8:i64 -> i64
+  %10 = store global %4:i32, %9:i64
+  %11 = ret
+side:
+  %12 = br sideloop
+sideloop:
+  %13 = phi [side 7:i32] [sideloop %15:i32] -> i32
+  %14 = phi [side 0:i32] [sideloop %16:i32] -> i32
+  %15 = add %13:i32, %1:i32 -> i32
+  %16 = add %14:i32, 1:i32 -> i32
+  %17 = icmp.lt %16:i32, 4:i32 -> i1
+  %18 = condbr %17:i1, sideloop, sidedone
+sidedone:
+  %19 = sext @tid:i32 -> i64
+  %20 = mul %19:i64, 4:i64 -> i64
+  %21 = add $out:i64, %20:i64 -> i64
+  %22 = store global %15:i32, %21:i64
+  %23 = ret
+}`,
+	not: []int{1, 2, 4, 13, 15},
+}, {
+	// A loop of 20 000 trips — past the non-termination witness's first copy
+	// at 2^14 retreats — whose only moving state is its counter, in words of
+	// the scalar file: its lanes never change, so a witness that compared
+	// lanes alone would call the loop a runaway.
+	name:    "loop moving only words",
+	noCheck: true,
+	src: `
+kernel quiet(in:i64, out:i64, n:i32) shared 0 {
+entry:
+  %0 = br loop
+loop:
+  %1 = phi [entry 0:i32] [loop %2:i32] -> i32
+  %2 = add %1:i32, 1:i32 -> i32
+  %3 = icmp.lt %2:i32, 20000:i32 -> i1
+  %4 = condbr %3:i1, loop, done
+done:
+  %5 = add %2:i32, 0:i32 -> i32
+  %6 = sext @tid:i32 -> i64
+  %7 = mul %6:i64, 4:i64 -> i64
+  %8 = add $out:i64, %7:i64 -> i64
+  %9 = store global %5:i32, %8:i64
+  %10 = ret
+}`,
+	inv:    []int{1, 2, 5},
+	scalar: []int{1, 2},
 }}
 
 // TestLaneInvarianceIsSound holds the lane-invariance analysis to its rules
 // on a kernel for each way invariance must die — a phi at the ipdom of a tid
 // branch, a loop counter read after a tid-dependent exit, a divergent side
-// that re-enters the loop header before it reconverges — and for the one
-// exemption, an early tid return. It checks the classification value by
+// that re-enters the loop header before it reconverges, the two sides of a
+// branch that never reconverge touching one slot — for the one exemption, an
+// early tid return, and for the non-termination witness over a loop that
+// moves only words. It checks the classification and the homes value by
 // value, and that the two backends agree bit for bit with the run-time check
 // of every invariance claim on, under full, ragged and partial warps.
 func TestLaneInvarianceIsSound(t *testing.T) {
 	defer CheckLaneInvariance(CheckLaneInvariance(true))
 	input := make([]int32, 8)
 	for _, tc := range invarianceCases {
-		m, err := ir.Parse("module sound\n" + tc.src)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		f := m.Funcs[0]
-		_, inv := laneInvariance(t, f)
-		for _, uid := range tc.inv {
-			if !inv[uid] {
-				t.Errorf("%s: %%%d is not held lane-invariant", tc.name, uid)
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := ir.Parse("module sound\n" + tc.src)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for _, uid := range tc.not {
-			if inv[uid] {
-				t.Errorf("%s: %%%d is held lane-invariant", tc.name, uid)
-			}
-		}
-		for _, geom := range []struct{ grid, block int }{{1, 32}, {2, 64}, {3, 40}} {
-			ri, memI := runBackend(t, f, BackendInterp, geom.grid, geom.block, input)
-			rt, memT := runBackend(t, f, BackendThreaded, geom.grid, geom.block, input)
-			for i := range ri {
-				if ri[i].Cycles != rt[i].Cycles || ri[i].DynInstrs != rt[i].DynInstrs {
-					t.Errorf("%s %dx%d launch %d: interp %v cycles / %d instrs, threaded %v / %d", tc.name, geom.grid, geom.block, i,
-						ri[i].Cycles, ri[i].DynInstrs, rt[i].Cycles, rt[i].DynInstrs)
+			f := m.Funcs[0]
+			_, home := laneInvariance(t, f)
+			for _, uid := range tc.inv {
+				if home[uid] == homeLanes {
+					t.Errorf("%%%d is not held lane-invariant", uid)
 				}
 			}
-			if !bytes.Equal(memI, memT) {
-				t.Errorf("%s %dx%d: memory images differ", tc.name, geom.grid, geom.block)
+			for _, uid := range tc.not {
+				if home[uid] != homeLanes {
+					t.Errorf("%%%d is held lane-invariant (home %d)", uid, home[uid])
+				}
 			}
-		}
+			for _, uid := range tc.scalar {
+				if home[uid] != homeScalar {
+					t.Errorf("%%%d has home %d, not its word alone", uid, home[uid])
+				}
+			}
+			defer CheckLaneInvariance(CheckLaneInvariance(!tc.noCheck))
+			for _, geom := range []struct{ grid, block int }{{1, 32}, {2, 64}, {3, 40}} {
+				ri, memI := runBackend(t, f, BackendInterp, geom.grid, geom.block, input)
+				rt, memT := runBackend(t, f, BackendThreaded, geom.grid, geom.block, input)
+				for i := range ri {
+					if ri[i].Cycles != rt[i].Cycles || ri[i].DynInstrs != rt[i].DynInstrs {
+						t.Errorf("%dx%d launch %d: interp %v cycles / %d instrs, threaded %v / %d", geom.grid, geom.block, i,
+							ri[i].Cycles, ri[i].DynInstrs, rt[i].Cycles, rt[i].DynInstrs)
+					}
+				}
+				if !bytes.Equal(memI, memT) {
+					t.Errorf("%dx%d: memory images differ", geom.grid, geom.block)
+				}
+			}
+		})
 	}
 }
 
@@ -205,12 +287,14 @@ func TestLaneInvarianceIsSound(t *testing.T) {
 // same shared word, three times a trip — must keep its three store
 // addresses, k+1 and the loop's compare lane-invariant, so that its stores
 // are broadcasts without an address scan and its address arithmetic and
-// compare run on one lane; a more conservative rule would take that away
-// without failing anything else. And on every kernel of internal/kernels no
-// value computed from tid or lane may be held invariant.
+// compare run once; and k, k+1 and the three addresses must live in words
+// alone, so that no write of them fills 32 lanes. A more conservative rule
+// would take either away without failing anything else. And on every kernel
+// of internal/kernels no value computed from tid or lane may be held
+// invariant, let alone live in a word.
 func TestLaneInvarianceCoversMemset(t *testing.T) {
 	f := kernels.ADEPTModule(kernels.ADEPTV0).Func("sw_forward")
-	k, inv := laneInvariance(t, f)
+	k, home := laneInvariance(t, f)
 	var loop *ir.Block
 	for _, b := range f.Blocks {
 		if b.Name == "init_head" {
@@ -221,8 +305,16 @@ func TestLaneInvarianceCoversMemset(t *testing.T) {
 		t.Fatal("ADEPT-V0 has no init_head block")
 	}
 	for _, in := range loop.Instrs {
-		if live, ok := inv[in.UID]; ok && !live {
+		h, ok := home[in.UID]
+		if !ok {
+			continue
+		}
+		if h == homeLanes {
 			t.Errorf("memset loop: %%%d (%s) is not held lane-invariant", in.UID, in.Op)
+		}
+		// k (the phi), the three addresses (their adds) and k+1.
+		if (in.Op == ir.OpPhi || in.Op == ir.OpAdd) && h != homeScalar {
+			t.Errorf("memset loop: %%%d (%s) has home %d, not its word alone", in.UID, in.Op, h)
 		}
 	}
 	var stores, mulAdds, adds, cmpBrs int
@@ -246,6 +338,9 @@ func TestLaneInvarianceCoversMemset(t *testing.T) {
 			if !u.inv {
 				t.Errorf("memset loop: uop %d (code %d) not marked lane-invariant", u.uid, u.code)
 			}
+			if writesDst(u.code) && u.lanes {
+				t.Errorf("memset loop: uop %d (code %d) fills the lanes of its destination", u.uid, u.code)
+			}
 		}
 	}
 	if stores != 3 || mulAdds != 3 || adds != 1 || cmpBrs != 1 {
@@ -257,10 +352,10 @@ func TestLaneInvarianceCoversMemset(t *testing.T) {
 		kernels.SIMCoVModule(false), kernels.SIMCoVModule(true)}
 	for _, m := range mods {
 		for _, f := range m.Funcs {
-			_, inv := laneInvariance(t, f)
+			_, home := laneInvariance(t, f)
 			for uid, derived := range laneDerived(f) {
-				if derived && inv[uid] {
-					t.Errorf("%s/%s: %%%d is computed from tid or lane but held lane-invariant", m.Name, f.Name, uid)
+				if derived && home[uid] != homeLanes {
+					t.Errorf("%s/%s: %%%d is computed from tid or lane but held lane-invariant (home %d)", m.Name, f.Name, uid, home[uid])
 				}
 			}
 		}

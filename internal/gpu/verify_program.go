@@ -48,6 +48,11 @@ func SetVerifyCompiled(on bool) bool { return verifyCompiled.Swap(on) }
 //   - lane-invariance marks: only a code with a lane-invariant path carries
 //     uop.inv — never an escape, a charge-only copy, br, ret, a barrier or
 //     a warp primitive (shfl, ballot, activemask);
+//   - register homes: a marked micro-op reads every operand's word (a
+//     lane-invariant slot's, or an extended slot) and writes its
+//     destination's, filling that slot's lanes exactly when it has them;
+//     nothing reads a slot whose home is its word alone from its lanes — no
+//     micro-op that is not marked, no escape, no lane copy of a phi edge;
 //   - escape coherence ("mask discipline"): a block position holds an escape
 //     closure if and only if its uop says uEscape — a stale closure under a
 //     hot uop would silently execute under the wrong mask protocol;
@@ -61,10 +66,13 @@ func SetVerifyCompiled(on bool) bool { return verifyCompiled.Swap(on) }
 //     appears in clearBases, the set of slots the backend zeroes at block
 //     start (shfl is the one instruction reading lanes outside its mask);
 //   - phi-copy coherence: each edge's snapshot classification matches a
-//     recomputation of edgeNeedsSnapshot, the lowered closure exists exactly
-//     when the edge carries copies, destinations are written at most once
-//     per edge, and the merged memmove plan of an interference-free edge
-//     decomposes back into exactly the copies it claims to realize.
+//     recomputation of edgeNeedsSnapshot, the lowered closure and its plan
+//     exist exactly when the edge carries copies, destinations are written at
+//     most once per edge, the plan moves a word for exactly the copies into a
+//     lane-invariant slot and lanes for the rest, its interference flags
+//     match a recomputation, and the merged memmove plan of interference-free
+//     lane copies decomposes back into exactly the copies it claims to
+//     realize.
 //
 // Unreachable blocks are compiled but never entered; the walk and bounds
 // checks still run on them, the dominance check skips them (no execution
@@ -122,6 +130,17 @@ func (v *kernelVerifier) checkLayout() error {
 	if k.nslots < 0 || k.totalSlots < k.nslots {
 		return fmt.Errorf("slot layout: %d real slots, %d total", k.nslots, k.totalSlots)
 	}
+	if k.regSlots*warpSize < k.totalSlots*warpSize+k.nslots+warpSize {
+		return fmt.Errorf("register file of %d slots leaves no room for the scalar file", k.regSlots)
+	}
+	if len(k.home) != k.nslots {
+		return fmt.Errorf("%d register homes for %d real slots", len(k.home), k.nslots)
+	}
+	for s, h := range k.home {
+		if h < homeLanes || h > homeScalar {
+			return fmt.Errorf("slot %d: register home %d out of range", s, h)
+		}
+	}
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
 		if len(cb.uops) != len(cb.ins) || len(cb.fns) != len(cb.ins) {
@@ -159,6 +178,31 @@ func (v *kernelVerifier) checkOffset(off int32) error {
 	}
 	if off%warpSize != 0 {
 		return fmt.Errorf("offset %d not on a warp boundary", off)
+	}
+	return nil
+}
+
+// checkWord validates an offset a lane-invariant path reads: the word of a
+// lane-invariant real slot, or an extended slot.
+func (v *kernelVerifier) checkWord(off int32) error {
+	sb := v.k.scalarBase()
+	if off < sb {
+		if off < int32(v.k.nslots*warpSize) {
+			return fmt.Errorf("lane-invariant path reads the lanes at %d, not a word", off)
+		}
+		return v.checkOffset(off)
+	}
+	if s := off - sb; s >= int32(v.k.nslots) || v.k.home[s] == homeLanes {
+		return fmt.Errorf("word %d is no lane-invariant slot's", off)
+	}
+	return nil
+}
+
+// checkLaneRead rejects a read of the lanes at extended offset off when they
+// belong to a slot whose home is its word alone.
+func (v *kernelVerifier) checkLaneRead(off int32) error {
+	if s := off / warpSize; s < int32(v.k.nslots) && v.k.home[s] == homeScalar {
+		return fmt.Errorf("reads the lanes of slot %d, whose home is a scalar word", s)
 	}
 	return nil
 }
@@ -225,11 +269,12 @@ func (v *kernelVerifier) checkExtFills() error {
 
 // checkUops validates every uop in isolation: known opcode, in-range cost
 // classes and operand offsets, a lane-invariance mark only where the code
-// has a path for it, in-range control targets, and the uop/closure coherence
-// that escape dispatch relies on.
+// has a path for it, operands read from their homes, in-range control
+// targets, and the uop/closure coherence that escape dispatch relies on.
 func (v *kernelVerifier) checkUops() error {
 	for bi := range v.k.blocks {
 		cb := &v.k.blocks[bi]
+		dead := -1 // the micro-op a fused pair leaves behind it, never run
 		for ii := range cb.uops {
 			u := &cb.uops[ii]
 			where := fmt.Sprintf("block %s uop %d", cb.name, ii)
@@ -242,10 +287,11 @@ func (v *kernelVerifier) checkUops() error {
 			if u.inv && invariantArity(u.code) == 0 {
 				return fmt.Errorf("%s: code %d marked lane-invariant, but it has no lane-invariant path", where, u.code)
 			}
-			for _, off := range [...]int32{u.d, u.s1, u.s2, u.s3} {
-				if err := v.checkOffset(off); err != nil {
-					return fmt.Errorf("%s: %w", where, err)
-				}
+			if err := v.checkHomes(cb, ii, ii == dead); err != nil {
+				return fmt.Errorf("%s: %w", where, err)
+			}
+			if u.code == uMulAdd64 || isFusedCmpBr(u.code) {
+				dead = ii + 1
 			}
 			if (u.code == uEscape) != (cb.fns[ii] != nil) {
 				return fmt.Errorf("%s: escape uop and closure disagree (code %d, closure %v)",
@@ -268,6 +314,58 @@ func (v *kernelVerifier) checkUops() error {
 						where, u.both)
 				}
 			}
+		}
+	}
+	return nil
+}
+
+// checkHomes validates the operand offsets of uop ii of cb against the
+// register homes: a marked micro-op reads words and writes its destination's
+// word, with fill and lanes naming that slot's image and whether it is kept;
+// any other reads lanes, never those of a scalar home — unless it is dead,
+// the micro-op a fused pair leaves behind, which reads nothing.
+func (v *kernelVerifier) checkHomes(cb *cblock, ii int, dead bool) error {
+	u := &cb.uops[ii]
+	ops := [3]int32{u.s1, u.s2, u.s3}
+	if u.inv {
+		n := invariantArity(u.code)
+		for i, off := range ops[:n] {
+			if err := v.checkWord(off); err != nil {
+				return fmt.Errorf("operand %d: %w", i+1, err)
+			}
+		}
+		if !writesDst(u.code) {
+			return nil
+		}
+		sb := v.k.scalarBase()
+		s := u.d - sb
+		if u.d < sb || s >= int32(v.k.nslots) {
+			return fmt.Errorf("destination %d is no real slot's word", u.d)
+		}
+		if u.fill != s*warpSize || u.lanes != (v.k.home[s] != homeScalar) {
+			return fmt.Errorf("destination slot %d (home %d) filled at %d, lanes %v", s, v.k.home[s], u.fill, u.lanes)
+		}
+		return nil
+	}
+	for _, off := range [...]int32{u.d, u.s1, u.s2, u.s3} {
+		if err := v.checkOffset(off); err != nil {
+			return err
+		}
+	}
+	if dead {
+		return nil
+	}
+	if u.code == uEscape {
+		for _, a := range cb.ins[ii].args {
+			if err := v.checkLaneRead(a.ebase); err != nil {
+				return fmt.Errorf("escape %w", err)
+			}
+		}
+		return nil
+	}
+	for _, off := range ops[:uopArity(u.code)] {
+		if err := v.checkLaneRead(off); err != nil {
+			return fmt.Errorf("code %d (not lane-invariant) %w", u.code, err)
 		}
 	}
 	return nil
@@ -362,9 +460,9 @@ func (v *kernelVerifier) checkPhiEdges() error {
 		for ei := range cb.phiFrom {
 			edge := &cb.phiFrom[ei]
 			where := fmt.Sprintf("edge %s->%s", k.blocks[ei].name, cb.name)
-			if (edge.apply != nil) != (len(edge.copies) > 0) {
-				return fmt.Errorf("%s: %d copies but closure present=%v",
-					where, len(edge.copies), edge.apply != nil)
+			if (edge.apply != nil) != (len(edge.copies) > 0) || (edge.prog != nil) != (len(edge.copies) > 0) {
+				return fmt.Errorf("%s: %d copies but closure present=%v, plan present=%v",
+					where, len(edge.copies), edge.apply != nil, edge.prog != nil)
 			}
 			if edge.snapshot != edgeNeedsSnapshot(edge.copies) {
 				return fmt.Errorf("%s: snapshot flag %v contradicts interference analysis",
@@ -384,7 +482,7 @@ func (v *kernelVerifier) checkPhiEdges() error {
 					return fmt.Errorf("%s copy %d source: %w", where, ci, err)
 				}
 			}
-			if err := v.checkRuns(edge, where); err != nil {
+			if err := v.checkPlan(edge, where); err != nil {
 				return err
 			}
 		}
@@ -392,24 +490,70 @@ func (v *kernelVerifier) checkPhiEdges() error {
 	return nil
 }
 
-// checkRuns decomposes a lowered edge's memmove plan back into unit copies
-// and matches them against the edge's copy list. Snapshot edges carry no
-// plan; interference-free edges must cover their copies exactly.
-func (v *kernelVerifier) checkRuns(edge *phiEdge, where string) error {
-	if edge.snapshot || len(edge.copies) == 0 {
-		if edge.runs != nil {
+// checkPlan matches a lowered edge's plan against the edge's copies: a word
+// move for every copy into a lane-invariant slot (those that keep their lanes
+// last), reading the source's word, and a lane move for every other copy,
+// reading no scalar home's lanes. It decomposes the merged memmove plan back
+// into unit lane copies; a snapshot edge carries no such plan, an
+// interference-free one must cover its lane copies exactly.
+func (v *kernelVerifier) checkPlan(edge *phiEdge, where string) error {
+	p := edge.prog
+	if p == nil {
+		return nil
+	}
+	k := v.k
+	lanes := make(map[regCopy]int, len(edge.copies))
+	words := make(map[regCopy]int32, len(edge.copies))
+	for ci := range edge.copies {
+		cp := &edge.copies[ci]
+		if h := k.home[cp.dst]; h == homeLanes {
+			lanes[regCopy{s: cp.src.ebase, d: cp.dst * warpSize}]++
+		} else {
+			words[regCopy{s: k.wordOf(cp.src.ebase), d: k.wordOf(cp.dst * warpSize)}] = h
+		}
+	}
+	if len(p.lanes)+len(p.words) != len(edge.copies) || p.fills < 0 || p.fills > len(p.words) {
+		return fmt.Errorf("%s: plan of %d lane and %d word copies (%d filling) for %d copies",
+			where, len(p.lanes), len(p.words), p.fills, len(edge.copies))
+	}
+	for i, cp := range p.words {
+		h, ok := words[cp]
+		if !ok {
+			return fmt.Errorf("%s: word copy %d->%d not among the edge's copies into lane-invariant slots", where, cp.s, cp.d)
+		}
+		if want := i >= len(p.words)-p.fills; (h == homeBoth) != want {
+			return fmt.Errorf("%s: word copy into %d fills lanes %v, its home is %d", where, cp.d, want, h)
+		}
+		if err := v.checkWord(cp.s); err != nil {
+			return fmt.Errorf("%s: word copy source: %w", where, err)
+		}
+	}
+	for _, cp := range p.lanes {
+		if lanes[cp] == 0 {
+			return fmt.Errorf("%s: lane copy %d->%d not among the edge's copies", where, cp.s, cp.d)
+		}
+		lanes[cp]--
+		if err := v.checkLaneRead(cp.s); err != nil {
+			return fmt.Errorf("%s: lane copy %w", where, err)
+		}
+	}
+	if p.snap != copiesInterfere(p.lanes) || p.wordSnap != copiesInterfere(p.words) {
+		return fmt.Errorf("%s: snapshot flags %v/%v contradict interference analysis", where, p.snap, p.wordSnap)
+	}
+	if p.snap || len(p.lanes) == 0 {
+		if p.runs != nil {
 			return fmt.Errorf("%s: unexpected memmove plan on a %s edge", where,
-				map[bool]string{true: "snapshot", false: "copyless"}[edge.snapshot])
+				map[bool]string{true: "snapshot", false: "laneless"}[p.snap])
 		}
 		return nil
 	}
-	want := make(map[[2]int32]int, len(edge.copies))
-	for ci := range edge.copies {
-		want[[2]int32{edge.copies[ci].src.ebase, edge.copies[ci].dst * warpSize}]++
+	want := make(map[[2]int32]int, len(p.lanes))
+	for _, cp := range p.lanes {
+		want[[2]int32{cp.s, cp.d}]++
 	}
 	total := int32(0)
 	prevEnd := int32(-1)
-	for ri, r := range edge.runs {
+	for ri, r := range p.runs {
 		if r.n <= 0 || r.n%warpSize != 0 {
 			return fmt.Errorf("%s run %d: length %d not a positive warp multiple", where, ri, r.n)
 		}
@@ -427,8 +571,8 @@ func (v *kernelVerifier) checkRuns(edge *phiEdge, where string) error {
 		}
 		total += r.n
 	}
-	if total != int32(len(edge.copies)*warpSize) {
-		return fmt.Errorf("%s: memmove plan moves %d lanes for %d copies", where, total, len(edge.copies))
+	if total != int32(len(p.lanes)*warpSize) {
+		return fmt.Errorf("%s: memmove plan moves %d lanes for %d lane copies", where, total, len(p.lanes))
 	}
 	return nil
 }

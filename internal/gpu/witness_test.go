@@ -265,11 +265,12 @@ func TestNonTerminationWitnessAdversarial(t *testing.T) {
 					t.Errorf("threaded %+v, interp %+v", *got.res, *want.res)
 				}
 				// Every power of two from witnessFrom up to the retreat count took
-				// a copy, and none matched. The count is the second block's alone:
-				// runBlock starts each block's warps at zero.
+				// a copy — of the real slots' lanes and words — and none matched.
+				// The count is the second block's alone: runBlock starts each
+				// block's warps at zero.
 				w, wit := &got.dev.launch.warps[0], &got.dev.launch.ctx.wit
 				first := uint32(witnessFrom) << (tc.copies - 1)
-				if w.retreats < first || w.retreats >= 2*first || len(wit.regs) != k.nslots*warpSize || len(wit.stack) == 0 {
+				if w.retreats < first || w.retreats >= 2*first || len(wit.regs) != k.nslots*(warpSize+1) || len(wit.stack) == 0 {
 					t.Errorf("%d retreats (want %d copies), last copy %d words and %d stack entries: the witness was not exercised as meant",
 						w.retreats, tc.copies, len(wit.regs), len(wit.stack))
 				}

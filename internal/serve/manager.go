@@ -153,6 +153,8 @@ type Manager struct {
 	dirty         chan struct{}
 	persistStop   chan struct{}
 	persisterDone chan struct{}
+	// settlec carries settle's requests to the persister.
+	settlec chan chan struct{}
 }
 
 // Open creates a manager and starts its executors. With a state directory,
@@ -182,6 +184,7 @@ func Open(opts Options) (*Manager, error) {
 		m.dirty = make(chan struct{}, 1)
 		m.persistStop = make(chan struct{})
 		m.persisterDone = make(chan struct{})
+		m.settlec = make(chan chan struct{})
 		go m.persister()
 	}
 	m.wg.Add(opts.Executors)
@@ -1087,11 +1090,33 @@ func (m *Manager) persister() {
 		select {
 		case <-m.dirty:
 			writeUntilDurable(0)
+		case done := <-m.settlec:
+			writeUntilDurable(0)
+			close(done)
 		case <-m.persistStop:
 			// Final flush so a graceful close leaves the freshest picture.
 			writeUntilDurable(2)
 			return
 		}
+	}
+}
+
+// settle waits for one persister round trip: when it returns, the ledger
+// on disk reflects every transition made before the call, and the
+// directories of the jobs pruned by then are gone. A client that has seen a
+// job finish has not necessarily seen either (persistLocked): until the
+// persister gets to it, the job it pruned still has its files and the write
+// its open ones. What counts the state directory or the open fds, as
+// TestSoakIsFlatInJobs does, settles first.
+func (m *Manager) settle() {
+	if m.settlec == nil {
+		return
+	}
+	done := make(chan struct{})
+	select {
+	case m.settlec <- done:
+		<-done
+	case <-m.persisterDone:
 	}
 }
 
