@@ -226,11 +226,10 @@ type cblock struct {
 	// ipdom is the reconvergence block index for branches out of this
 	// block; -1 means the virtual exit.
 	ipdom int32
-	// uops and fns are the threaded-code form of ins, executed by runWarpU:
-	// dense micro-ops dispatched through one jump table, and under each
-	// uEscape the closure of a shape that has none (nil everywhere else).
+	// uops is the threaded-code form of ins, executed by runWarpU: dense
+	// micro-ops dispatched through one jump table; at a uEscape, a shape
+	// that has none, the driver runs ins[pc] through execInstr.
 	uops []uop
-	fns  []execFn
 }
 
 // Compile lowers a verified function to executable form. It returns an error
@@ -507,7 +506,8 @@ func finalizeKernel(k *Kernel) {
 	}
 
 	// Threaded-code lowering must follow the constant pre-broadcast and the
-	// extended-slot assignment: the closures capture the offsets directly.
+	// extended-slot assignment: micro-ops and phi-edge plans carry the
+	// offsets directly.
 	lowerKernel(k)
 	k.oblivious = kernelTimingOblivious(k)
 }

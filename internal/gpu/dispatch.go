@@ -1,11 +1,8 @@
 package gpu
 
 import (
-	"math"
 	"math/bits"
 	"slices"
-
-	"gevo/internal/ir"
 )
 
 // The threaded-code backend is one tier. At Compile time lowerKernel turns
@@ -17,16 +14,14 @@ import (
 // The switch interpreter in exec.go is the reference: it is what runs when
 // per-instruction profiling is requested, and the differential tests assert
 // that both backends produce bit-identical cycle counts and memory effects.
-// Instruction semantics therefore live in two places, the oracle and the uop
-// driver, and nothing in this file may become a third: an escape computes
-// its lanes with the scalar helpers the interpreter is written in (normValue,
-// zextBits, fptosi, loadMem/storeMem) and with intBinOp.
-//
-// A shape uopFor has no micro-op for escapes: its uop says uEscape and the
-// driver calls the closure lowerInstr built for it. The set is closed —
+// Instruction semantics therefore live in two places, the oracle and the
+// micro-ops, and an escape is the oracle: a shape uopFor has no micro-op for
+// escapes, its uop says uEscape, and the driver hands the instruction to
+// execInstr, which on the threaded side reads each operand at its pre-resolved
+// offset into the extended register file (argLanes). The set is closed —
 // TestEscapeSetIsClosed enumerates every shape ir.Verify admits and fails
-// when this list and uopFor disagree, so promoting a shape to a uop deletes
-// its closure in the same change. Each member is here because a micro-op
+// when this list and uopFor disagree, so promoting a shape to a uop is a
+// change to uopFor alone. Each member is here because a micro-op
 // for it would be one more code and lane loop to keep exact (DESIGN.md §5)
 // for traffic no workload has. Warp-instructions
 // through each, of all the threaded backend executed (one `bench` process per
@@ -50,8 +45,12 @@ import (
 // That is 0.40 % of sim_paper, 0.02-0.03 % of search_synth and
 // serve_small_jobs, 0 of search_adept's 308 651 600; serve_reads launches
 // only in set-up.
-// The first three keep a closure of their own; the next three are one masked
-// loop per family; nop only charges its issue cost.
+//
+// execInstr does not know c.fast: during a memoized uniform-launch replay
+// (uniform.go) an escape runs its cost model like any live launch and charges
+// cycles that the replay discards. That is safe because Launch replaces a
+// replay's cycle count with the memo's, and runBlock runs warps in index
+// order, so cycles never decide which warp runs next.
 
 // Backend selects which execution engine a launch uses.
 type Backend uint8
@@ -73,30 +72,40 @@ const (
 // the process without threading a setting through the workloads.
 var DefaultBackend = BackendAuto
 
-// execFn executes one escaped instruction under the entry's mask. Escapes are
-// straight-line: every terminator is a uop, so the driver steps past one.
-type execFn func(c *blockCtx, w *warp, e *simtEntry) error
-
-// Threaded operands are bare offsets into the warp's extended register
-// file: finalizeKernel materializes constants, parameters and special
-// registers into slots past the real registers (filled at launch/block
-// setup), so operand access is a single bounds-checked slice with no kind
-// dispatch at all.
-func lanesAt(w *warp, b int32) []uint64 {
-	return w.regs[b : b+warpSize]
-}
-
-// accountT charges cycles to the warp: the account of exec.go minus the
-// profiling hook (the threaded backend never profiles — see Launch).
-func (c *blockCtx) accountT(w *warp, cost float64, mask uint32) {
-	if mask != 0 {
-		cost += c.arch.QuarterWarpSkew * float64(bits.TrailingZeros32(mask)/8)
-	}
-	w.cycles += cost
-}
-
 // normI32 is the inlined i32 case of normValue.
 func normI32(v uint64) uint64 { return uint64(int64(int32(uint32(v)))) }
+
+// lowerKernel compiles every instruction and phi edge of the kernel to
+// threaded code: a uop — uEscape for the shapes listed at the top of this
+// file — fused where fuseCmpBranches can and marked where markLaneInvariant
+// (uop_invariant.go) proves its operands the same in every active lane, which
+// also gives every register slot its home. Must run after constant lane
+// images and extended slots are assigned.
+func lowerKernel(k *Kernel) {
+	n := 0
+	for bi := range k.blocks {
+		n += len(k.blocks[bi].ins)
+	}
+	uops := make([]uop, n)
+	for bi := range k.blocks {
+		cb := &k.blocks[bi]
+		n = len(cb.ins)
+		cb.uops, uops = uops[:n:n], uops[n:]
+		for ii := range cb.ins {
+			if u, ok := uopFor(cb, &cb.ins[ii]); ok {
+				cb.uops[ii] = u
+			} else {
+				cb.uops[ii] = uop{code: uEscape}
+			}
+		}
+	}
+	// One zeroed table serves both passes: the use counts, then the analysis.
+	scratch := make([]int32, invariantScratch(k))
+	fuseCmpBranches(k, scratch[:k.nslots])
+	k.home = make([]int32, k.nslots)
+	markLaneInvariant(k, scratch)
+	lowerPhiEdges(k)
+}
 
 // Phi-edge lowering. With every source materialized in the extended
 // register file, a phi edge is a flat list of register-to-register copies. A
@@ -429,40 +438,6 @@ func (c *blockCtx) divergeT(w *warp, succ0, succ1 int32, maskT, maskF uint32, r 
 	}
 }
 
-// lowerKernel compiles every instruction and phi edge of the kernel to
-// threaded code: a uop, with an escape closure beside it for the shapes
-// listed at the top of this file, fused where fuseCmpBranches can and marked
-// where markLaneInvariant (uop_invariant.go) proves its operands the same in
-// every active lane, which also gives every register slot its home.
-// Must run after constant lane images and extended slots are assigned.
-func lowerKernel(k *Kernel) {
-	n := 0
-	for bi := range k.blocks {
-		n += len(k.blocks[bi].ins)
-	}
-	uops, fns := make([]uop, n), make([]execFn, n)
-	for bi := range k.blocks {
-		cb := &k.blocks[bi]
-		n = len(cb.ins)
-		cb.uops, uops = uops[:n:n], uops[n:]
-		cb.fns, fns = fns[:n:n], fns[n:]
-		for ii := range cb.ins {
-			if u, ok := uopFor(cb, &cb.ins[ii]); ok {
-				cb.uops[ii] = u
-				continue
-			}
-			cb.uops[ii] = uop{code: uEscape}
-			cb.fns[ii] = lowerInstr(&cb.ins[ii])
-		}
-	}
-	// One zeroed table serves both passes: the use counts, then the analysis.
-	scratch := make([]int32, invariantScratch(k))
-	fuseCmpBranches(k, scratch[:k.nslots])
-	k.home = make([]int32, k.nslots)
-	markLaneInvariant(k, scratch)
-	lowerPhiEdges(k)
-}
-
 // fuseCmpBranches rewrites [icmp/fcmp; condbr] pairs whose compare result
 // has no other use into one fused uop: the compare feeds the branch mask
 // directly and its i1 lanes are never materialized. Budget and cycle
@@ -522,305 +497,5 @@ func fuseCmpBranches(k *Kernel, uses []int32) {
 			u.succ0, u.succ1, u.reconv, u.both = bu.succ0, bu.succ1, bu.reconv, bu.both
 			cb.uops[ii] = u
 		}
-	}
-}
-
-// lowerInstr builds the escape closure of an instruction uopFor declined —
-// a member of the set listed at the top of this file.
-func lowerInstr(in *cinstr) execFn {
-	switch in.op {
-	case ir.OpLoad:
-		return lowerLoad(in)
-	case ir.OpStore:
-		return lowerStore(in)
-	case ir.OpAtomicAdd, ir.OpAtomicMax, ir.OpAtomicCAS, ir.OpAtomicExch:
-		return lowerAtomic(in)
-	case ir.OpZext, ir.OpSext, ir.OpTrunc, ir.OpSIToFP, ir.OpFPToSI:
-		return lowerConv(in)
-	case ir.OpNop:
-		cls := in.cost
-		return func(c *blockCtx, w *warp, e *simtEntry) error {
-			c.accountT(w, c.costs[cls], e.mask)
-			return nil
-		}
-	}
-	if in.op.IsIntArith() {
-		return lowerIntBin(in)
-	}
-	name := in.op.String()
-	return func(c *blockCtx, w *warp, e *simtEntry) error {
-		return &ExecError{Kernel: c.k.Name, Msg: "unexpected opcode " + name}
-	}
-}
-
-// lowerIntBin lowers two-operand integer arithmetic on a type the micro-ops
-// do not cover (i8).
-func lowerIntBin(in *cinstr) execFn {
-	r1, r2 := in.args[0].ebase, in.args[1].ebase
-	dst := int(in.dst) * warpSize
-	cls := in.cost
-	t := in.typ
-	op := in.op
-	return func(c *blockCtx, w *warp, e *simtEntry) error {
-		mask := e.mask
-		s1, s2 := lanesAt(w, r1), lanesAt(w, r2)
-		dl := w.regs[dst : dst+warpSize : dst+warpSize]
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & 31
-			dl[l] = intBinOp(op, t, s1[l], s2[l])
-		}
-		c.accountT(w, c.costs[cls], mask)
-		return nil
-	}
-}
-
-// intBinOp evaluates one integer lane operation generically (the semantics
-// of execInstr's integer cases).
-func intBinOp(op ir.Opcode, t ir.Type, x, y uint64) uint64 {
-	switch op {
-	case ir.OpAdd:
-		return normValue(t, uint64(int64(x)+int64(y)))
-	case ir.OpSub:
-		return normValue(t, uint64(int64(x)-int64(y)))
-	case ir.OpMul:
-		return normValue(t, uint64(int64(x)*int64(y)))
-	case ir.OpSDiv:
-		var r int64
-		if yy := int64(y); yy != 0 {
-			r = int64(x) / yy
-		}
-		return normValue(t, uint64(r))
-	case ir.OpSRem:
-		var r int64
-		if yy := int64(y); yy != 0 {
-			r = int64(x) % yy
-		}
-		return normValue(t, uint64(r))
-	case ir.OpAnd:
-		return normValue(t, x&y)
-	case ir.OpOr:
-		return normValue(t, x|y)
-	case ir.OpXor:
-		return normValue(t, x^y)
-	case ir.OpShl:
-		return normValue(t, x<<(y&63))
-	case ir.OpLShr:
-		return normValue(t, zextBits(t, x)>>(y&63))
-	case ir.OpAShr:
-		return normValue(t, uint64(int64(x)>>(y&63)))
-	case ir.OpSMin:
-		return normValue(t, uint64(min(int64(x), int64(y))))
-	default: // ir.OpSMax
-		return normValue(t, uint64(max(int64(x), int64(y))))
-	}
-}
-
-// lowerConv lowers the conversions the micro-ops do not cover: zext other
-// than i32 -> i64, sext/trunc to i8 or i1 (registers are canonically
-// sign-extended, so both are a renormalization to the result type), and the
-// int <-> float pair.
-func lowerConv(in *cinstr) execFn {
-	r1 := in.args[0].ebase
-	dst := int(in.dst) * warpSize
-	cls := in.cost
-	t := in.typ
-	switch in.op {
-	case ir.OpSIToFP:
-		return func(c *blockCtx, w *warp, e *simtEntry) error {
-			mask := e.mask
-			s := lanesAt(w, r1)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = math.Float64bits(float64(int64(s[l])))
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return nil
-		}
-	case ir.OpFPToSI:
-		return func(c *blockCtx, w *warp, e *simtEntry) error {
-			mask := e.mask
-			s := lanesAt(w, r1)
-			dl := w.regs[dst : dst+warpSize : dst+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m) & 31
-				dl[l] = normValue(t, uint64(fptosi(math.Float64frombits(s[l]))))
-			}
-			c.accountT(w, c.costs[cls], mask)
-			return nil
-		}
-	}
-	zext := in.op == ir.OpZext
-	at := in.args[0].typ
-	return func(c *blockCtx, w *warp, e *simtEntry) error {
-		mask := e.mask
-		s := lanesAt(w, r1)
-		dl := w.regs[dst : dst+warpSize : dst+warpSize]
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & 31
-			v := s[l]
-			if zext {
-				v = zextBits(at, v)
-			}
-			dl[l] = normValue(t, v)
-		}
-		c.accountT(w, c.costs[cls], mask)
-		return nil
-	}
-}
-
-// lowerLoad lowers a load of a type the micro-ops do not cover (i1; every
-// wider load is a uLoad*). In fast-replay mode (see uniform.go) the cost
-// model is skipped: the launch's cycle count is already known and only the
-// functional effect is needed.
-func lowerLoad(in *cinstr) execFn {
-	ra := in.args[0].ebase
-	dst := int(in.dst) * warpSize
-	t := in.typ
-	uid := int(in.uid)
-	shared := in.space == ir.SpaceShared
-	opName := "global load"
-	if shared {
-		opName = "shared load"
-	}
-	size := int64(t.Size())
-	return func(c *blockCtx, w *warp, e *simtEntry) error {
-		mask := e.mask
-		mem := c.d.mem
-		if shared {
-			mem = c.shared
-		}
-		hi := int64(len(mem)) - size
-		src := lanesAt(w, ra)
-		n := c.gatherAddrs(src, mask)
-		for i := 0; i < n; i++ {
-			a := c.addrs[i]
-			if a < 0 || a > hi {
-				return &FaultError{Kernel: c.k.Name, Addr: a, Op: opName, UID: uid}
-			}
-			w.regs[dst+c.lanes[i]] = loadMem(mem, t, a)
-		}
-		if c.fast {
-			return nil
-		}
-		shape := shapeOf(src, mask, shared)
-		if shared {
-			c.accountT(w, c.sharedCost(n, shape)+c.memPenalty(w), mask)
-		} else {
-			c.accountT(w, c.globalCost(n, shape)+c.memPenalty(w), mask)
-		}
-		return nil
-	}
-}
-
-// lowerStore lowers a store of a type the micro-ops do not cover (i1).
-func lowerStore(in *cinstr) execFn {
-	rv := in.args[0].ebase
-	ra := in.args[1].ebase
-	t := in.args[0].typ
-	uid := int(in.uid)
-	shared := in.space == ir.SpaceShared
-	size := int64(t.Size())
-	return func(c *blockCtx, w *warp, e *simtEntry) error {
-		mask := e.mask
-		mem := c.d.mem
-		if shared {
-			mem = c.shared
-		}
-		hi := int64(len(mem)) - size
-		vals := lanesAt(w, rv)
-		src := lanesAt(w, ra)
-		var maxEnd int64 = -1
-		n := c.gatherAddrs(src, mask)
-		for i := 0; i < n; i++ {
-			a := c.addrs[i]
-			if a < 0 || a > hi {
-				if !shared {
-					return c.globalStoreFault(a, maxEnd, size, uid)
-				}
-				return &FaultError{Kernel: c.k.Name, Addr: a, Op: "shared store", UID: uid}
-			}
-			storeMem(mem, t, a, vals[c.lanes[i]])
-			maxEnd = max(maxEnd, a)
-		}
-		if !shared {
-			c.d.touch(maxEnd + size)
-		}
-		if c.fast {
-			return nil
-		}
-		shape := shapeOf(src, mask, shared)
-		if shared {
-			c.accountT(w, c.sharedCost(n, shape), mask)
-		} else {
-			c.accountT(w, c.globalCost(n, shape), mask)
-		}
-		return nil
-	}
-}
-
-// lowerAtomic lowers the four atomic ops, mirroring execAtomic.
-func lowerAtomic(in *cinstr) execFn {
-	op := in.op
-	ra := in.args[0].ebase
-	r1 := in.args[1].ebase
-	var r2 int32
-	if op == ir.OpAtomicCAS {
-		r2 = in.args[2].ebase
-	}
-	dst := int(in.dst) * warpSize
-	t := in.typ
-	size := int64(t.Size())
-	global := in.space != ir.SpaceShared
-	spaceName := in.space.String()
-	uid := int(in.uid)
-	return func(c *blockCtx, w *warp, e *simtEntry) error {
-		mask := e.mask
-		n := c.gatherAddrs(lanesAt(w, ra), mask)
-		arg1 := lanesAt(w, r1)
-		var arg2 []uint64
-		if op == ir.OpAtomicCAS {
-			arg2 = lanesAt(w, r2)
-		}
-		var mem []byte
-		if global {
-			mem = c.d.mem
-		} else {
-			mem = c.shared
-		}
-		// Lanes commit in ascending lane order, matching execAtomic.
-		for i := 0; i < n; i++ {
-			a := c.addrs[i]
-			if a < 0 || a+size > int64(len(mem)) {
-				return &FaultError{Kernel: c.k.Name, Addr: a, Op: "atomic " + spaceName, UID: uid}
-			}
-			lane := c.lanes[i]
-			old := loadMem(mem, t, a)
-			var newVal uint64
-			switch op {
-			case ir.OpAtomicAdd:
-				newVal = normValue(t, uint64(int64(old)+int64(arg1[lane])))
-			case ir.OpAtomicMax:
-				newVal = normValue(t, uint64(max(int64(old), int64(arg1[lane]))))
-			case ir.OpAtomicExch:
-				newVal = normValue(t, arg1[lane])
-			case ir.OpAtomicCAS:
-				if old == arg1[lane] {
-					newVal = normValue(t, arg2[lane])
-				} else {
-					newVal = old
-				}
-			}
-			storeMem(mem, t, a, newVal)
-			if global {
-				c.d.touch(a + size)
-			}
-			w.regs[dst+lane] = old
-		}
-		if !c.fast {
-			cost := c.arch.AtomicCost + float64(maxContention(c.addrs[:n])-1)*c.arch.AtomicSerialCost
-			c.accountT(w, cost, mask)
-		}
-		return nil
 	}
 }

@@ -100,7 +100,7 @@ func buildOpSoup() *ir.Function {
 // no micro-op (the escape set listed at the top of dispatch.go), under full,
 // ragged and parity-diverged masks. No loaded value reaches a branch or an
 // address, so the kernel is timing-oblivious and a relaunch replays from the
-// uniform-launch memo: the c.fast arms of the memory escapes run too.
+// uniform-launch memo: the escapes run through execInstr during a replay too.
 func buildColdSoup() *ir.Function {
 	b := ir.NewBuilder("coldsoup")
 	in := b.Param("in", ir.I64)
@@ -360,7 +360,7 @@ func inEscapeSet(in *cinstr) bool {
 // opcode, every result type and every tuple of up to three operand types (both
 // address spaces, all six predicates) that ir.Verify admits, the compiled
 // instruction is uEscape exactly when the shape is on the list at the top of
-// dispatch.go. A shape promoted to a uop without deleting its closure, or a
+// dispatch.go. A shape promoted to a uop without leaving that list, or a
 // new shape quietly left to an escape, fails here. The table is closed the
 // other way too: every code below numUops must be emitted by one of those
 // shapes or, for the codes only a fusion or a branch produces, by one of the
@@ -596,7 +596,7 @@ func TestDataDependentKernelNotOblivious(t *testing.T) {
 // TestVerifyKernelCatchesCorruption is the mutation test of the compiled-
 // program verifier: the op-soup kernel passes the audit as compiled, and a
 // deliberately broken rewrite of any layer — operand offsets, the uop jump
-// table, lane-invariance marks, escape closures, control targets, phi-copy
+// table, lane-invariance marks, register homes, control targets, phi-copy
 // plans, the shfl zero-init set, def-before-use — is reported, not executed.
 // Each case corrupts a fresh kernel the way a buggy compiler pass would.
 func TestVerifyKernelCatchesCorruption(t *testing.T) {
@@ -698,22 +698,6 @@ func TestVerifyKernelCatchesCorruption(t *testing.T) {
 				return true
 			},
 			want: "whose home is a scalar word",
-		},
-		{
-			name: "escape uop without its closure",
-			corrupt: func(k *Kernel) bool {
-				for bi := range k.blocks {
-					cb := &k.blocks[bi]
-					for ii := range cb.uops {
-						if cb.uops[ii].code == uEscape {
-							cb.fns[ii] = nil
-							return true
-						}
-					}
-				}
-				return false
-			},
-			want: "escape uop and closure disagree",
 		},
 		{
 			name: "terminator rewritten to a straight-line uop",

@@ -139,7 +139,15 @@ func fillLanes(buf *[warpSize]uint64, v uint64) {
 // warp's register file; constants were pre-broadcast at compile time;
 // parameters and special registers were pre-broadcast at launch or block
 // setup. The returned slices are read-only to the executor.
+//
+// On the threaded side (an escape run by runWarpU) every operand is its
+// offset into the extended register file instead: finalizeKernel's
+// identity-copy propagation rewrites only ebase, and the dead copy's own slot
+// is never written there.
 func (c *blockCtx) argLanes(w *warp, a *carg) []uint64 {
+	if c.threaded {
+		return w.regs[a.ebase:][:warpSize:warpSize]
+	}
 	switch a.kind {
 	case argReg:
 		s := int(a.slot) * warpSize

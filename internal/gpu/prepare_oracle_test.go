@@ -171,10 +171,11 @@ func launchBoth(t *testing.T, name string, k *gpu.Kernel) {
 
 // TestPrepareAllocations is the allocation guard on the prepare path: a cold
 // verify+compile of a synth reduce kernel (143 instructions, 18 blocks)
-// allocates per kernel and per escape closure, not per instruction or per
-// UID. Measured 71 allocations after the prepare path moved to one CFG, dense
-// per-UID and per-slot tables and per-kernel arenas; the parent commit, with
-// its two dozen maps and per-instruction appends, measured 748. The bound is
+// allocates per kernel, not per instruction or per UID. Measured 71
+// allocations after the prepare path moved to one CFG, dense per-UID and
+// per-slot tables and per-kernel arenas (59 since escapes run through the
+// interpreter and have no closures); before that the path, with its two dozen
+// maps and per-instruction appends, measured 748. The bound is
 // 1.25 x 71, so a reintroduced per-UID map or per-instruction slice fails
 // here instead of quietly costing a search round 15 %.
 func TestPrepareAllocations(t *testing.T) {

@@ -435,7 +435,7 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			continue
 		}
 		blk := &c.k.blocks[e.block]
-		uops := blk.uops
+		uops, ins := blk.uops, blk.ins
 		mask := e.mask
 		// The quarter-warp issue skew depends only on the active mask, which
 		// is constant for the whole straight-line run: hoist it out of the
@@ -459,9 +459,8 @@ func (c *blockCtx) runWarpU(w *warp) error {
 			}
 			switch u.code {
 			case uEscape:
-				e.pc = pc
 				c.epoch++ // atomics and the i1 store write; the pure escapes ride along
-				if err := blk.fns[pc](c, w, e); err != nil {
+				if err := c.execInstr(w, e, &ins[pc]); err != nil {
 					*c.budget = bud
 					return err
 				}

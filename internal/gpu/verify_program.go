@@ -53,9 +53,6 @@ func SetVerifyCompiled(on bool) bool { return verifyCompiled.Swap(on) }
 //     destination's, filling that slot's lanes exactly when it has them;
 //     nothing reads a slot whose home is its word alone from its lanes — no
 //     micro-op that is not marked, no escape, no lane copy of a phi edge;
-//   - escape coherence ("mask discipline"): a block position holds an escape
-//     closure if and only if its uop says uEscape — a stale closure under a
-//     hot uop would silently execute under the wrong mask protocol;
 //   - straight-line walk: replaying runWarpU's pc arithmetic (uMulAdd64
 //     advances by two, fused compare-branches terminate) proves every block
 //     reaches a terminator without falling off its uop stream;
@@ -143,9 +140,9 @@ func (v *kernelVerifier) checkLayout() error {
 	}
 	for bi := range k.blocks {
 		cb := &k.blocks[bi]
-		if len(cb.uops) != len(cb.ins) || len(cb.fns) != len(cb.ins) {
-			return fmt.Errorf("block %s: %d instructions but %d uops, %d closures",
-				cb.name, len(cb.ins), len(cb.uops), len(cb.fns))
+		if len(cb.uops) != len(cb.ins) {
+			return fmt.Errorf("block %s: %d instructions but %d uops",
+				cb.name, len(cb.ins), len(cb.uops))
 		}
 		if len(cb.phiFrom) != len(k.blocks) {
 			return fmt.Errorf("block %s: phiFrom covers %d predecessors, want %d",
@@ -269,8 +266,8 @@ func (v *kernelVerifier) checkExtFills() error {
 
 // checkUops validates every uop in isolation: known opcode, in-range cost
 // classes and operand offsets, a lane-invariance mark only where the code
-// has a path for it, operands read from their homes, in-range control
-// targets, and the uop/closure coherence that escape dispatch relies on.
+// has a path for it, operands read from their homes, and in-range control
+// targets.
 func (v *kernelVerifier) checkUops() error {
 	for bi := range v.k.blocks {
 		cb := &v.k.blocks[bi]
@@ -292,10 +289,6 @@ func (v *kernelVerifier) checkUops() error {
 			}
 			if u.code == uMulAdd64 || isFusedCmpBr(u.code) {
 				dead = ii + 1
-			}
-			if (u.code == uEscape) != (cb.fns[ii] != nil) {
-				return fmt.Errorf("%s: escape uop and closure disagree (code %d, closure %v)",
-					where, u.code, cb.fns[ii] != nil)
 			}
 			switch {
 			case u.code == uBr:
@@ -397,7 +390,7 @@ func (v *kernelVerifier) checkWalks() error {
 			case u.code == uMulAdd64:
 				pc += 2
 			default:
-				// uEscape closures here are loads, stores, atomics and other
+				// Escapes here are loads, stores, atomics and other
 				// straight-line shapes: terminators always lower to uops
 				// (uopFor claims every Br/CondBr/Ret), so the walk treats an
 				// escape as pc++ exactly like runWarpU does.
