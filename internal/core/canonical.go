@@ -10,9 +10,9 @@ import (
 // Canonical GEVO-discovered edit sets. The paper's headline numbers
 // (Figures 4, 5, 7) report the best variant from one long "reported run";
 // these constructors rebuild those variants as edit lists against the base
-// kernels so the figure harnesses can replay them deterministically. The
-// same optimizations are discoverable live by the Engine (see the search
-// tests and the Fig 6/8 harnesses, which run real scaled searches).
+// kernels so the figure harnesses can replay them deterministically. That
+// the Engine rediscovers them live is unverified: the Fig 6/8 harnesses run
+// small live searches, and no test checks what they find (ROADMAP item 2(a)).
 
 // CanonicalADEPTV1 returns the paper's ADEPT-V1 optimization as named edits,
 // in the Figure 9 numbering:

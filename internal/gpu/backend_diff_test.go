@@ -13,8 +13,8 @@ import (
 // backend: every kernel in the kernels package (both ADEPT versions and
 // all eight SIMCoV kernels, padded and unpadded) must produce bit-identical
 // simulated time under the reference interpreter and under threaded code —
-// including the uniform-launch memoization paths, which the repeated
-// threaded evaluations exercise on recycled pool devices.
+// including the uniform-launch memoization paths, which SIMCoV's repeated
+// per-step launches exercise within one evaluation.
 //
 // CI runs this test by name and fails if it is skipped.
 func TestBackendDifferential(t *testing.T) {
@@ -69,8 +69,8 @@ func TestBackendDifferential(t *testing.T) {
 			wantMs, wantErr := tc.w.Evaluate(tc.w.Base(), arch)
 			wantVal := tc.w.Validate(tc.w.Base(), arch)
 
-			// Threaded twice: the first run times and memoizes the
-			// uniform launches, the second replays them.
+			// Threaded twice: the second run may draw the first one's
+			// recycled pool device, which must time like a fresh one.
 			gpu.DefaultBackend = gpu.BackendThreaded
 			for run := 0; run < 2; run++ {
 				gotMs, gotErr := tc.w.Evaluate(tc.w.Base(), arch)
@@ -95,8 +95,9 @@ func TestBackendDifferential(t *testing.T) {
 // generated scenario corpus: every default-suite synthetic kernel (plus
 // one alternate seed per family, selecting the other structural shapes)
 // must produce bit-identical fitness under the reference interpreter and
-// under threaded code on every architecture, with the second threaded run
-// covering the uniform-launch memo replay for the timing-uniform families.
+// under threaded code on every architecture. synth.RunSuite launches each
+// threaded kernel twice on one device, so the second launch covers the
+// uniform-launch memo replay for the timing-uniform families.
 //
 // CI runs this test by name and fails if it is skipped.
 func TestBackendDifferentialSynth(t *testing.T) {
@@ -115,21 +116,10 @@ func TestBackendDifferentialSynth(t *testing.T) {
 		if err := gpu.VerifyProgram(prog); err != nil {
 			t.Fatalf("%s: %v", w.Name(), err)
 		}
-		for _, arch := range gpu.Architectures {
-			want, wantErr := w.EvaluateBackend(w.Base(), arch, gpu.BackendInterp)
-			if wantErr != nil {
-				t.Fatalf("%s/%s: interp evaluation failed: %v", w.Name(), arch.Name, wantErr)
-			}
-			for run := 0; run < 2; run++ {
-				got, err := w.EvaluateBackend(w.Base(), arch, gpu.BackendThreaded)
-				if err != nil {
-					t.Fatalf("%s/%s run %d: threaded evaluation failed: %v", w.Name(), arch.Name, run, err)
-				}
-				if got != want {
-					t.Errorf("%s/%s run %d: fitness %v (threaded) != %v (interp)",
-						w.Name(), arch.Name, run, got, want)
-				}
-			}
+	}
+	for _, arch := range gpu.Architectures {
+		if _, err := synth.RunSuite(specs, arch); err != nil {
+			t.Errorf("%s: %v", arch.Name, err)
 		}
 	}
 }

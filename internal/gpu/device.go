@@ -38,10 +38,10 @@ type Device struct {
 	// memory) reused across launches on this device.
 	launch launchState
 	// memo caches the makespan of timing-oblivious launches by signature
-	// (see uniform.go). It survives Release: timing of such launches is
-	// independent of memory contents, so recycled devices keep their warm
-	// entries across evaluations.
-	memo map[*Kernel][]memoEntry
+	// (uniform.go) for one acquisition, which bounds it and fixes its arch and
+	// arena: Release empties it, and only AcquireDevice reassigns Arch. A
+	// NewDevice device is never released and keeps its memo for life.
+	memo []memoEntry
 }
 
 // NewDevice creates a device with the architecture's default arena capacity.
@@ -91,12 +91,14 @@ func AcquireDeviceWithMem(arch *Arch, capacity int) *Device {
 func (d *Device) Release() {
 	d.Reset()
 	d.Stats = nil
-	// Drop references held from the last launch so pooled devices do not pin
-	// compiled kernels, profiles or caller argument slices in memory.
+	// Drop references held from this acquisition, the memo included, so
+	// pooled devices pin no compiled kernel, profile or caller argument slice.
 	d.launch.ctx.k = nil
 	d.launch.ctx.prof = nil
 	d.launch.ctx.args = nil
 	d.launch.ctx.budget = nil
+	clear(d.memo)
+	d.memo = d.memo[:0]
 	poolFor(len(d.mem)).Put(d)
 }
 

@@ -551,6 +551,59 @@ func TestUniformLaunchMemo(t *testing.T) {
 	}
 }
 
+// TestReleasedDeviceKeepsNoTimings pins the memo's scope to one device
+// acquisition: within it a repeated launch replays, Release empties the memo
+// so a pooled device pins no kernel and no argument copy, and a recycled
+// device times its first launch again, so a memo hit count is a function of
+// the evaluation alone.
+func TestReleasedDeviceKeepsNoTimings(t *testing.T) {
+	k := mustCompile(t, buildVecAdd())
+	const n = 200
+	launch := func(d *Device) {
+		t.Helper()
+		a, _ := d.Alloc(4 * n)
+		b, _ := d.Alloc(4 * n)
+		out, _ := d.Alloc(4 * n)
+		cfg := LaunchConfig{Grid: 7, Block: 32, Args: PackArgs(uint64(a), uint64(b), uint64(out), int64(n))}
+		if _, err := d.Launch(k, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d := AcquireDevice(P100)
+	st := &EvalStats{}
+	d.Stats = st
+	launch(d)
+	if st.MemoHits != 0 {
+		t.Fatalf("first launch of an acquisition replayed (%d memo hits)", st.MemoHits)
+	}
+	d.Reset()
+	launch(d)
+	if st.MemoHits != 1 || len(d.memo) != 1 {
+		t.Fatalf("repeat launch: %d memo hits, %d entries; want 1 and 1", st.MemoHits, len(d.memo))
+	}
+	backing := d.memo[:cap(d.memo)]
+	d.Release()
+	if len(d.memo) != 0 {
+		t.Fatalf("released device keeps %d memo entries", len(d.memo))
+	}
+	for i, e := range backing {
+		if e.k != nil || e.args != nil || e.grid != 0 || e.block != 0 || e.cycles != 0 {
+			t.Fatalf("released memo slot %d not zeroed: %+v", i, e)
+		}
+	}
+
+	d2 := AcquireDevice(P100)
+	defer d2.Release()
+	st2 := &EvalStats{}
+	d2.Stats = st2
+	launch(d2)
+	if st2.MemoHits != 0 || st2.Launches != 1 {
+		t.Fatalf("first launch after acquire (recycled: %v): %d memo hits in %d launches, want 0 in 1",
+			d2 == d, st2.MemoHits, st2.Launches)
+	}
+}
+
 // TestDataDependentKernelNotOblivious pins the taint analysis: a kernel
 // whose branch depends on loaded data must not be classified
 // timing-oblivious.

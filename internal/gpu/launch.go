@@ -134,17 +134,12 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	threaded := backend == BackendThreaded
 
 	// Uniform-launch memoization: a timing-oblivious kernel launched with a
-	// signature this device has timed before replays functionally with the
-	// recorded makespan (see uniform.go).
+	// signature timed earlier in this acquisition of the device replays
+	// functionally with the recorded makespan (see uniform.go).
+	var cycles float64
 	replay := false
-	var memoCycles float64
 	if threaded && k.oblivious {
-		memoCycles, replay = d.memoGet(k, d.Arch, &cfg)
-		if replay {
-			metricMemoHits.Inc()
-		} else {
-			metricMemoTimed.Inc()
-		}
+		cycles, replay = d.memoGet(k, &cfg)
 	}
 	metricLaunches.Inc()
 
@@ -251,14 +246,11 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 		ls.blockCycles[b] = cyc
 	}
 
-	var cycles float64
-	if replay {
-		cycles = memoCycles
-	} else {
+	if !replay {
 		ls.smTime = grow(ls.smTime, max(d.Arch.SMs, 1))
 		cycles = scheduleBlocks(ls.blockCycles, ls.smTime, nil)
 		if threaded && k.oblivious {
-			d.memoPut(k, d.Arch, &cfg, cycles)
+			d.memoPut(k, &cfg, cycles)
 		}
 	}
 	res := &Result{

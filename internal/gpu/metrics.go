@@ -7,15 +7,14 @@ import (
 	"gevo/internal/obs"
 )
 
-// Simulator-wide instrumentation. The program cache and the uniform-launch
-// memo are process-global, so their counters register once in the default
-// registry; trace events go to an injectable package-level sink (nil by
-// default — the deterministic fast path pays one atomic load).
+// Simulator-wide instrumentation. Counters register once in the default
+// registry, summed over every device and the process-global program cache;
+// trace events go to an injectable package-level sink (nil by default — the
+// deterministic fast path pays one atomic load).
 //
-// Determinism: counters and events only observe. Note that memo hits and
-// device recycling depend on sync.Pool retention and goroutine scheduling,
-// so those *counts* are not reproducible run to run — only search results
-// are. DESIGN.md §9 spells out which event streams are deterministic.
+// Determinism: counters and events only observe. Memo hits are a function of
+// the evaluations run; program-cache hits and device reuse depend on cache
+// and sync.Pool retention, so those counts vary run to run (DESIGN.md §9).
 var (
 	metricProgramHits   = obs.Default.Counter("gevo_gpu_program_cache_hits_total", "Program-cache hits: evaluations served a previously compiled module.")
 	metricProgramMisses = obs.Default.Counter("gevo_gpu_program_cache_misses_total", "Program-cache misses: verify+compile runs (including failed verifies).")

@@ -9,9 +9,9 @@ import "gevo/internal/obs"
 // evaluation returns. One evaluation runs on one goroutine (workloads fan
 // out across evaluations, never inside one), so plain fields suffice.
 //
-// Determinism: the handle only observes. Counts of memo hits and program
-// hits depend on scheduling and cache retention, so they are operational
-// telemetry, never inputs to fitness (DESIGN.md §9).
+// Determinism: the handle only observes. MemoHits is a function of the
+// evaluation; program hits depend on scheduling and cache retention. Both
+// are operational telemetry, never inputs to fitness (DESIGN.md §9).
 type EvalStats struct {
 	// Parent is the eval span a compile this evaluation triggers opens its
 	// gpu.compile span under; zero when the evaluation is untraced.

@@ -1,6 +1,10 @@
 package gpu
 
-import "gevo/internal/ir"
+import (
+	"slices"
+
+	"gevo/internal/ir"
+)
 
 // Uniform-launch detection and timing memoization.
 //
@@ -10,11 +14,12 @@ import "gevo/internal/ir"
 // the simulator makes — active masks, divergence, address coalescing, bank
 // conflicts, atomic contention, barrier alignment, dynamic instruction
 // counts — is a pure function of (kernel, grid geometry, argument values,
-// architecture, arena capacity). Launch memoizes the resulting makespan per
-// device: a repeat of an identical launch signature replays the blocks in
-// functional-only mode (loads/stores/atomics still execute, so memory
-// effects are exact) and reuses the recorded cycle count, skipping the
-// coalescing scans, conflict modeling and per-instruction accounting.
+// architecture, arena capacity). Launch memoizes the resulting makespan for
+// one device acquisition (Device.memo): a repeat of an identical launch
+// signature replays the blocks in functional-only mode (loads/stores/atomics
+// still execute, so memory effects are exact) and reuses the recorded cycle
+// count, skipping the coalescing scans, conflict modeling and per-instruction
+// accounting.
 //
 // This is the uniform-block structure of the paper's applications: SIMCoV
 // launches the same stencil kernels with the same arguments every step, and
@@ -114,74 +119,28 @@ func (k *Kernel) TimingOblivious() bool { return k.oblivious }
 
 // memoEntry records one successful launch signature and its makespan.
 type memoEntry struct {
-	arch     *Arch
-	memBytes int
-	grid     int
-	block    int
-	args     []uint64
-	cycles   float64
+	k      *Kernel
+	grid   int
+	block  int
+	args   []uint64
+	cycles float64
 }
 
-// Bounds on the per-device memo: entries are tiny (a dozen words), but the
-// cache must not pin arbitrarily many compiled kernels nor grow without
-// limit on a device recycled through the pool for weeks.
-const (
-	memoMaxKernels       = 64
-	memoEntriesPerKernel = 4
-)
-
-// memoGet returns the memoized makespan of an identical prior launch.
-func (d *Device) memoGet(k *Kernel, arch *Arch, cfg *LaunchConfig) (float64, bool) {
-	entries := d.memo[k]
-	for i := range entries {
-		e := &entries[i]
-		if e.arch != arch || e.memBytes != len(d.mem) || e.grid != cfg.Grid || e.block != cfg.Block {
-			continue
-		}
-		if len(e.args) != len(cfg.Args) {
-			continue
-		}
-		match := true
-		for j, v := range e.args {
-			if cfg.Args[j] != v {
-				match = false
-				break
-			}
-		}
-		if match {
+// memoGet returns the memoized makespan of an identical prior launch and
+// counts the lookup as a hit or a timed miss.
+func (d *Device) memoGet(k *Kernel, cfg *LaunchConfig) (float64, bool) {
+	for _, e := range d.memo {
+		if e.k == k && e.grid == cfg.Grid && e.block == cfg.Block && slices.Equal(e.args, cfg.Args) {
+			metricMemoHits.Inc()
 			return e.cycles, true
 		}
 	}
+	metricMemoTimed.Inc()
 	return 0, false
 }
 
 // memoPut records a successful timed launch of a timing-oblivious kernel.
 // Arguments are copied: callers may reuse their slices.
-func (d *Device) memoPut(k *Kernel, arch *Arch, cfg *LaunchConfig, cycles float64) {
-	if d.memo == nil {
-		d.memo = make(map[*Kernel][]memoEntry)
-	}
-	if len(d.memo) >= memoMaxKernels {
-		if _, ok := d.memo[k]; !ok {
-			// Full of other kernels: start over rather than evicting one at
-			// random (map iteration order would make eviction, and therefore
-			// performance, nondeterministic).
-			d.memo = make(map[*Kernel][]memoEntry)
-		}
-	}
-	entries := d.memo[k]
-	if len(entries) >= memoEntriesPerKernel {
-		// Evict the oldest signature (FIFO) — alternating argument sets, as
-		// in SIMCoV's double-buffered t-cell grids, stay resident.
-		copy(entries, entries[1:])
-		entries = entries[:len(entries)-1]
-	}
-	d.memo[k] = append(entries, memoEntry{
-		arch:     arch,
-		memBytes: len(d.mem),
-		grid:     cfg.Grid,
-		block:    cfg.Block,
-		args:     append([]uint64(nil), cfg.Args...),
-		cycles:   cycles,
-	})
+func (d *Device) memoPut(k *Kernel, cfg *LaunchConfig, cycles float64) {
+	d.memo = append(d.memo, memoEntry{k: k, grid: cfg.Grid, block: cfg.Block, args: slices.Clone(cfg.Args), cycles: cycles})
 }

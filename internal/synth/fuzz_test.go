@@ -26,11 +26,11 @@ func snapN(fd *familyDef, raw int) int {
 
 // FuzzBackendDifferential fuzzes the generator over (family, seed, size)
 // and pins interp ≡ threaded on every generated kernel: identical fitness
-// bits on both datasets (the second threaded fitness run exercising the
-// uniform-launch memo replay). The checked-in corpus under testdata
-// covers every family plus seeds that select the alternative structural
-// shapes (9-point stencils, max-reduce, weighted histogram, tile-4
-// matmul).
+// bits on both datasets (replayDifferential's second threaded fitness
+// launch exercising the uniform-launch memo replay). The checked-in corpus
+// under testdata covers every family plus seeds that select the
+// alternative structural shapes (9-point stencils, max-reduce, weighted
+// histogram, tile-4 matmul).
 func FuzzBackendDifferential(f *testing.F) {
 	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
 	for i := range families {
@@ -50,18 +50,8 @@ func FuzzBackendDifferential(f *testing.F) {
 		if err := gpu.VerifyProgram(w.baseProg); err != nil {
 			t.Fatalf("%s: compiled-program verification failed: %v", w.Name(), err)
 		}
-		want, err := w.EvaluateBackend(w.Base(), gpu.P100, gpu.BackendInterp)
-		if err != nil {
-			t.Fatalf("%s: interp evaluation failed: %v", w.Name(), err)
-		}
-		for run := 0; run < 2; run++ {
-			got, err := w.EvaluateBackend(w.Base(), gpu.P100, gpu.BackendThreaded)
-			if err != nil {
-				t.Fatalf("%s: threaded run %d failed: %v", w.Name(), run, err)
-			}
-			if got != want {
-				t.Errorf("%s: threaded run %d fitness %v != interp %v", w.Name(), run, got, want)
-			}
+		if _, err := w.replayDifferential(gpu.P100); err != nil {
+			t.Error(err)
 		}
 		wantHold, err := w.evaluate(w.Base(), gpu.P100, w.hold, gpu.BackendInterp, nil)
 		if err != nil {

@@ -24,8 +24,8 @@ type SuiteReport struct {
 	TimingUniform       bool `json:"timing_uniform"`
 	UniformAsDocumented bool `json:"uniform_as_documented"`
 	// DifferentialOK reports interp ≡ threaded base fitness (the second
-	// threaded run replays through the uniform-launch memo when the kernel
-	// qualifies).
+	// threaded launch, on the same device, replays through the
+	// uniform-launch memo when the kernel qualifies).
 	DifferentialOK bool `json:"differential_ok"`
 	// FitnessMs is the base program's simulated kernel time.
 	FitnessMs float64 `json:"fitness_ms"`
@@ -34,8 +34,8 @@ type SuiteReport struct {
 // RunSuite generates every spec and runs the scenario gauntlet on each:
 // construction (which verifies the module and cross-checks the oracle
 // against the reference interpreter), the documented-timing-shape check,
-// and the interp ≡ threaded differential (twice threaded, to cover the
-// uniform-launch memo replay path). It completes the whole suite before
+// and the interp ≡ threaded differential (replayDifferential, which covers
+// the uniform-launch memo replay path). It completes the whole suite before
 // reporting the joined errors, so one broken family does not hide another's
 // verdict.
 func RunSuite(specs []Spec, arch *gpu.Arch) ([]SuiteReport, error) {
@@ -60,28 +60,57 @@ func RunSuite(specs []Spec, arch *gpu.Arch) ([]SuiteReport, error) {
 				w.Name(), rep.TimingUniform, wantUniform))
 		}
 
-		interpMs, err := w.EvaluateBackend(w.Base(), arch, gpu.BackendInterp)
+		rep.FitnessMs, err = w.replayDifferential(arch)
+		rep.DifferentialOK = err == nil
 		if err != nil {
-			errs = append(errs, fmt.Errorf("synth: %s: interp evaluation failed: %w", w.Name(), err))
-			reports = append(reports, rep)
-			continue
-		}
-		rep.FitnessMs = interpMs
-		rep.DifferentialOK = true
-		for run := 0; run < 2; run++ {
-			got, err := w.EvaluateBackend(w.Base(), arch, gpu.BackendThreaded)
-			if err != nil {
-				errs = append(errs, fmt.Errorf("synth: %s: threaded run %d failed: %w", w.Name(), run, err))
-				rep.DifferentialOK = false
-				break
-			}
-			if got != interpMs {
-				errs = append(errs, fmt.Errorf("synth: %s: threaded run %d fitness %v != interp %v",
-					w.Name(), run, got, interpMs))
-				rep.DifferentialOK = false
-			}
+			errs = append(errs, err)
 		}
 		reports = append(reports, rep)
 	}
 	return reports, errors.Join(errs...)
+}
+
+// replayDifferential is the interp ≡ threaded check on the base program's
+// fitness run, with the uniform-launch memo's replay in reach: the memo lives
+// for one device acquisition, so the threaded side launches twice on one
+// device, and for a timing-oblivious kernel the second launch replays the
+// first one's timing. Each threaded launch must match one interpreted launch
+// in cycles and dynamic instructions and reproduce the golden output, and
+// the second must replay exactly when the kernel is timing-oblivious. It
+// returns the interpreted fitness (0 if that run fails).
+func (w *Workload) replayDifferential(arch *gpu.Arch) (float64, error) {
+	want, out, err := w.launch(w.Base(), arch, w.fit, gpu.BackendInterp, w.budget, nil)
+	if err != nil {
+		return 0, fmt.Errorf("synth: %s: interp evaluation failed: %w", w.Name(), err)
+	}
+	if i := firstDiff(out, w.fit.golden); i >= 0 {
+		return 0, fmt.Errorf("synth: interp evaluation failed: %w",
+			&MismatchError{Name: w.Name(), Offset: i, Got: out[i], Want: w.fit.golden[i]})
+	}
+	k := w.baseProg.Kernels[w.Kernel()]
+	d := gpu.AcquireDevice(arch)
+	defer d.Release()
+	st := &gpu.EvalStats{}
+	d.Stats = st
+	var errs []error
+	for run := 0; run < 2; run++ {
+		d.Reset() // same addresses, so the same launch signature
+		got, out, err := w.run(d, k, w.fit, gpu.BackendThreaded, w.budget, nil)
+		if err != nil {
+			return want.TimeMS, fmt.Errorf("synth: %s: threaded run %d failed: %w", w.Name(), run, err)
+		}
+		if got.Cycles != want.Cycles || got.DynInstrs != want.DynInstrs {
+			errs = append(errs, fmt.Errorf("synth: %s: threaded run %d: %v cycles, %d instrs; interp %v cycles, %d instrs",
+				w.Name(), run, got.Cycles, got.DynInstrs, want.Cycles, want.DynInstrs))
+		}
+		if i := firstDiff(out, w.fit.golden); i >= 0 {
+			errs = append(errs, fmt.Errorf("synth: threaded run %d: %w", run,
+				&MismatchError{Name: w.Name(), Offset: i, Got: out[i], Want: w.fit.golden[i]}))
+		}
+	}
+	if (st.MemoHits == 1) != k.TimingOblivious() {
+		errs = append(errs, fmt.Errorf("synth: %s: %d memo replays in two threaded launches, timing-oblivious %v",
+			w.Name(), st.MemoHits, k.TimingOblivious()))
+	}
+	return want.TimeMS, errors.Join(errs...)
 }

@@ -220,3 +220,28 @@ func TestSIMCoVProfile(t *testing.T) {
 		t.Errorf("move+diffusion should dominate, got %.1f%%", frac*100)
 	}
 }
+
+// TestSIMCoVMemoHitsArePerEvaluation checks that the uniform-launch memo
+// lives for one evaluation: two consecutive fitness evaluations of one
+// program report the same nonzero memo hit count, whether or not the second
+// draws the first one's recycled device. A memo that outlived Release would
+// let the second evaluation replay its first step's launches too.
+func TestSIMCoVMemoHitsArePerEvaluation(t *testing.T) {
+	s := newTestSIMCoV(t, false)
+	var hits [2]int64
+	var ms [2]float64
+	for i := range hits {
+		st := &gpu.EvalStats{}
+		var err error
+		if ms[i], err = s.EvaluateCosted(s.Base(), gpu.P100, st); err != nil {
+			t.Fatal(err)
+		}
+		hits[i] = st.MemoHits
+	}
+	if hits[0] == 0 || hits[1] != hits[0] {
+		t.Fatalf("memo hits per evaluation = %v, want two equal nonzero counts", hits)
+	}
+	if ms[1] != ms[0] {
+		t.Fatalf("fitness moved between evaluations: %v", ms)
+	}
+}
