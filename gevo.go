@@ -10,7 +10,7 @@
 //   - internal/ir + internal/gpu: the LLVM-IR and NVIDIA-GPU substitutes
 //     (see DESIGN.md for the substitution argument and the evaluation
 //     pipeline — content-addressed compiled-program cache, pooled devices,
-//     pre-decoded interpreter — that keeps search throughput high);
+//     threaded-code backend — that keeps search throughput high);
 //   - internal/workload: the paper's two applications, ADEPT sequence
 //     alignment and the SIMCoV infection model, wired to fitness and
 //     held-out validation;

@@ -6,8 +6,8 @@
 // tools and for future diagnosis-driven operators.
 //
 // Determinism: a Report is a pure function of (workload, arch, genome).
-// The profiled evaluation always runs the reference interpreter (profiling
-// forces it), the interpreter is bit-deterministic, and every aggregation
+// The profiled evaluation runs on the backend the search runs on, both
+// backends record the same profile bit for bit, and every aggregation
 // below iterates IR structures in their canonical order (module function
 // order, block order, instruction order) — never over Go maps. The same
 // spec therefore yields byte-identical Canonical() documents, which the

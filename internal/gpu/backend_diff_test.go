@@ -1,10 +1,14 @@
 package gpu_test
 
 import (
+	"reflect"
 	"testing"
 
+	"gevo/internal/core"
 	"gevo/internal/gpu"
+	"gevo/internal/ir"
 	"gevo/internal/kernels"
+	"gevo/internal/obs"
 	"gevo/internal/synth"
 	"gevo/internal/workload"
 )
@@ -124,29 +128,121 @@ func TestBackendDifferentialSynth(t *testing.T) {
 	}
 }
 
-// TestBackendDifferentialProfiledAgrees pins that profiled evaluation (which
-// always runs interpreted) reports the same fitness the threaded search
-// path computes.
+// TestBackendDifferentialProfiledAgrees pins the threaded profile to the
+// interpreter's: every profile of a profiled evaluation must be equal under
+// both backends, bit for bit — per-instruction cycles, counts and lanes,
+// branch and memory counters, barrier cycles and every launch's block
+// timings — and its fitness must be the one the unprofiled threaded search
+// path computes. It covers ADEPT-V0, ADEPT-V1 and SIMCoV, each as its base
+// program and with its canonical edit set, on every architecture, and every
+// synth family. A profiled launch must not replay from the uniform-launch
+// memo (a replay charges nothing to attribute): SIMCoV's per-step launches
+// replay in an unprofiled evaluation and must not in a profiled one.
+//
+// CI runs this test by name and fails if it is skipped.
 func TestBackendDifferentialProfiledAgrees(t *testing.T) {
+	defer func(b gpu.Backend) { gpu.DefaultBackend = b }(gpu.DefaultBackend)
+	defer gpu.SetVerifyCompiled(gpu.SetVerifyCompiled(true))
 	defer gpu.CheckLaneInvariance(gpu.CheckLaneInvariance(true))
-	w, err := workload.NewADEPT(kernels.ADEPTV1, workload.ADEPTOptions{
-		Seed: 7, FitPairs: 2, HoldoutPairs: 2, RefLen: 48, QueryLen: 32,
-	})
+
+	type profiled interface {
+		workload.Workload
+		workload.Profiler
+	}
+	type tc struct {
+		name string
+		w    profiled
+		m    *ir.Module
+	}
+	var cases []tc
+	add := func(name string, w profiled, edits []core.Edit, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cases = append(cases,
+			tc{name, w, w.Base()},
+			tc{name + "/canonical", w, core.Variant(w.Base(), edits)})
+	}
+	opts := workload.ADEPTOptions{Seed: 7, FitPairs: 2, HoldoutPairs: 2, RefLen: 48, QueryLen: 32}
+	v0, err := workload.NewADEPT(kernels.ADEPTV0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := w.Evaluate(w.Base(), gpu.P100)
+	edits, err := core.CanonicalADEPTV0(v0.Base())
+	add("adept-v0", v0, edits, err)
+	v1, err := workload.NewADEPT(kernels.ADEPTV1, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pms, profs, err := w.EvaluateProfiled(w.Base(), gpu.P100)
+	_, edits, err = core.CanonicalADEPTV1(v1.Base(), true)
+	add("adept-v1", v1, edits, err)
+	simcov, err := workload.NewSIMCoV(workload.SIMCoVOptions{Seed: 3, W: 16, H: 12, Steps: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pms != ms {
-		t.Errorf("profiled fitness %v != threaded fitness %v", pms, ms)
+	edits, err = core.CanonicalSIMCoV(simcov.Base())
+	add("simcov", simcov, edits, err)
+	for _, sp := range synth.DefaultSuite() {
+		w, err := synth.New(sp)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name(), err)
+		}
+		cases = append(cases, tc{w.Name(), w, w.Base()})
 	}
-	if len(profs) == 0 || profs["sw_forward"].SumCycles() <= 0 {
-		t.Error("profiled evaluation returned no attribution")
+
+	for _, c := range cases {
+		for _, arch := range gpu.Architectures {
+			gpu.DefaultBackend = gpu.BackendThreaded
+			ms, err := c.w.Evaluate(c.m, arch)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.name, arch.Name, err)
+			}
+			gotMs, got, err := c.w.EvaluateProfiled(c.m, arch)
+			if err != nil {
+				t.Fatalf("%s/%s: threaded profiled: %v", c.name, arch.Name, err)
+			}
+			gpu.DefaultBackend = gpu.BackendInterp
+			wantMs, want, err := c.w.EvaluateProfiled(c.m, arch)
+			if err != nil {
+				t.Fatalf("%s/%s: interpreted profiled: %v", c.name, arch.Name, err)
+			}
+			if gotMs != ms || wantMs != ms {
+				t.Errorf("%s/%s: profiled fitness %v (threaded), %v (interp) != threaded fitness %v",
+					c.name, arch.Name, gotMs, wantMs, ms)
+			}
+			if len(want) == 0 {
+				t.Errorf("%s/%s: profiled evaluation returned no profiles", c.name, arch.Name)
+			}
+			for name, p := range want {
+				if p.SumCycles() <= 0 {
+					t.Errorf("%s/%s: %s: the interpreter attributed no cycles", c.name, arch.Name, name)
+				}
+				if !reflect.DeepEqual(got[name], p) {
+					t.Errorf("%s/%s: %s: threaded profile differs from the interpreter's", c.name, arch.Name, name)
+				}
+			}
+			if len(got) != len(want) {
+				t.Errorf("%s/%s: %d threaded profiles, %d interpreted", c.name, arch.Name, len(got), len(want))
+			}
+		}
+	}
+
+	// The replays: gevo_gpu_memo_hits_total counts the same events as
+	// EvalStats.MemoHits, and nothing else here launches concurrently.
+	gpu.DefaultBackend = gpu.BackendThreaded
+	st := &gpu.EvalStats{}
+	if _, err := simcov.EvaluateCosted(simcov.Base(), gpu.P100, st); err != nil {
+		t.Fatal(err)
+	}
+	if st.MemoHits == 0 {
+		t.Fatal("an unprofiled SIMCoV evaluation replayed nothing; the memo check below tests nothing")
+	}
+	hits := obs.Default.Counter("gevo_gpu_memo_hits_total", "")
+	before := hits.Value()
+	if _, _, err := simcov.EvaluateProfiled(simcov.Base(), gpu.P100); err != nil {
+		t.Fatal(err)
+	}
+	if n := hits.Value() - before; n != 0 {
+		t.Errorf("a profiled SIMCoV evaluation replayed %d launches from the memo, want 0", n)
 	}
 }

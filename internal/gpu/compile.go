@@ -17,15 +17,12 @@ type Kernel struct {
 	blocks      []cblock
 	nslots      int
 	nextUID     int // the source function's NextUID: bounds the UIDs a profile sees
-	// constLanes backs the pre-broadcast lane images of constant operands:
-	// 32 identical words per distinct constant value (see carg.pre).
-	constLanes []uint64
 	// oblivious marks kernels whose timing provably cannot depend on memory
 	// contents (see kernelTimingOblivious); such launches are eligible for
 	// uniform-launch timing memoization.
 	oblivious bool
 
-	// Extended register file layout for the threaded backend: totalSlots is
+	// Extended register file layout of both backends: totalSlots is
 	// nslots plus one slot per distinct constant, parameter and special
 	// register used by the kernel. The ext* tables describe how Launch and
 	// runBlock fill those extra slots (constants and launch-uniform values
@@ -66,8 +63,8 @@ func (k *Kernel) scalarBase() int32 { return int32(k.totalSlots * warpSize) }
 
 // extConstFill materializes one distinct constant into an extended slot.
 type extConstFill struct {
-	base  int32
-	lanes []uint64
+	base int32
+	val  uint64
 }
 
 // extIdxFill materializes one parameter (idx = parameter index) or special
@@ -93,15 +90,11 @@ type carg struct {
 	cval uint64 // argConst
 	slot int32  // argReg: register slot
 	idx  int32  // argParam: parameter index; argSpecial: special code
-	// pre is the pre-broadcast 32-lane image of a constant operand, pointing
-	// into the kernel's constLanes table. The executor hands it out directly
-	// instead of materializing the constant once per executed instruction.
-	pre []uint64
-	// ebase is the operand's offset into the extended register file used by
-	// the threaded backend: real registers at slot*warpSize, constants,
-	// parameters and special registers materialized into slots past nslots
-	// at launch/block setup (see finalizeKernel, Launch). With every operand
-	// a register, threaded code needs no operand-kind dispatch at all.
+	// ebase is the operand's offset into the extended register file: real
+	// registers at slot*warpSize, constants, parameters and special
+	// registers materialized into slots past nslots at launch/block setup
+	// (see finalizeKernel, Launch). With every operand a register, neither
+	// backend needs an operand-kind dispatch.
 	ebase int32
 }
 
@@ -198,11 +191,6 @@ type phiCopy struct {
 // traversed.
 type phiEdge struct {
 	copies []phiCopy
-	// snapshot marks edges whose copies interfere (one copy's destination
-	// slot is another's source register): those need two-phase application.
-	// Interference-free edges — the overwhelmingly common case — apply their
-	// copies directly.
-	snapshot bool
 	// apply is the threaded-code form of the parallel copy (nil when the
 	// edge carries none); see lowerPhiEdges.
 	apply func(c *blockCtx, w *warp, mask uint32)
@@ -358,17 +346,9 @@ func lowerFunction(f *ir.Function, g *ir.CFG) (*Kernel, error) {
 }
 
 // finalizeKernel runs the post-passes of the pre-decoded representation:
-// classify phi edges as snapshot-free where possible and pre-broadcast every
-// distinct constant operand into a 32-lane image the executor can hand out
-// without per-instruction materialization.
+// the extended register file, the threaded backend's copy propagation and
+// its lowering to micro-ops.
 func finalizeKernel(k *Kernel) {
-	for bi := range k.blocks {
-		cb := &k.blocks[bi]
-		for ei := range cb.phiFrom {
-			cb.phiFrom[ei].snapshot = edgeNeedsSnapshot(cb.phiFrom[ei].copies)
-		}
-	}
-
 	// Distinct constants in first-use order. A kernel has a few dozen at
 	// most, so a scan of the list beats hashing; each constant operand parks
 	// its list index in ebase until the extended slots are assigned below.
@@ -386,17 +366,10 @@ func finalizeKernel(k *Kernel) {
 		a.ebase = int32(len(consts))
 		consts = append(consts, a.cval)
 	})
-	k.constLanes = make([]uint64, len(consts)*warpSize)
-	for i, v := range consts {
-		lanes := k.constLanes[i*warpSize : (i+1)*warpSize]
-		for l := range lanes {
-			lanes[l] = v
-		}
-	}
 
 	// Extended register file: give every distinct constant, parameter and
-	// special register its own slot past the real registers, so threaded
-	// operands are uniformly register offsets. The fill tables double as the
+	// special register its own slot past the real registers, so operands
+	// are uniformly register offsets. The fill tables double as the
 	// "already has a slot" index: parameters and specials number a handful.
 	k.totalSlots = k.nslots
 	alloc := func() int32 {
@@ -420,9 +393,8 @@ func finalizeKernel(k *Kernel) {
 			a.ebase = a.slot * warpSize
 		case argConst:
 			i := int(a.ebase)
-			a.pre = k.constLanes[i*warpSize : (i+1)*warpSize : (i+1)*warpSize]
 			if i == len(k.extConst) { // first use: this walk meets constants in the order that numbered them
-				k.extConst = append(k.extConst, extConstFill{base: alloc(), lanes: a.pre})
+				k.extConst = append(k.extConst, extConstFill{base: alloc(), val: consts[i]})
 			}
 			a.ebase = k.extConst[i].base
 		case argParam:
@@ -505,9 +477,8 @@ func finalizeKernel(k *Kernel) {
 		}
 	}
 
-	// Threaded-code lowering must follow the constant pre-broadcast and the
-	// extended-slot assignment: micro-ops and phi-edge plans carry the
-	// offsets directly.
+	// Threaded-code lowering must follow the extended-slot assignment:
+	// micro-ops and phi-edge plans carry the offsets directly.
 	lowerKernel(k)
 	k.oblivious = kernelTimingOblivious(k)
 }
@@ -530,26 +501,6 @@ func walkArgs(k *Kernel, visit func(*carg)) {
 			}
 		}
 	}
-}
-
-// edgeNeedsSnapshot reports whether a parallel copy reads a register another
-// of its copies writes (a pure self-copy is order-independent and excluded).
-func edgeNeedsSnapshot(copies []phiCopy) bool {
-	for i := range copies {
-		src := &copies[i].src
-		if src.kind != argReg {
-			continue
-		}
-		for j := range copies {
-			if i == j {
-				continue
-			}
-			if copies[j].dst == src.slot {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // sizes are the counts a kernel's tables are sized by: register slots (one per

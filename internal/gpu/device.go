@@ -95,7 +95,6 @@ func (d *Device) Release() {
 	// pooled devices pin no compiled kernel, profile or caller argument slice.
 	d.launch.ctx.k = nil
 	d.launch.ctx.prof = nil
-	d.launch.ctx.args = nil
 	d.launch.ctx.budget = nil
 	clear(d.memo)
 	d.memo = d.memo[:0]

@@ -11,9 +11,9 @@ import (
 // block's []uop through one jump-table switch, handing lane arithmetic to
 // aluU and memory to loadU/storeU; phi edges compile to copy
 // programs that degrade to memmoves when the warp is converged (lowerPhiEdges).
-// The switch interpreter in exec.go is the reference: it is what runs when
-// per-instruction profiling is requested, and the differential tests assert
-// that both backends produce bit-identical cycle counts and memory effects.
+// The switch interpreter in exec.go is the reference: the differential tests
+// assert that both backends produce bit-identical cycle counts, memory
+// effects and profiles.
 // Instruction semantics therefore live in two places, the oracle and the
 // micro-ops, and an escape is the oracle: a shape uopFor has no micro-op for
 // escapes, its uop says uEscape, and the driver hands the instruction to
@@ -56,14 +56,13 @@ import (
 type Backend uint8
 
 const (
-	// BackendAuto picks the threaded backend unless per-instruction
-	// profiling is requested (profiling records through the reference
-	// interpreter).
+	// BackendAuto defers to DefaultBackend, and past that picks the
+	// threaded backend, profiled or not.
 	BackendAuto Backend = iota
-	// BackendInterp forces the reference switch interpreter of exec.go.
+	// BackendInterp forces the reference switch interpreter of exec.go, the
+	// oracle of the threaded backend's results and profiles.
 	BackendInterp
-	// BackendThreaded forces the threaded-code backend. A non-nil
-	// LaunchConfig.Profile still wins: profiling always runs interpreted.
+	// BackendThreaded forces the threaded-code backend.
 	BackendThreaded
 )
 
@@ -79,8 +78,8 @@ func normI32(v uint64) uint64 { return uint64(int64(int32(uint32(v)))) }
 // threaded code: a uop — uEscape for the shapes listed at the top of this
 // file — fused where fuseCmpBranches can and marked where markLaneInvariant
 // (uop_invariant.go) proves its operands the same in every active lane, which
-// also gives every register slot its home. Must run after constant lane
-// images and extended slots are assigned.
+// also gives every register slot its home. Must run after the extended slots
+// are assigned.
 func lowerKernel(k *Kernel) {
 	n := 0
 	for bi := range k.blocks {
@@ -107,14 +106,76 @@ func lowerKernel(k *Kernel) {
 	lowerPhiEdges(k)
 }
 
+// fuseCmpBranches rewrites [icmp/fcmp; condbr] pairs whose compare result
+// has no other use into one fused uop: the compare feeds the branch mask
+// directly and its i1 lanes are never materialized. Budget and cycle
+// accounting remain exactly those of the two original instructions. uses is
+// a zeroed table with one word per register slot.
+func fuseCmpBranches(k *Kernel, uses []int32) {
+	for bi := range k.blocks {
+		cb := &k.blocks[bi]
+		for ii := range cb.ins {
+			for ai := range cb.ins[ii].args {
+				if a := &cb.ins[ii].args[ai]; a.kind == argReg {
+					uses[a.slot]++
+				}
+			}
+		}
+		for ei := range cb.phiFrom {
+			copies := cb.phiFrom[ei].copies
+			for ci := range copies {
+				if copies[ci].src.kind == argReg {
+					uses[copies[ci].src.slot]++
+				}
+			}
+		}
+	}
+	for bi := range k.blocks {
+		cb := &k.blocks[bi]
+		for ii := 0; ii+1 < len(cb.ins); ii++ {
+			// mul64 feeding a single-use add64 (the GlobalIdx idiom).
+			if cb.uops[ii].code == uMul64 && cb.uops[ii+1].code == uAdd64 {
+				mu, au := &cb.uops[ii], &cb.uops[ii+1]
+				mulDst := cb.ins[ii].dst
+				if mulDst >= 0 && uses[mulDst] == 1 && (au.s1 == mu.d || au.s2 == mu.d) {
+					other := au.s1
+					if au.s1 == mu.d {
+						other = au.s2
+					}
+					cb.uops[ii] = uop{
+						code: uMulAdd64, cls: mu.cls, cls2: au.cls,
+						d: au.d, s1: mu.s1, s2: mu.s2, s3: other, uid: mu.uid,
+					}
+					continue
+				}
+			}
+			// A compare micro-op followed by the branch that is its only reader.
+			// The uop already carries uopFor's mirror rule (operands swapped,
+			// GT/GE lowered to LT/LE), and the fused codes run parallel to the
+			// compare codes.
+			u, bu := cb.uops[ii], &cb.uops[ii+1]
+			if u.code < uICmpEQ || u.code > uFCmpLE || bu.code != uCondBr {
+				continue
+			}
+			cmp, br := &cb.ins[ii], &cb.ins[ii+1]
+			if br.args[0].kind != argReg || br.args[0].slot != cmp.dst || uses[cmp.dst] != 1 {
+				continue
+			}
+			u.code = uICmpBrEQ + (u.code - uICmpEQ)
+			u.succ0, u.succ1, u.reconv, u.both = bu.succ0, bu.succ1, bu.reconv, bu.both
+			cb.uops[ii] = u
+		}
+	}
+}
+
 // Phi-edge lowering. With every source materialized in the extended
 // register file, a phi edge is a flat list of register-to-register copies. A
 // copy into a lane-invariant slot moves one word (and fills the destination's
 // active lanes too when it keeps them, homeBoth); every other copy moves
 // lanes. Interference-free lane copies (no copy's destination is another's
 // source — proven at compile time) are order-independent and become straight
-// memmoves when the warp is converged; interfering ones keep the ordered
-// two-phase snapshot of applyPhis. The lane copies go first: they read no
+// memmoves when the warp is converged; interfering ones keep the two-phase
+// snapshot of applyPhis. The lane copies go first: they read no
 // word, and the words read no lanes they write (a lane copy's destination is
 // not invariant, a word copy's source is).
 
@@ -434,68 +495,6 @@ func (c *blockCtx) divergeT(w *warp, succ0, succ1 int32, maskT, maskF uint32, r 
 		}
 		if succ0 != r {
 			w.stack = append(w.stack, simtEntry{block: succ0, pc: 0, reconv: r, mask: maskT, sibling: both})
-		}
-	}
-}
-
-// fuseCmpBranches rewrites [icmp/fcmp; condbr] pairs whose compare result
-// has no other use into one fused uop: the compare feeds the branch mask
-// directly and its i1 lanes are never materialized. Budget and cycle
-// accounting remain exactly those of the two original instructions. uses is
-// a zeroed table with one word per register slot.
-func fuseCmpBranches(k *Kernel, uses []int32) {
-	for bi := range k.blocks {
-		cb := &k.blocks[bi]
-		for ii := range cb.ins {
-			for ai := range cb.ins[ii].args {
-				if a := &cb.ins[ii].args[ai]; a.kind == argReg {
-					uses[a.slot]++
-				}
-			}
-		}
-		for ei := range cb.phiFrom {
-			copies := cb.phiFrom[ei].copies
-			for ci := range copies {
-				if copies[ci].src.kind == argReg {
-					uses[copies[ci].src.slot]++
-				}
-			}
-		}
-	}
-	for bi := range k.blocks {
-		cb := &k.blocks[bi]
-		for ii := 0; ii+1 < len(cb.ins); ii++ {
-			// mul64 feeding a single-use add64 (the GlobalIdx idiom).
-			if cb.uops[ii].code == uMul64 && cb.uops[ii+1].code == uAdd64 {
-				mu, au := &cb.uops[ii], &cb.uops[ii+1]
-				mulDst := cb.ins[ii].dst
-				if mulDst >= 0 && uses[mulDst] == 1 && (au.s1 == mu.d || au.s2 == mu.d) {
-					other := au.s1
-					if au.s1 == mu.d {
-						other = au.s2
-					}
-					cb.uops[ii] = uop{
-						code: uMulAdd64, cls: mu.cls, cls2: au.cls,
-						d: au.d, s1: mu.s1, s2: mu.s2, s3: other, uid: mu.uid,
-					}
-					continue
-				}
-			}
-			// A compare micro-op followed by the branch that is its only reader.
-			// The uop already carries uopFor's mirror rule (operands swapped,
-			// GT/GE lowered to LT/LE), and the fused codes run parallel to the
-			// compare codes.
-			u, bu := cb.uops[ii], &cb.uops[ii+1]
-			if u.code < uICmpEQ || u.code > uFCmpLE || bu.code != uCondBr {
-				continue
-			}
-			cmp, br := &cb.ins[ii], &cb.ins[ii+1]
-			if br.args[0].kind != argReg || br.args[0].slot != cmp.dst || uses[cmp.dst] != 1 {
-				continue
-			}
-			u.code = uICmpBrEQ + (u.code - uICmpEQ)
-			u.succ0, u.succ1, u.reconv, u.both = bu.succ0, bu.succ1, bu.reconv, bu.both
-			cb.uops[ii] = u
 		}
 	}
 }

@@ -789,22 +789,6 @@ func TestVerifyKernelCatchesCorruption(t *testing.T) {
 			want: "cost class out of range",
 		},
 		{
-			name: "phi snapshot flag flipped",
-			corrupt: func(k *Kernel) bool {
-				for bi := range k.blocks {
-					cb := &k.blocks[bi]
-					for ei := range cb.phiFrom {
-						if len(cb.phiFrom[ei].copies) > 0 {
-							cb.phiFrom[ei].snapshot = !cb.phiFrom[ei].snapshot
-							return true
-						}
-					}
-				}
-				return false
-			},
-			want: "snapshot flag",
-		},
-		{
 			name: "phi memmove run sourced from the wrong slot",
 			corrupt: func(k *Kernel) bool {
 				for bi := range k.blocks {

@@ -14,10 +14,12 @@ import (
 // Section VI-A finding that a divergent fast-path/slow-path split can lose
 // to a uniform slow path.
 //
-// The interpreter is the innermost loop of the evaluation pipeline: operand
-// kinds are resolved once per executed instruction (argLanes), not once per
-// lane, active lanes are visited by mask bit iteration, and per-instruction
-// issue costs come from a table resolved at launch (see costClass).
+// This switch interpreter is the reference the threaded backend (uop.go) is
+// tested against, and it runs the threaded backend's escapes. It is kept
+// simple rather than fast: every operand is read from the extended register
+// file Launch fills (argLanes), phi copies always go through a snapshot, and
+// per-instruction issue costs come from a table resolved at launch (see
+// costClass).
 
 const warpSize = 32
 
@@ -40,8 +42,6 @@ type simtEntry struct {
 
 // warp is the execution state of one warp within a block.
 type warp struct {
-	id       int
-	tidBase  int32
 	regs     []uint64 // nslots * 32, lane-major within slot
 	stack    []simtEntry
 	cycles   float64
@@ -53,11 +53,6 @@ type warp struct {
 	// source) in this block run: the clock of the threaded backend's
 	// non-termination witness (see transferT). The interpreter leaves it 0.
 	retreats uint32
-	// tidLanes and idLanes are the pre-broadcast lane images of the TID and
-	// warp-id special registers (tidLanes refilled per block, idLanes per
-	// launch).
-	tidLanes [warpSize]uint64
-	idLanes  [warpSize]uint64
 }
 
 // blockCtx is the execution context of one thread block.
@@ -66,9 +61,6 @@ type blockCtx struct {
 	k        *Kernel
 	arch     *Arch
 	shared   []byte
-	args     []uint64
-	blockID  int32
-	gridDim  int32
 	blockDim int32
 	warps    []*warp
 	prof     *Profile
@@ -76,15 +68,6 @@ type blockCtx struct {
 	// costs is the architecture's issue-cost table indexed by costClass,
 	// resolved once per launch.
 	costs [numCostClasses]float64
-	// paramLanes holds the pre-broadcast lane image of each kernel parameter
-	// (len(args)*32, filled once per launch).
-	paramLanes []uint64
-	// bidLanes, bdimLanes and gdimLanes are the pre-broadcast lane images of
-	// the uniform special registers (bidLanes refilled per block, the grid
-	// geometry per launch).
-	bidLanes  [warpSize]uint64
-	bdimLanes [warpSize]uint64
-	gdimLanes [warpSize]uint64
 	// scratch buffers reused across instructions
 	addrs    [warpSize]int64
 	lanes    [warpSize]int
@@ -117,9 +100,8 @@ type witness struct {
 	regs     []uint64
 }
 
-// laneLanes and zeroLanes are the static lane images of the lane-id special
-// register and of unknown specials.
-var laneLanes, zeroLanes [warpSize]uint64
+// laneLanes is the static lane image of the lane-id special register.
+var laneLanes [warpSize]uint64
 
 func init() {
 	for i := range laneLanes {
@@ -127,54 +109,21 @@ func init() {
 	}
 }
 
-// fillLanes broadcasts one value across a 32-lane image.
-func fillLanes(buf *[warpSize]uint64, v uint64) {
-	for i := range buf {
-		buf[i] = v
-	}
-}
-
-// argLanes returns a warpSize-long slice holding the operand's value for
-// every lane — without materializing anything. Register operands alias the
-// warp's register file; constants were pre-broadcast at compile time;
-// parameters and special registers were pre-broadcast at launch or block
-// setup. The returned slices are read-only to the executor.
+// argLanes returns the warpSize-long window of the warp's register file that
+// holds the operand's value for every lane: its offset into the extended
+// register file, where Launch and runBlock put constants, parameters and
+// special registers. The returned slices are read-only to the executor.
 //
-// On the threaded side (an escape run by runWarpU) every operand is its
-// offset into the extended register file instead: finalizeKernel's
-// identity-copy propagation rewrites only ebase, and the dead copy's own slot
-// is never written there.
+// The interpreter reads a register at its own slot instead: finalizeKernel's
+// identity-copy propagation rewrites only ebase, for the threaded side (an
+// escape run by runWarpU), where the dead copy's own slot is never written.
+// So the oracle stays independent of that rewrite.
 func (c *blockCtx) argLanes(w *warp, a *carg) []uint64 {
-	if c.threaded {
-		return w.regs[a.ebase:][:warpSize:warpSize]
+	o := a.ebase
+	if a.kind == argReg && !c.threaded {
+		o = a.slot * warpSize
 	}
-	switch a.kind {
-	case argReg:
-		s := int(a.slot) * warpSize
-		return w.regs[s : s+warpSize : s+warpSize]
-	case argConst:
-		return a.pre
-	case argParam:
-		p := int(a.idx) * warpSize
-		return c.paramLanes[p : p+warpSize : p+warpSize]
-	default: // argSpecial
-		switch ir.Special(a.idx) {
-		case ir.SpecialTID:
-			return w.tidLanes[:]
-		case ir.SpecialLane:
-			return laneLanes[:]
-		case ir.SpecialBID:
-			return c.bidLanes[:]
-		case ir.SpecialBDim:
-			return c.bdimLanes[:]
-		case ir.SpecialGDim:
-			return c.gdimLanes[:]
-		case ir.SpecialWarp:
-			return w.idLanes[:]
-		default:
-			return zeroLanes[:]
-		}
-	}
+	return w.regs[o : o+warpSize : o+warpSize]
 }
 
 // dstLanes returns the destination register slice of a value-producing
@@ -211,30 +160,13 @@ func (c *blockCtx) memPenalty(w *warp) float64 {
 }
 
 // applyPhis performs the parallel phi copies for the edge from→to under the
-// given mask.
+// given mask. Parallel-copy semantics: snapshot all sources before writing
+// any destination (a phi may read another phi's pre-transfer value).
 func (c *blockCtx) applyPhis(w *warp, from, to int32, mask uint32) {
-	edge := &c.k.blocks[to].phiFrom[from]
-	copies := edge.copies
+	copies := c.k.blocks[to].phiFrom[from].copies
 	if len(copies) == 0 {
 		return
 	}
-	if !edge.snapshot {
-		// Interference-free edge (determined at compile time): apply the
-		// copies in order, no snapshot needed.
-		for i := range copies {
-			src := c.argLanes(w, &copies[i].src)
-			d := int(copies[i].dst) * warpSize
-			dl := w.regs[d : d+warpSize : d+warpSize]
-			for m := mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros32(m)
-				dl[lane] = src[lane]
-			}
-		}
-		w.cycles += c.arch.IssueALU * float64(len(copies))
-		return
-	}
-	// Parallel-copy semantics: snapshot all sources before writing any
-	// destination (a phi may read another phi's pre-transfer value).
 	need := len(copies) * warpSize
 	if cap(c.phiTmp) < need {
 		c.phiTmp = make([]uint64, need)
@@ -797,17 +729,8 @@ func (c *blockCtx) execAtomic(w *warp, e *simtEntry, in *cinstr) error {
 }
 
 // gatherAddrs collects the addresses src holds for the active lanes into
-// c.addrs/c.lanes and returns the count, with a dense path for converged
-// warps.
+// c.addrs/c.lanes and returns the count.
 func (c *blockCtx) gatherAddrs(src []uint64, mask uint32) int {
-	if mask == fullMask && len(src) >= warpSize {
-		src := src[:warpSize]
-		for l := 0; l < warpSize; l++ {
-			c.addrs[l] = int64(src[l])
-			c.lanes[l] = l
-		}
-		return warpSize
-	}
 	n := 0
 	for m := mask; m != 0; m &= m - 1 {
 		lane := bits.TrailingZeros32(m) & 31

@@ -27,14 +27,16 @@ type LaunchConfig struct {
 	// with nothing written in between (transferT, dispatch.go).
 	MaxDynInstr int64
 	// Profile, when non-nil, accumulates per-instruction cycle and
-	// execution counts (the nvprof analog used by the edit analysis).
-	// Profiling is strictly opt-in: it forces the reference interpreter
-	// backend, so the threaded search path never pays a per-instruction
-	// recording branch.
+	// execution counts (the nvprof analog used by the edit analysis) from
+	// the backend the launch runs on, so a diagnosis describes the executor
+	// the search times. The threaded driver records once per straight-line
+	// run, and a profiled launch never replays from the uniform-launch memo.
+	// Both backends record the same profile of a completed launch, bit for
+	// bit (TestBackendDifferentialProfiledAgrees).
 	Profile *Profile
 	// Backend selects the execution engine. The default (BackendAuto)
 	// defers to the package-level DefaultBackend and ultimately to the
-	// threaded backend; a non-nil Profile always selects the interpreter.
+	// threaded backend.
 	Backend Backend
 }
 
@@ -118,9 +120,7 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	}
 	remaining := budget
 
-	// Backend selection: profiling records through the reference
-	// interpreter; everything else runs threaded code unless explicitly
-	// forced otherwise.
+	// Backend selection: threaded code unless explicitly forced otherwise.
 	backend := cfg.Backend
 	if backend == BackendAuto {
 		backend = DefaultBackend
@@ -128,17 +128,16 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	if backend == BackendAuto {
 		backend = BackendThreaded
 	}
-	if cfg.Profile != nil {
-		backend = BackendInterp
-	}
 	threaded := backend == BackendThreaded
 
 	// Uniform-launch memoization: a timing-oblivious kernel launched with a
 	// signature timed earlier in this acquisition of the device replays
-	// functionally with the recorded makespan (see uniform.go).
+	// functionally with the recorded makespan (see uniform.go). A profiled
+	// launch does neither: a replay charges nothing to attribute.
+	memo := threaded && k.oblivious && cfg.Profile == nil
 	var cycles float64
 	replay := false
-	if threaded && k.oblivious {
+	if memo {
 		cycles, replay = d.memoGet(k, &cfg)
 	}
 	metricLaunches.Inc()
@@ -152,15 +151,7 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	ls.warpPtrs = grow(ls.warpPtrs, nwarps)
 	for wi := 0; wi < nwarps; wi++ {
 		w := &ls.warps[wi]
-		w.id = wi
 		w.regs = ls.regs[wi*stride : (wi+1)*stride]
-		fillLanes(&w.idLanes, uint64(int64(wi)))
-		// The thread-id image is block-invariant (tid = warp*32 + lane):
-		// fill it once per launch, not once per block.
-		w.tidBase = int32(wi * warpSize)
-		for l := range w.tidLanes {
-			w.tidLanes[l] = uint64(int64(w.tidBase) + int64(l))
-		}
 		ls.warpPtrs[wi] = w
 	}
 
@@ -169,8 +160,6 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	ctx.k = k
 	ctx.arch = d.Arch
 	ctx.shared = ls.shared
-	ctx.args = cfg.Args
-	ctx.gridDim = int32(cfg.Grid)
 	ctx.blockDim = int32(cfg.Block)
 	ctx.warps = ls.warpPtrs
 	ctx.prof = cfg.Profile
@@ -178,20 +167,12 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	ctx.threaded = threaded
 	ctx.fast = replay
 	ctx.costs = resolveCosts(d.Arch)
-	ctx.paramLanes = grow(ctx.paramLanes, len(cfg.Args)*warpSize)
-	for i, v := range cfg.Args {
-		lanes := ctx.paramLanes[i*warpSize : (i+1)*warpSize]
-		for l := range lanes {
-			lanes[l] = v
-		}
-	}
-	fillLanes(&ctx.bdimLanes, uint64(int64(ctx.blockDim)))
-	fillLanes(&ctx.gdimLanes, uint64(int64(ctx.gridDim)))
 
-	// Fill the launch-uniform extended register slots of every warp:
-	// constants, parameters, and all special registers except blockIdx
-	// (refilled per block by runBlock). Real registers are cleared per
-	// block; the extended region persists across blocks.
+	// Fill the launch-uniform extended register slots of every warp, which
+	// both backends read their non-register operands from: constants,
+	// parameters, and all special registers except blockIdx (refilled per
+	// block by runBlock). Real registers are cleared per block; the
+	// extended region persists across blocks.
 	fillSeg := func(seg []uint64, v uint64) {
 		for l := range seg {
 			seg[l] = v
@@ -200,7 +181,7 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	for wi := 0; wi < nwarps; wi++ {
 		w := &ls.warps[wi]
 		for _, ec := range k.extConst {
-			copy(w.regs[ec.base:ec.base+warpSize], ec.lanes)
+			fillSeg(w.regs[ec.base:ec.base+warpSize], ec.val)
 		}
 		for _, ep := range k.extParam {
 			fillSeg(w.regs[ep.base:ep.base+warpSize], cfg.Args[ep.idx])
@@ -220,7 +201,7 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 			case ir.SpecialBDim:
 				fillSeg(seg, uint64(int64(ctx.blockDim)))
 			case ir.SpecialGDim:
-				fillSeg(seg, uint64(int64(ctx.gridDim)))
+				fillSeg(seg, uint64(int64(cfg.Grid)))
 			case ir.SpecialBID:
 				// per block; see runBlock
 			default:
@@ -249,7 +230,7 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	if !replay {
 		ls.smTime = grow(ls.smTime, max(d.Arch.SMs, 1))
 		cycles = scheduleBlocks(ls.blockCycles, ls.smTime, nil)
-		if threaded && k.oblivious {
+		if memo {
 			d.memoPut(k, &cfg, cycles)
 		}
 	}
@@ -265,8 +246,8 @@ func (d *Device) Launch(k *Kernel, cfg LaunchConfig) (*Result, error) {
 	if cfg.Profile != nil {
 		cfg.Profile.TotalCycles += cycles
 		cfg.Profile.Launches++
-		// A non-nil profile forces the interpreter, so memo replay never
-		// fires and ls.blockCycles always holds this launch's live timings.
+		// A profiled launch never replays, so ls.blockCycles holds this
+		// launch's live timings.
 		cfg.Profile.recordLaunch(LaunchRecord{
 			Grid: cfg.Grid, Block: cfg.Block, SMs: max(d.Arch.SMs, 1),
 			Cycles:      cycles,
@@ -283,8 +264,6 @@ var testBarrierRelease func()
 // runBlock executes one thread block to completion and returns its cycle
 // count (the max across its warps, with barrier phases aligned).
 func (c *blockCtx) runBlock(blockID int32) (float64, error) {
-	c.blockID = blockID
-	fillLanes(&c.bidLanes, uint64(int64(blockID)))
 	clear(c.shared)
 	nThreads := int(c.blockDim)
 	realWords := c.k.nslots * warpSize
@@ -310,16 +289,16 @@ func (c *blockCtx) runBlock(blockID int32) (float64, error) {
 			for _, b := range c.k.clearBases {
 				clear(w.regs[b : b+warpSize])
 			}
-			for _, b := range c.k.extBID {
-				seg := w.regs[b : b+warpSize]
-				for l := range seg {
-					seg[l] = bid
-				}
-			}
 		} else {
 			// The reference interpreter keeps the conservative contract:
 			// the whole real register file starts zeroed every block.
 			clear(w.regs[:realWords])
+		}
+		for _, b := range c.k.extBID {
+			seg := w.regs[b : b+warpSize]
+			for l := range seg {
+				seg[l] = bid
+			}
 		}
 	}
 
@@ -327,10 +306,11 @@ func (c *blockCtx) runBlock(blockID int32) (float64, error) {
 		// A block's only warp has nobody to wait for: each time the driver
 		// comes back parked, release it on the spot. The scan below would
 		// align it to the slowest parked warp — itself — at max(0, cycles),
-		// and cycles are never negative, so this is the same float. A
-		// multi-warp block cannot be released by its last arriver like this:
-		// that would run the warps between barriers in another order, which
-		// a racy mutant can observe.
+		// and cycles are never negative, so this is the same float (and a
+		// profile gets the same barrier charge per release). A multi-warp
+		// block cannot be released by its last arriver like this: that
+		// would run the warps between barriers in another order, which a
+		// racy mutant can observe.
 		w := c.warps[0]
 		for {
 			if err := c.runWarpU(w); err != nil {
@@ -341,6 +321,9 @@ func (c *blockCtx) runBlock(blockID int32) (float64, error) {
 			}
 			w.cycles += c.arch.BarrierCost
 			w.waiting = false
+			if c.prof != nil {
+				c.prof.BarrierCycles += c.arch.BarrierCost
+			}
 		}
 	}
 

@@ -1,6 +1,9 @@
 package gpu
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 // Profile accumulates per-instruction execution statistics across launches:
 // the simulator's analog of nvprof plus the paper's debug-info
@@ -106,6 +109,24 @@ func (p *Profile) recordMem(uid int32, lanes, txns int64) {
 	p.memAccess[uid]++
 	p.memLanes[uid] += lanes
 	p.memTxns[uid] += txns
+}
+
+// profileMem records one memory micro-op's charge and traffic as the
+// interpreter's execLoad/execStore do: every active lane counts, and a
+// collective shape is one transaction (sharedReplays and globalSegs return 1
+// for it). Any other shape gathered every active lane's address.
+func (c *blockCtx) profileMem(u *uop, cost float64, mask uint32, shape addrShape, shared bool) {
+	n := bits.OnesCount32(mask)
+	txns := 1
+	switch {
+	case shape != shapeOther:
+	case shared:
+		txns = c.sharedReplays(n)
+	default:
+		txns = c.globalSegs(n)
+	}
+	c.prof.record(u.uid, cost, int64(n))
+	c.prof.recordMem(u.uid, int64(n), int64(txns))
 }
 
 // recordLaunch appends one launch's grid-level timing record.

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"gevo/internal/ir"
@@ -21,21 +22,83 @@ func buildProfiled() *ir.Function {
 	return b.Finish()
 }
 
-func TestProfileCountersAndTop(t *testing.T) {
-	k := mustCompile(t, buildProfiled())
-	d := NewDevice(P100)
-	base, err := d.Alloc(4 * 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+// profiledLaunch runs one profiled launch of k on a fresh device under the
+// backend: args allocates the kernel's buffers and returns its arguments.
+func profiledLaunch(t *testing.T, k *Kernel, backend Backend, grid, block int, args func(d *Device) []uint64) (*Profile, *Result) {
+	t.Helper()
+	d := NewDeviceWithMem(P100, 1<<14)
 	prof := NewProfile(k)
-	res, err := d.Launch(k, LaunchConfig{
-		Grid: 2, Block: 32, Args: []uint64{uint64(base)}, Profile: prof,
-	})
+	res, err := d.Launch(k, LaunchConfig{Grid: grid, Block: block, Args: args(d), Backend: backend, Profile: prof})
+	if err != nil {
+		t.Fatalf("%s under backend %d: %v", k.Name, backend, err)
+	}
+	return prof, res
+}
+
+func mustAlloc(t *testing.T, d *Device, n int) uint64 {
+	t.Helper()
+	a, err := d.Alloc(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return uint64(a)
+}
 
+// TestProfileCountersAndTop checks the profile's counters and ranking, and
+// that the threaded driver records the profile the interpreter records, bit
+// for bit: on buildProfiled, on buildColdSoup (escapes and atomics, which
+// record through the interpreter's account, between micro-ops the driver
+// records per run) and on buildBarrierLoop with one warp per block (the
+// driver's in-place barrier release).
+func TestProfileCountersAndTop(t *testing.T) {
+	out := func(d *Device) []uint64 { return []uint64{mustAlloc(t, d, 4*256)} }
+	input := make([]int32, 40)
+	for i := range input {
+		input[i] = int32(i*7919%1000 - 300)
+	}
+	soupArgs := func(d *Device) []uint64 {
+		in := mustAlloc(t, d, 4*len(input))
+		if err := d.WriteI32s(int64(in), input); err != nil {
+			t.Fatal(err)
+		}
+		return []uint64{in, mustAlloc(t, d, 4*1024), uint64(len(input))}
+	}
+	for _, tc := range []struct {
+		f           *ir.Function
+		grid, block int
+		args        func(d *Device) []uint64
+	}{
+		{buildProfiled(), 2, 32, out},
+		{buildColdSoup(), 1, 48, soupArgs},
+		{buildBarrierLoop(), 2, 20, out},
+	} {
+		k := mustCompile(t, tc.f)
+		want, wantRes := profiledLaunch(t, k, BackendInterp, tc.grid, tc.block, tc.args)
+		got, gotRes := profiledLaunch(t, k, BackendThreaded, tc.grid, tc.block, tc.args)
+		if gotRes.Cycles != wantRes.Cycles {
+			t.Errorf("%s: threaded %v cycles, interpreted %v", k.Name, gotRes.Cycles, wantRes.Cycles)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: threaded profile differs from the interpreter's:\n got %+v\nwant %+v", k.Name, *got, *want)
+		}
+		if want.SumCycles() <= 0 {
+			t.Errorf("%s: the interpreter recorded no cycles", k.Name)
+		}
+		switch k.Name {
+		case "profiled":
+			checkProfileCounters(t, want, wantRes)
+			checkProfileCounters(t, got, gotRes)
+		case "barrier_loop":
+			if want.BarrierCycles <= 0 {
+				t.Errorf("%s: no barrier cycles recorded", k.Name)
+			}
+		}
+	}
+}
+
+// checkProfileCounters checks buildProfiled's profile of a 2 x 32 launch.
+func checkProfileCounters(t *testing.T, prof *Profile, res *Result) {
+	t.Helper()
 	if prof.Launches != 1 {
 		t.Errorf("Launches = %d, want 1", prof.Launches)
 	}
@@ -52,7 +115,6 @@ func TestProfileCountersAndTop(t *testing.T) {
 
 	// Every executed instruction ran once per warp per block (2 blocks x 1
 	// warp, no divergence), with all 32 lanes active.
-	var sawDiv bool
 	for _, hs := range prof.Top(0) {
 		if c := prof.Count(hs.UID); c != 2 {
 			t.Errorf("uid %d Count = %d, want 2", hs.UID, c)
@@ -64,7 +126,6 @@ func TestProfileCountersAndTop(t *testing.T) {
 			t.Errorf("uid %d HotSpot cycles %v != Cycles() %v", hs.UID, hs.Cycles, prof.Cycles(hs.UID))
 		}
 	}
-	_ = sawDiv
 
 	// Top must rank by attributed cycles, descending, and Frac must sum to
 	// one across the full ranking.

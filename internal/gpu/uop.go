@@ -13,10 +13,12 @@ import (
 // execute a block's contiguous []uop array:
 //
 //   - control: runWarpU, the driver — SIMT stack, budget, branches, barrier,
-//     return and the escape call. It keeps the budget, register file and
-//     active mask in locals across instructions and dispatches through one
-//     jump-table switch: no closure call, no operand-kind resolution, no
-//     per-lane type switch.
+//     return, the escape call and, in a profiled launch, a call to the
+//     recorder per straight-line run and per conditional branch
+//     (profileRun, profileBranch). It keeps the budget,
+//     register file and active mask in locals across instructions and
+//     dispatches through one jump-table switch: no closure call, no
+//     operand-kind resolution, no per-lane type switch.
 //   - arithmetic: aluU, one case per register-to-register lane loop, and
 //     cmpMaskU, the same loops for a compare fused into its branch. Neither
 //     touches cycles or budget; the driver charges what they compute.
@@ -407,6 +409,9 @@ func uopFor(cb *cblock, in *cinstr) (uop, bool) {
 // after which transferT proves the warp never finishes leaves through the
 // timeout the budget would have reached. Entering the driver, every store and
 // every escape advance the effect epoch that proof depends on (blockCtx.epoch).
+// A profiled launch records each straight-line run as the driver enters it
+// (profileRun) and each conditional branch at its arm (profileBranch), so no
+// micro-op tests for a profile.
 //
 // The budget lives in a local for the whole run and is written back by hand
 // on each of the few exits: a deferred write-back would make it a by-reference
@@ -443,6 +448,9 @@ func (c *blockCtx) runWarpU(w *warp) error {
 		// (cost + skew) then cycles += (that).
 		skew := arch.QuarterWarpSkew * float64(bits.TrailingZeros32(mask)/8)
 		pc := e.pc
+		if c.prof != nil {
+			c.profileRun(w)
+		}
 	straight:
 		for {
 			if int(pc) >= len(uops) {
@@ -549,6 +557,9 @@ func (c *blockCtx) runWarpU(w *warp) error {
 					}
 				}
 				maskF := mask &^ maskT
+				if c.prof != nil {
+					c.profileBranch(w, pc, maskT)
+				}
 				switch {
 				case maskF == 0:
 					w.cycles += costs[costBranch] + skew
@@ -596,6 +607,63 @@ func (c *blockCtx) runWarpU(w *warp) error {
 timeout:
 	*c.budget = bud
 	return &TimeoutError{Kernel: c.k.Name}
+}
+
+// profileRun records the run the warp's top stack entry is about to execute
+// as the interpreter's account would: what a run executes is fixed when it
+// starts — every micro-op up to the first control micro-op, charged its issue
+// cost plus the run's skew, then that micro-op's own charge (none for a
+// barrier; a conditional branch's waits for profileBranch). Escapes and memory
+// micro-ops record themselves. A UID occurs once per run and runs are recorded
+// in order, so each UID's floats are summed in the interpreter's order. A
+// launch that fails inside a run has recorded all of it. Recording at the run's
+// entry, not at its exits, is the cheaper form (DESIGN §5).
+func (c *blockCtx) profileRun(w *warp) {
+	e := &w.stack[len(w.stack)-1]
+	blk, mask := &c.k.blocks[e.block], e.mask
+	skew := c.arch.QuarterWarpSkew * float64(bits.TrailingZeros32(mask)/8)
+	p, lanes := c.prof, int64(bits.OnesCount32(mask))
+	for i := int(e.pc); i < len(blk.uops); i++ {
+		in := &blk.ins[i]
+		switch code := blk.uops[i].code; {
+		case code == uEscape || (code >= uLoadG8 && code <= uStoreS1):
+		case code == uMulAdd64:
+			p.record(in.uid, c.costs[in.cost]+skew, lanes)
+			i++
+			p.record(blk.ins[i].uid, c.costs[blk.ins[i].cost]+skew, lanes)
+		case code == uBarrier || code == uCondBr:
+			return
+		case code == uBr || code == uRet:
+			p.record(in.uid, c.costs[costBranch]+skew, lanes)
+			return
+		case isFusedCmpBr(code):
+			p.record(in.uid, c.costs[in.cost]+skew, lanes)
+			return
+		default:
+			p.record(in.uid, c.costs[in.cost]+skew, lanes)
+		}
+	}
+}
+
+// profileBranch records the conditional branch that ends the warp's run at
+// pc (for a fused pair, the compare's pc) and sent the lanes of maskT to its
+// first successor: recordBranch and the branch's charge, with the divergence
+// penalty when both successors run.
+func (c *blockCtx) profileBranch(w *warp, pc int32, maskT uint32) {
+	e := &w.stack[len(w.stack)-1]
+	blk, mask := &c.k.blocks[e.block], e.mask
+	skew := c.arch.QuarterWarpSkew * float64(bits.TrailingZeros32(mask)/8)
+	if isFusedCmpBr(blk.uops[pc].code) {
+		pc++
+	}
+	in := &blk.ins[pc]
+	lanes, maskF := bits.OnesCount32(mask), mask&^maskT
+	c.prof.recordBranch(in.uid, lanes, bits.OnesCount32(maskT), maskT != 0 && maskF != 0)
+	cost := c.costs[costBranch]
+	if maskT != 0 && maskF != 0 {
+		cost += c.arch.DivergePenalty
+	}
+	c.prof.record(in.uid, cost+skew, int64(lanes))
 }
 
 // aluU executes one register-to-register micro-op under mask: integer and
@@ -1494,10 +1562,15 @@ func (c *blockCtx) loadU(w *warp, u *uop, mask uint32, skew float64) error {
 	if c.fast {
 		return nil
 	}
+	var cost float64
 	if shared {
-		w.cycles += c.sharedCost(n, shape) + c.memPenalty(w) + skew
+		cost = c.sharedCost(n, shape) + c.memPenalty(w) + skew
 	} else {
-		w.cycles += c.globalCost(n, shape) + c.memPenalty(w) + skew
+		cost = c.globalCost(n, shape) + c.memPenalty(w) + skew
+	}
+	w.cycles += cost
+	if c.prof != nil {
+		c.profileMem(u, cost, mask, shape, shared)
 	}
 	return nil
 }
@@ -1638,10 +1711,15 @@ func (c *blockCtx) storeU(w *warp, u *uop, mask uint32, skew float64) error {
 	if c.fast {
 		return nil
 	}
+	var cost float64
 	if shared {
-		w.cycles += c.sharedCost(n, shape) + skew
+		cost = c.sharedCost(n, shape) + skew
 	} else {
-		w.cycles += c.globalCost(n, shape) + skew
+		cost = c.globalCost(n, shape) + skew
+	}
+	w.cycles += cost
+	if c.prof != nil {
+		c.profileMem(u, cost, mask, shape, shared)
 	}
 	return nil
 }

@@ -62,9 +62,8 @@ func SetVerifyCompiled(on bool) bool { return verifyCompiled.Swap(on) }
 //   - shfl zero-init: every shfl value operand that reads a real register
 //     appears in clearBases, the set of slots the backend zeroes at block
 //     start (shfl is the one instruction reading lanes outside its mask);
-//   - phi-copy coherence: each edge's snapshot classification matches a
-//     recomputation of edgeNeedsSnapshot, the lowered closure and its plan
-//     exist exactly when the edge carries copies, destinations are written at
+//   - phi-copy coherence: the lowered closure and its plan exist exactly
+//     when the edge carries copies, destinations are written at
 //     most once per edge, the plan moves a word for exactly the copies into a
 //     lane-invariant slot and lanes for the rest, its interference flags
 //     match a recomputation, and the merged memmove plan of interference-free
@@ -205,8 +204,7 @@ func (v *kernelVerifier) checkLaneRead(off int32) error {
 }
 
 // checkExtFills validates the extended-slot fill tables: every fill targets
-// a distinct extended slot, together they cover the extension exactly, and
-// constant images are full uniform warps.
+// a distinct extended slot, and together they cover the extension exactly.
 func (v *kernelVerifier) checkExtFills() error {
 	k := v.k
 	lo := int32(k.nslots * warpSize)
@@ -224,18 +222,9 @@ func (v *kernelVerifier) checkExtFills() error {
 		seen[base] = true
 		return nil
 	}
-	for i := range k.extConst {
-		f := &k.extConst[i]
+	for _, f := range k.extConst {
 		if err := claim(f.base, "const fill"); err != nil {
 			return err
-		}
-		if len(f.lanes) != warpSize {
-			return fmt.Errorf("const fill at %d: %d lanes, want %d", f.base, len(f.lanes), warpSize)
-		}
-		for l := 1; l < warpSize; l++ {
-			if f.lanes[l] != f.lanes[0] {
-				return fmt.Errorf("const fill at %d: lane image not uniform", f.base)
-			}
 		}
 	}
 	for i := range k.extParam {
@@ -442,9 +431,8 @@ func (v *kernelVerifier) checkClearBases() error {
 	return nil
 }
 
-// checkPhiEdges validates every lowered parallel copy: the snapshot
-// classification matches a recomputation, the closure exists exactly when
-// copies do, destinations are unique per edge, and the merged memmove plan
+// checkPhiEdges validates every lowered parallel copy: the closure exists
+// exactly when copies do, destinations are unique per edge, and the merged memmove plan
 // of an interference-free edge decomposes back into its copies.
 func (v *kernelVerifier) checkPhiEdges() error {
 	k := v.k
@@ -456,10 +444,6 @@ func (v *kernelVerifier) checkPhiEdges() error {
 			if (edge.apply != nil) != (len(edge.copies) > 0) || (edge.prog != nil) != (len(edge.copies) > 0) {
 				return fmt.Errorf("%s: %d copies but closure present=%v, plan present=%v",
 					where, len(edge.copies), edge.apply != nil, edge.prog != nil)
-			}
-			if edge.snapshot != edgeNeedsSnapshot(edge.copies) {
-				return fmt.Errorf("%s: snapshot flag %v contradicts interference analysis",
-					where, edge.snapshot)
 			}
 			dsts := make(map[int32]bool, len(edge.copies))
 			for ci := range edge.copies {

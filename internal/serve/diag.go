@@ -29,8 +29,7 @@ type DiagDoc struct {
 
 // Diag builds the diagnosis document for a job. The kernel report runs a
 // profiled re-evaluation of the best genome synchronously — one extra
-// fitness evaluation through the reference interpreter, on a workload
-// instance of its own, off the search path, so polling diagnosis never
+// fitness evaluation, on a workload instance of its own, off the search path, so polling diagnosis never
 // perturbs results or races the executor that holds the job.
 func (m *Manager) Diag(id string) (*DiagDoc, error) {
 	m.mu.Lock()

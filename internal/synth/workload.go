@@ -192,9 +192,9 @@ func (w *Workload) evaluate(m *ir.Module, arch *gpu.Arch, ds *dataset, b gpu.Bac
 }
 
 // EvaluateProfiled is Evaluate plus a per-kernel instruction profile
-// recorded through the reference interpreter — the workload.Profiler hook
-// the diagnosis layer keys on. The fitness dataset and golden check are the
-// same as Evaluate's; only the backend differs (profiling forces interp).
+// recorded by the backend Evaluate runs on — the workload.Profiler hook the
+// diagnosis layer keys on. The fitness dataset and golden check are
+// Evaluate's.
 func (w *Workload) EvaluateProfiled(m *ir.Module, arch *gpu.Arch) (float64, map[string]*gpu.Profile, error) {
 	prog, err := w.prepare(m, nil)
 	if err != nil {
@@ -205,7 +205,7 @@ func (w *Workload) EvaluateProfiled(m *ir.Module, arch *gpu.Arch) (float64, map[
 		return 0, nil, fmt.Errorf("synth: module lacks kernel %s", w.sc.fn.Name)
 	}
 	prof := gpu.NewProfile(k)
-	res, out, err := w.launch(m, arch, w.fit, gpu.BackendInterp, w.budget, prof)
+	res, out, err := w.launch(m, arch, w.fit, gpu.BackendAuto, w.budget, prof)
 	if err != nil {
 		return 0, nil, err
 	}

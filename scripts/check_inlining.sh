@@ -52,11 +52,12 @@ exits='runtime\.(newobject|concatstring2|gcWriteBarrier[0-9]*)\(SB\)'
 # nothing from encoding/binary.
 check loadU 'blockCtx\)\.loadU$' "^(gevo/internal/gpu\.[A-Za-z(*).]*\(SB\)|$exits)\$"
 check storeU 'blockCtx\)\.storeU$' "^(gevo/internal/gpu\.[A-Za-z(*).]*\(SB\)|$exits)\$"
-# The driver: its own pieces, the reference interpreter for an escape, and
-# the run-time lane-invariance check (a call through a register, nil outside
-# tests).
+# The driver: its own pieces, the reference interpreter for an escape, the
+# profile's recorders (once per straight-line run and per conditional branch,
+# and only when a launch is profiled), and the run-time lane-invariance check
+# (a call through a register, nil outside tests).
 check runWarpU 'blockCtx\)\.runWarpU$' \
-  "^(gevo/internal/gpu\.(\(\*blockCtx\)\.(loadU|storeU|transferT|divergeT|execInstr)|aluU|cmpMaskU)\(SB\)|[A-Z][A-Z0-9]*|$exits)\$"
+  "^(gevo/internal/gpu\.(\(\*blockCtx\)\.(loadU|storeU|transferT|divergeT|execInstr|profileRun|profileBranch)|aluU|cmpMaskU)\(SB\)|[A-Z][A-Z0-9]*|$exits)\$"
 # The per-branch path: the phi-edge closure (a call through a register) and,
 # from the 2^14th retreat of a warp on, the cold half of the non-termination
 # witness — which may copy and compare as it likes, and is the only one.
