@@ -233,8 +233,7 @@ func main() {
 	validated := false
 	var vErr error
 	if *validate {
-		eng := core.NewEngine(w, core.Config{Arch: bestArch})
-		vErr = eng.Validate(res.Best.Genome)
+		vErr = w.Validate(core.Variant(w.Base(), res.Best.Genome), bestArch)
 		validated = vErr == nil
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"gevo/internal/gpu"
@@ -16,35 +17,25 @@ import (
 // dynamic instructions, program-cache outcomes) to the account whose request
 // ran the simulation. A genome an engine has bred before is answered from
 // the engine's own memo and reaches neither the pool nor the account.
-// Requests with no account charge the pool's built-in unattributed account,
-// so summing every account always reconciles exactly with the pool-wide
-// counters (the TestCostReconciliation invariant, DESIGN.md §3).
+// Requests with no account charge the pool's built-in unattributed account.
+// The pool keeps its own total as one more Cost, charged in the same call
+// as the requester's account, so summing every account always reconciles
+// exactly with the pool's total (the TestCostReconciliation invariant,
+// DESIGN.md §3).
 //
-// All fields are atomics: many workers charge one account concurrently,
-// and the zero Cost is an empty account ready to charge. The account only
-// observes — nothing reads it back into scheduling or fitness, so
-// determinism is untouched.
+// The charges are one CostTotals behind a mutex: many workers charge one
+// account concurrently, and the zero Cost is an empty account ready to
+// charge. A new charge field is a field of gpu.EvalStats and CostTotals and
+// a line of addEval. The account only observes — nothing reads it back into
+// scheduling or fitness, so determinism is untouched.
 type Cost struct {
 	// span is the account's current root span (an obs.SpanContext), set by
 	// the orchestrator per executor slice so evaluation spans parent under
 	// the slice that requested them. Zero/invalid = spans off.
 	span atomic.Value
 
-	evals     atomic.Int64
-	completed atomic.Int64
-	hits      atomic.Int64
-
-	slices  atomic.Int64
-	sliceNs atomic.Int64
-
-	launches   atomic.Int64
-	dynInstrs  atomic.Int64
-	progHits   atomic.Int64
-	progMisses atomic.Int64
-	memoHits   atomic.Int64
-
-	failedLaunches  atomic.Int64
-	failedDynInstrs atomic.Int64
+	mu sync.Mutex
+	t  CostTotals
 }
 
 // SetSpan sets the account's current parent span context. Pass the zero
@@ -59,15 +50,21 @@ func (c *Cost) Span() obs.SpanContext {
 	return obs.SpanContext{}
 }
 
+// add applies one charge to the account.
+func (c *Cost) add(f func(*CostTotals)) {
+	c.mu.Lock()
+	f(&c.t)
+	c.mu.Unlock()
+}
+
 // AddSliceNs charges one executor slice of wall-clock time (measured by the
 // orchestrator — core itself never reads the clock).
 func (c *Cost) AddSliceNs(ns int64) {
-	c.slices.Add(1)
-	c.sliceNs.Add(ns)
+	c.add(func(t *CostTotals) { t.Slices++; t.SliceCPUNs += ns })
 }
 
 // CostTotals is a point-in-time copy of an account's counters (also the
-// shape of the pool-wide charge counters, see EvalPool.ChargedTotals).
+// shape of the pool's total, see EvalPool.ChargedTotals).
 type CostTotals struct {
 	// Evals counts evaluation requests that reached the pool (hits +
 	// computes): one per distinct genome per engine.
@@ -96,34 +93,23 @@ type CostTotals struct {
 	FailedDynInstrs int64 `json:"failed_dyn_instrs"`
 }
 
-// Totals samples the account. Fields are read independently; a sample taken
-// under load is approximate, a sample at quiescence is exact.
-func (c *Cost) Totals() CostTotals {
-	return CostTotals{
-		Evals:         c.evals.Load(),
-		Completed:     c.completed.Load(),
-		CacheHits:     c.hits.Load(),
-		Slices:        c.slices.Load(),
-		SliceCPUNs:    c.sliceNs.Load(),
-		Launches:      c.launches.Load(),
-		DynInstrs:     c.dynInstrs.Load(),
-		ProgramHits:   c.progHits.Load(),
-		ProgramMisses: c.progMisses.Load(),
-		MemoHits:      c.memoHits.Load(),
-
-		FailedLaunches:  c.failedLaunches.Load(),
-		FailedDynInstrs: c.failedDynInstrs.Load(),
-	}
+// addEval folds one computed evaluation's simulator stats in.
+func (t *CostTotals) addEval(st *gpu.EvalStats) {
+	t.Completed++
+	t.Launches += st.Launches
+	t.DynInstrs += st.DynInstrs
+	t.ProgramHits += st.ProgramHits
+	t.ProgramMisses += st.ProgramMisses
+	t.MemoHits += st.MemoHits
+	t.FailedLaunches += st.FailedLaunches
+	t.FailedDynInstrs += st.FailedDynInstrs
 }
 
-// charge folds one computed evaluation's simulator stats into the account.
-func (c *Cost) charge(st *gpu.EvalStats) {
-	c.completed.Add(1)
-	c.launches.Add(st.Launches)
-	c.dynInstrs.Add(st.DynInstrs)
-	c.progHits.Add(st.ProgramHits)
-	c.progMisses.Add(st.ProgramMisses)
-	c.memoHits.Add(st.MemoHits)
-	c.failedLaunches.Add(st.FailedLaunches)
-	c.failedDynInstrs.Add(st.FailedDynInstrs)
+// Totals samples the account. Each charge lands whole, so a sample never
+// splits one; a sample taken under load misses the charges still to come,
+// a sample at quiescence is exact.
+func (c *Cost) Totals() CostTotals {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.t
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"gevo/internal/gpu"
+	"gevo/internal/obs"
 	"gevo/internal/rng"
 	"gevo/internal/workload"
 )
@@ -101,5 +102,26 @@ func TestCostReconciliation(t *testing.T) {
 	want := p.ChargedTotals()
 	if got != want {
 		t.Fatalf("accounts do not reconcile with pool-wide counters:\nsum of accounts: %+v\npool charged:    %+v", got, want)
+	}
+
+	// The exported charge series read the same total.
+	reg := obs.NewRegistry()
+	p.Register(reg)
+	series := make(map[string]float64)
+	for _, s := range reg.Snapshot() {
+		series[s.Name] = s.Value
+	}
+	for name, v := range map[string]int64{
+		"gevo_pool_evals_completed_total": want.Completed,
+		"gevo_pool_cache_hits_total":      want.CacheHits,
+		"gevo_pool_launches_total":        want.Launches,
+		"gevo_pool_dyn_instrs_total":      want.DynInstrs,
+		"gevo_pool_program_hits_total":    want.ProgramHits,
+		"gevo_pool_program_misses_total":  want.ProgramMisses,
+		"gevo_pool_memo_hits_total":       want.MemoHits,
+	} {
+		if got, ok := series[name]; !ok || got != float64(v) {
+			t.Errorf("%s = %v (registered %v), want %d (ChargedTotals)", name, got, ok, v)
+		}
 	}
 }

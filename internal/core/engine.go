@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 
 	"gevo/internal/gpu"
@@ -38,13 +37,10 @@ type Config struct {
 	Seed uint64
 	// Arch selects the simulated GPU fitness is measured on.
 	Arch *gpu.Arch
-	// Workers bounds parallel fitness evaluations (0 = GOMAXPROCS). Ignored
-	// when Pool is set: the pool's own budget governs.
-	Workers int
 	// Pool, when non-nil, is a shared evaluation pool: several engines (the
 	// demes of an island search) submit genome evaluations to one global
 	// worker budget with cross-engine deduplication. Nil gives the engine a
-	// private pool of Workers workers.
+	// private GOMAXPROCS-sized pool.
 	Pool *EvalPool `json:"-"`
 	// Sink receives trace events (engine.gen per generation, engine.best on
 	// each best-ever improvement). Nil disables tracing. Payloads are
@@ -101,19 +97,20 @@ func (c *Config) fill() {
 	if c.Arch == nil {
 		c.Arch = gpu.P100
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	if c.Pool == nil {
-		c.Pool = NewEvalPool(c.Workers)
+		c.Pool = NewEvalPool(0)
 	}
 }
 
 // Individual is one population member: a genome and its measured fitness
-// (simulated kernel milliseconds; +Inf for invalid variants).
+// (simulated kernel milliseconds; +Inf for invalid variants). Inside the
+// engine it also carries how it was bred (lineage.go); the copies the
+// engine hands out leave that out.
 type Individual struct {
 	Genome  []Edit
 	Fitness float64
+
+	prov prov
 }
 
 // Valid reports whether the individual passed all test cases.
@@ -151,13 +148,11 @@ type Engine struct {
 	evals int64
 
 	// Steppable search state. pop is unevaluated right after Init and
-	// evaluated+sorted after every Step. provs parallels pop with breeding
-	// provenance (lineage.go) and is permuted identically on every sort.
+	// evaluated+sorted after every Step.
 	inited bool
 	gen    int
 	base   float64
 	pop    []Individual
-	provs  []prov
 	hist   *History
 
 	// Search-health telemetry (stats.go): stats is the last completed
@@ -250,12 +245,11 @@ func (e *Engine) Init() error {
 	e.base = base
 	e.hist = NewHistory(base)
 	e.pop = make([]Individual, e.cfg.Pop)
-	e.provs = make([]prov, e.cfg.Pop)
 	for i := range e.pop {
 		if ed, ok := RandomEdit(e.w.Base(), e.r); ok {
 			e.pop[i].Genome = []Edit{ed}
 		}
-		e.provs[i] = prov{op: "init", parent: "base", parentMs: base}
+		e.pop[i].prov = prov{op: "init", parent: "base", parentMs: base}
 	}
 	e.gen = 0
 	e.inited = true
@@ -265,16 +259,17 @@ func (e *Engine) Init() error {
 // breed produces the next generation from the current evaluated, sorted
 // population: elitism, then tournament selection with crossover and
 // mutation. All randomness draws from the engine's single RNG stream, so
-// the sequence is deterministic in the seed. Alongside each offspring it
-// records breeding provenance (parents, operator, mutation site) — pure
-// bookkeeping with no RNG draws of its own.
-func (e *Engine) breed() ([]Individual, []prov) {
+// the sequence is deterministic in the seed. Each offspring carries its
+// breeding provenance (parents, operator, mutation site) — pure bookkeeping
+// with no RNG draws of its own.
+func (e *Engine) breed() []Individual {
 	next := make([]Individual, 0, e.cfg.Pop)
-	provs := make([]prov, 0, e.cfg.Pop)
 	// Elitism: the paper retains the four best individuals.
 	for i := 0; i < e.cfg.Elite && i < len(e.pop); i++ {
-		next = append(next, Individual{Genome: append([]Edit(nil), e.pop[i].Genome...)})
-		provs = append(provs, prov{op: "elite", parent: hashGenome(e.pop[i].Genome), parentMs: e.pop[i].Fitness})
+		next = append(next, Individual{
+			Genome: append([]Edit(nil), e.pop[i].Genome...),
+			prov:   prov{op: "elite", parent: hashGenome(e.pop[i].Genome), parentMs: e.pop[i].Fitness},
+		})
 	}
 	for len(next) < e.cfg.Pop {
 		p1 := e.tournament(e.pop)
@@ -295,10 +290,9 @@ func (e *Engine) breed() ([]Individual, []prov) {
 			mutated = true
 		}
 		pr.op = opName(crossed, mutated)
-		next = append(next, Individual{Genome: genome})
-		provs = append(provs, pr)
+		next = append(next, Individual{Genome: genome, prov: pr})
 	}
-	return next, provs
+	return next
 }
 
 // Step advances the search by gens generations. Each generation breeds from
@@ -313,7 +307,7 @@ func (e *Engine) Step(gens int) {
 	}
 	for i := 0; i < gens; i++ {
 		if e.gen > 0 {
-			e.pop, e.provs = e.breed()
+			e.pop = e.breed()
 		}
 		e.gen++
 		e.evaluateAll(e.pop)
@@ -465,12 +459,12 @@ func (e *Engine) Inject(migrants []Individual) {
 	if n > len(e.pop) {
 		n = len(e.pop)
 	}
-	e.ensureProvs()
 	tail := e.pop[len(e.pop)-n:]
-	provTail := e.provs[len(e.provs)-n:]
 	for i := 0; i < n; i++ {
-		tail[i] = Individual{Genome: append([]Edit(nil), migrants[i].Genome...)}
-		provTail[i] = prov{op: "migrant", parent: hashGenome(migrants[i].Genome), parentMs: migrants[i].Fitness}
+		tail[i] = Individual{
+			Genome: append([]Edit(nil), migrants[i].Genome...),
+			prov:   prov{op: "migrant", parent: hashGenome(migrants[i].Genome), parentMs: migrants[i].Fitness},
+		}
 	}
 	if e.gen == 0 {
 		return

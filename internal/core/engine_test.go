@@ -33,7 +33,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *Result {
 		eng := NewEngine(a, Config{
 			Pop: 8, Elite: 1, Generations: 3, Seed: 42, Arch: gpu.P100,
-			CrossoverRate: 0.8, MutationRate: 0.5, Workers: workers,
+			CrossoverRate: 0.8, MutationRate: 0.5, Pool: NewEvalPool(workers),
 		})
 		res, err := eng.Run()
 		if err != nil {
@@ -205,7 +205,7 @@ func TestEngineAllInvalidPopulation(t *testing.T) {
 	w := &failAfterBase{base: kernels.ADEPTModule(kernels.ADEPTV0)}
 	eng := NewEngine(w, Config{
 		Pop: 4, Elite: 1, Generations: 2, Seed: 9, Arch: gpu.P100,
-		CrossoverRate: 0.8, MutationRate: 0.3, Workers: 1,
+		CrossoverRate: 0.8, MutationRate: 0.3, Pool: NewEvalPool(1),
 	})
 	res, err := eng.Run()
 	if err != nil {

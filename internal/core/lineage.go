@@ -7,14 +7,13 @@ import (
 	"sort"
 )
 
-// Breeding provenance. The engine tracks, for every individual of the
-// current generation, how it was produced — the parallel prov slice filled
-// by breed/Init/Inject — so that when a generation sets a new best-ever
-// fitness, History gains a LineageEntry naming the operator, the mutation
-// site, the parent genome hash and the fitness delta. Tracking is pure
-// bookkeeping over values the search already computed: it draws no
-// randomness and moves no individuals, so results are bit-identical with
-// or without a sink attached.
+// Breeding provenance. Every individual of the current generation carries
+// how it was produced — Individual.prov, set by breed/Init/Inject — so that
+// when a generation sets a new best-ever fitness, History gains a
+// LineageEntry naming the operator, the mutation site, the parent genome
+// hash and the fitness delta. Tracking is pure bookkeeping over values the
+// search already computed: it draws no randomness and moves no individuals,
+// so results are bit-identical with or without a sink attached.
 
 // prov is one individual's breeding record for the current generation.
 type prov struct {
@@ -74,44 +73,18 @@ func opName(crossed, mutated bool) string {
 	return "clone"
 }
 
-// ensureProvs sizes the provenance slice to the population. A restored
-// engine has no provenance for its checkpointed population (none is
-// needed: lineage entries are only created in the Step that bred the
-// improver, and the first post-restore Step rebuilds provenance in breed),
-// but Inject may sort before that — zero records keep the slices aligned.
-func (e *Engine) ensureProvs() {
-	if len(e.provs) != len(e.pop) {
-		e.provs = make([]prov, len(e.pop))
-	}
-}
-
-// sortPop stable-sorts the population by fitness, carrying the provenance
-// slice through the identical permutation. Sorting indices with the same
-// comparator produces exactly the permutation sort.SliceStable applied to
-// pop directly, so population order — and therefore every downstream
-// result — is unchanged from the pre-provenance engine.
+// sortPop stable-sorts the population by fitness; provenance rides on each
+// individual. A restored engine's population carries none (none is needed:
+// lineage entries are only created in the Step that bred the improver).
 func (e *Engine) sortPop() {
-	e.ensureProvs()
-	perm := make([]int, len(e.pop))
-	for i := range perm {
-		perm[i] = i
-	}
-	pop0 := e.pop
-	sort.SliceStable(perm, func(a, b int) bool { return pop0[perm[a]].Fitness < pop0[perm[b]].Fitness })
-	pop := make([]Individual, len(e.pop))
-	provs := make([]prov, len(e.provs))
-	for i, p := range perm {
-		pop[i] = e.pop[p]
-		provs[i] = e.provs[p]
-	}
-	e.pop, e.provs = pop, provs
+	sort.SliceStable(e.pop, func(a, b int) bool { return e.pop[a].Fitness < e.pop[b].Fitness })
 }
 
 // lineageEntry builds the provenance record for a new best at pop index
 // idx; prevBest is the best-ever fitness before this generation's record.
 func (e *Engine) lineageEntry(idx int, prevBest float64) LineageEntry {
-	p := e.provs[idx]
 	ind := &e.pop[idx]
+	p := ind.prov
 	return LineageEntry{
 		Gen:        e.gen,
 		Op:         p.op,

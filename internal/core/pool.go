@@ -38,6 +38,11 @@ import (
 // function of (workload instance, architecture, module content) — the
 // program cache relies on the same purity for compilation — so results are
 // bit-identical for any worker count, any scheduling and any Release.
+//
+// Accounting: each charge is one CostTotals update, applied by one call to
+// the requester's Cost and to the pool's own total Cost; ChargedTotals,
+// Stats' Completed/CacheHits and the gevo_pool_* charge series all read
+// that total.
 type EvalPool struct {
 	sem chan struct{}
 
@@ -54,23 +59,13 @@ type EvalPool struct {
 	// samples them for load reporting.
 	queued       obs.Gauge
 	inFlight     obs.Gauge
-	completed    obs.Counter
-	hits         obs.Counter
 	panics       obs.Counter
 	redispatches obs.Counter
 
-	// Pool-wide simulator charge counters, incremented in the same fold that
-	// charges the per-job account — so the sum over every account (including
-	// unattributed) reconciles exactly with these (DESIGN.md §3).
-	launches   obs.Counter
-	dynInstrs  obs.Counter
-	progHits   obs.Counter
-	progMisses obs.Counter
-	memoHits   obs.Counter
-
-	failedLaunches  obs.Counter
-	failedDynInstrs obs.Counter
-
+	// total is charged in the same call as the requester's account (charge),
+	// so the sum over every account (including unattributed) reconciles
+	// exactly with it (DESIGN.md §3).
+	total Cost
 	// unattributed absorbs charges from evaluations requested without a cost
 	// account (standalone CLI engines, tests), keeping the reconciliation
 	// invariant total.
@@ -182,12 +177,13 @@ type PoolStats struct {
 // sample taken under load is approximate — fine for dashboards, not a
 // barrier.
 func (p *EvalPool) Stats() PoolStats {
+	t := p.total.Totals()
 	return PoolStats{
 		Workers:      cap(p.sem),
 		QueueDepth:   int(p.queued.Value()),
 		InFlight:     int(p.inFlight.Value()),
-		Completed:    p.completed.Value(),
-		CacheHits:    p.hits.Value(),
+		Completed:    t.Completed,
+		CacheHits:    t.CacheHits,
 		EvalPanics:   p.panics.Value(),
 		Redispatches: p.redispatches.Value(),
 	}
@@ -207,52 +203,36 @@ func (p *EvalPool) Register(r *obs.Registry) {
 	r.GaugeFunc("gevo_pool_in_flight", "Simulations running right now.",
 		func() float64 { return float64(p.inFlight.Value()) })
 	r.CounterFunc("gevo_pool_evals_completed_total", "Simulations finished (each distinct program simulates once per workload instance and architecture).",
-		func() float64 { return float64(p.completed.Value()) })
+		func() float64 { return float64(p.total.Totals().Completed) })
 	r.CounterFunc("gevo_pool_cache_hits_total", "Evaluation requests answered from an already measured (or in-flight) program instead of a simulation.",
-		func() float64 { return float64(p.hits.Value()) })
+		func() float64 { return float64(p.total.Totals().CacheHits) })
 	r.CounterFunc("gevo_pool_eval_panics_total", "Evaluation panics recovered and quarantined (scored +Inf).",
 		func() float64 { return float64(p.panics.Value()) })
 	r.CounterFunc("gevo_pool_redispatch_total", "Injected worker faults absorbed by redispatching the evaluation.",
 		func() float64 { return float64(p.redispatches.Value()) })
 	r.CounterFunc("gevo_pool_launches_total", "Kernel launches across all computed evaluations.",
-		func() float64 { return float64(p.launches.Value()) })
+		func() float64 { return float64(p.total.Totals().Launches) })
 	r.CounterFunc("gevo_pool_dyn_instrs_total", "Dynamic instructions executed across all computed evaluations.",
-		func() float64 { return float64(p.dynInstrs.Value()) })
+		func() float64 { return float64(p.total.Totals().DynInstrs) })
 	r.CounterFunc("gevo_pool_program_hits_total", "Program-cache hits charged through evaluations.",
-		func() float64 { return float64(p.progHits.Value()) })
+		func() float64 { return float64(p.total.Totals().ProgramHits) })
 	r.CounterFunc("gevo_pool_program_misses_total", "Program-cache misses (compiles) charged through evaluations.",
-		func() float64 { return float64(p.progMisses.Value()) })
+		func() float64 { return float64(p.total.Totals().ProgramMisses) })
 	r.CounterFunc("gevo_pool_memo_hits_total", "Timing-memo replays charged through evaluations.",
-		func() float64 { return float64(p.memoHits.Value()) })
+		func() float64 { return float64(p.total.Totals().MemoHits) })
 }
 
-// account resolves a caller's (possibly nil) cost account.
-func (p *EvalPool) account(acct *Cost) *Cost {
-	if acct == nil {
-		return &p.unattributed
-	}
-	return acct
+// charge applies one charge to the requester's account and to the pool's
+// total.
+func (p *EvalPool) charge(acct *Cost, f func(*CostTotals)) {
+	acct.add(f)
+	p.total.add(f)
 }
 
-// ChargedTotals samples the pool-wide charge counters in CostTotals shape.
-// At quiescence it equals the field-wise sum of every account that charged
-// this pool (slices excluded — those are orchestrator-charged, not
-// pool-charged).
-func (p *EvalPool) ChargedTotals() CostTotals {
-	return CostTotals{
-		Evals:         p.hits.Value() + p.completed.Value(),
-		Completed:     p.completed.Value(),
-		CacheHits:     p.hits.Value(),
-		Launches:      p.launches.Value(),
-		DynInstrs:     p.dynInstrs.Value(),
-		ProgramHits:   p.progHits.Value(),
-		ProgramMisses: p.progMisses.Value(),
-		MemoHits:      p.memoHits.Value(),
-
-		FailedLaunches:  p.failedLaunches.Value(),
-		FailedDynInstrs: p.failedDynInstrs.Value(),
-	}
-}
+// ChargedTotals samples the pool's total. At quiescence it equals the
+// field-wise sum of every account that charged this pool (slices excluded —
+// those are orchestrator-charged, not pool-charged).
+func (p *EvalPool) ChargedTotals() CostTotals { return p.total.Totals() }
 
 // SetInjector arms the pool's eval-dispatch fault site (nil = off). Must
 // be called before the first evaluation; the field is read-only afterwards,
@@ -319,7 +299,8 @@ const maxRedispatch = 8
 // program cache so the module is hashed once, not twice.
 //
 // Cost attribution: every request charges one eval to its account (nil = the
-// pool's unattributed account). Hits — settled or waited for — charge the
+// pool's unattributed account), and every charge lands on the pool's total
+// in the same call (charge). Hits — settled or waited for — charge the
 // requester; compute costs (the EvalStats handle the workload fills) charge
 // the account whose request ran the simulation. Workloads implementing
 // workload.Costed get the handle, others evaluate uninstrumented (their
@@ -334,8 +315,10 @@ const maxRedispatch = 8
 // never hang and the semaphore can never leak. A panicking evaluation
 // poisons its program at +Inf (see EvalPanicError).
 func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []Edit, acct *Cost) float64 {
-	acct = p.account(acct)
-	acct.evals.Add(1)
+	if acct == nil {
+		acct = &p.unattributed
+	}
+	p.charge(acct, func(t *CostTotals) { t.Evals++ })
 	// id names the evaluation, for its span and for a quarantine record.
 	id := EvalPanicError{Workload: w.Name(), Arch: arch.Name}
 
@@ -348,8 +331,7 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 		// No program, so nothing to file the failure under: charge it as a
 		// compute that never launched, and let a repeat fail the same way.
 		<-p.sem
-		p.completed.Add(1)
-		acct.completed.Add(1)
+		p.charge(acct, func(t *CostTotals) { t.Completed++ })
 		p.quarantine(id, rec)
 		return math.Inf(1)
 	}
@@ -363,8 +345,7 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 		// A repeat does no simulator work: it returns its slot before
 		// waiting, so a flight can never be starved by its own waiters.
 		<-p.sem
-		p.hits.Add(1)
-		acct.hits.Add(1)
+		p.charge(acct, func(t *CostTotals) { t.CacheHits++ })
 		if !settled {
 			<-fl.done
 			ms = fl.ms
@@ -382,15 +363,7 @@ func (p *EvalPool) evaluateGenome(w workload.Workload, arch *gpu.Arch, genome []
 	st := &gpu.EvalStats{Module: mod}
 	defer func() {
 		p.inFlight.Add(-1)
-		p.completed.Add(1)
-		acct.charge(st)
-		p.launches.Add(st.Launches)
-		p.dynInstrs.Add(st.DynInstrs)
-		p.progHits.Add(st.ProgramHits)
-		p.progMisses.Add(st.ProgramMisses)
-		p.memoHits.Add(st.MemoHits)
-		p.failedLaunches.Add(st.FailedLaunches)
-		p.failedDynInstrs.Add(st.FailedDynInstrs)
+		p.charge(acct, func(t *CostTotals) { t.addEval(st) })
 		// A table released meanwhile is settled all the same: nobody can
 		// reach it any more, and its waiters already hold fl.
 		p.mu.Lock()

@@ -106,7 +106,7 @@ func (e *Engine) updateStats(rec GenRecord) {
 	}
 
 	for i := range e.pop {
-		pr := &e.provs[i]
+		pr := &e.pop[i].prov
 		a := e.opAgg[pr.op]
 		if a == nil {
 			a = &OpStats{Op: pr.op}

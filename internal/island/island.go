@@ -85,7 +85,7 @@ type Config struct {
 	// Seed is the master seed; each deme draws its own seed from it.
 	Seed uint64
 	// Base is the per-deme engine configuration template. Base.Seed,
-	// Base.Generations and Base.Workers are ignored (managed here).
+	// Base.Generations and Base.Pool are ignored (managed here).
 	Base core.Config
 	// Overrides optionally customizes individual demes; its length must be
 	// zero or Demes.
@@ -145,7 +145,6 @@ func (c *Config) demeConfig(i int, seed uint64, pool *core.EvalPool) core.Config
 	cfg := c.Base
 	cfg.Seed = seed
 	cfg.Generations = c.Generations
-	cfg.Workers = c.Workers
 	cfg.Pool = pool
 	cfg.Sink = c.Sink
 	cfg.SinkID = demeID(i)
@@ -342,41 +341,6 @@ func (s *Search) AttachCost(c *core.Cost) {
 	for _, d := range s.demes {
 		d.SetCost(c)
 	}
-}
-
-// Progress is a cheap point-in-time summary of a running search — the
-// step-slice observability an orchestrator needs between rounds without
-// building a full Result.
-type Progress struct {
-	// Gen is the per-deme generations completed; Generations the budget.
-	Gen, Generations int
-	// Migrations counts migration events performed.
-	Migrations int
-	// Evaluations totals distinct-genome evaluations across demes.
-	Evaluations int
-	// BestSpeedup is the ring-wide best speedup so far (per-deme speedup on
-	// the deme's own architecture); BestDeme its ring position (-1 before
-	// any valid individual).
-	BestSpeedup float64
-	BestDeme    int
-}
-
-// Progress summarizes the search position. Call it between rounds (the
-// engines' histories are only consistent at round barriers).
-func (s *Search) Progress() Progress {
-	p := Progress{Gen: s.gen, Generations: s.cfg.Generations, Migrations: s.migrations, BestDeme: -1}
-	for i, d := range s.demes {
-		p.Evaluations += d.Evaluations()
-		best := d.History().BestEver()
-		if !best.Valid() {
-			continue
-		}
-		if sp := d.BaseFitness() / best.Fitness; sp > p.BestSpeedup {
-			p.BestSpeedup = sp
-			p.BestDeme = i
-		}
-	}
-	return p
 }
 
 // DemeStats returns each deme's latest search-health snapshot in ring

@@ -135,8 +135,7 @@ func TestClientRetryConnectionRefused(t *testing.T) {
 // the end-to-end path gevo-submit takes against a chaos-mode gevo-serve.
 func TestClientRetriesThroughInjectedFaults(t *testing.T) {
 	m, err := serve.Open(serve.Options{
-		SkipValidation: true,
-		Registry:       obs.NewRegistry(),
+		Registry: obs.NewRegistry(),
 		Workloads: func(name string) (workload.Workload, error) {
 			return workload.ByNameWith(name, workload.Options{
 				ADEPT: &workload.ADEPTOptions{Seed: 11, FitPairs: 1, HoldoutPairs: 1, RefLen: 48, QueryLen: 32},

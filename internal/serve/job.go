@@ -193,6 +193,21 @@ type job struct {
 	result *JobResult
 }
 
+// capture records a search summary and its per-deme stats on the job, under
+// the manager lock. The best (speedup, deme, genome, arch) is kept only once
+// some deme holds a valid individual: before that the job keeps bestDeme -1.
+func (j *job) capture(r *island.Result, stats []core.GenStats) {
+	j.gen = r.Generations
+	j.migrations = r.Migrations
+	j.evaluations = r.Evaluations
+	j.stats = stats
+	if r.Best.Valid() {
+		j.bestSpeedup, j.bestDeme = r.Speedup, r.BestDeme
+		j.bestGenome = append([]core.Edit(nil), r.Best.Genome...)
+		j.bestArch = r.Demes[r.BestDeme].Arch
+	}
+}
+
 // status snapshots the job under the manager lock.
 func (j *job) status() JobStatus {
 	st := JobStatus{

@@ -37,9 +37,6 @@ type Options struct {
 	// answers a resubmission of its spec without running; a pruned one
 	// re-runs to the identical result.
 	CacheSize int
-	// SkipValidation skips the held-out validation of finished jobs
-	// (benchmarks flip this; the service default matches the CLIs).
-	SkipValidation bool
 	// Workloads overrides how job workload names become instances
 	// (nil = workload.ByName, the standard registry). Embedders use it to
 	// serve custom datasets; tests use it to serve small ones. Names must
@@ -708,31 +705,16 @@ func (m *Manager) runSlice(j *job) {
 		}
 	}
 	if done {
-		res, err := m.buildResult(j)
-		if err != nil {
-			m.finalize(j, StateFailed, err.Error(), nil)
-			return
-		}
-		m.finalize(j, StateDone, "", res)
+		m.finalize(j, StateDone, "", m.buildResult(j))
 		return
 	}
-	prog := j.search.Progress()
 	r := j.search.Result()
 	points := genPoints(r, j.search.Generation(), j.lastEventGen)
 	stats := j.search.DemeStats()
 
 	m.mu.Lock()
-	j.gen = prog.Gen
-	j.bestSpeedup = prog.BestSpeedup
-	j.bestDeme = prog.BestDeme
-	j.migrations = prog.Migrations
-	j.evaluations = prog.Evaluations
-	j.lastEventGen = prog.Gen
-	j.stats = stats
-	if r.BestDeme >= 0 && r.Best.Valid() {
-		j.bestGenome = append([]core.Edit(nil), r.Best.Genome...)
-		j.bestArch = r.Demes[r.BestDeme].Arch
-	}
+	j.capture(r, stats)
+	j.lastEventGen = r.Generations
 	j.claimed = false
 	var ev *Event
 	if j.cancelWanted {
@@ -823,8 +805,8 @@ func (m *Manager) quarantineCheckpoint(j *job, cpath string, cause error) {
 }
 
 // buildResult summarizes a finished search, including the CLI-equivalent
-// held-out validation of the winning genome unless disabled.
-func (m *Manager) buildResult(j *job) (*JobResult, error) {
+// held-out validation of the winning genome.
+func (m *Manager) buildResult(j *job) *JobResult {
 	r := j.search.Result()
 	bestArch := r.Demes[r.BestDeme].Arch
 	res := &JobResult{
@@ -850,11 +832,8 @@ func (m *Manager) buildResult(j *job) (*JobResult, error) {
 			BestMs: l.BestMs, DeltaMs: l.DeltaMs, Speedup: l.Speedup, Edits: l.Edits,
 		})
 	}
-	if !m.opts.SkipValidation {
-		eng := core.NewEngine(j.w, core.Config{Arch: gpu.ArchByName(bestArch), Pool: m.pool, Cost: j.cost})
-		res.Validated = eng.Validate(r.Best.Genome) == nil
-	}
-	return res, nil
+	res.Validated = j.w.Validate(core.Variant(j.w.Base(), r.Best.Genome), gpu.ArchByName(bestArch)) == nil
+	return res
 }
 
 // finalize moves a claimed job to a terminal state and publishes the
@@ -869,21 +848,10 @@ func (m *Manager) finalize(j *job, state State, errMsg string, res *JobResult) {
 	}
 	m.mu.Lock()
 	if j.search != nil {
-		prog := j.search.Progress()
-		j.gen = prog.Gen
-		j.migrations = prog.Migrations
-		j.evaluations = prog.Evaluations
-		if prog.BestDeme >= 0 {
-			j.bestSpeedup, j.bestDeme = prog.BestSpeedup, prog.BestDeme
-		}
 		// Keep the final search-health snapshot and winning genome past
 		// the search's release, so /jobs/{id}/diag stays answerable for a
 		// finished job's lifetime in this process.
-		j.stats = j.search.DemeStats()
-		if r := j.search.Result(); r.BestDeme >= 0 && r.Best.Valid() {
-			j.bestGenome = append([]core.Edit(nil), r.Best.Genome...)
-			j.bestArch = r.Demes[r.BestDeme].Arch
-		}
+		j.capture(j.search.Result(), j.search.DemeStats())
 	}
 	j.result = res
 	if res != nil {

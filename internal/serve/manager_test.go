@@ -33,14 +33,12 @@ func tinyWorkloads(name string) (workload.Workload, error) {
 	})
 }
 
-// openTest opens a manager on tiny workloads (unless opts names its own)
-// with validation off.
+// openTest opens a manager on tiny workloads (unless opts names its own).
 func openTest(t *testing.T, opts Options) *Manager {
 	t.Helper()
 	if opts.Workloads == nil {
 		opts.Workloads = tinyWorkloads
 	}
-	opts.SkipValidation = true
 	m, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

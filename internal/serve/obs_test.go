@@ -21,8 +21,7 @@ import (
 func startObsServer(t *testing.T, opts serve.ServerOptions) (*client.Client, string) {
 	t.Helper()
 	m, err := serve.Open(serve.Options{
-		SkipValidation: true,
-		Registry:       obs.NewRegistry(),
+		Registry: obs.NewRegistry(),
 		Workloads: func(name string) (workload.Workload, error) {
 			return workload.ByNameWith(name, workload.Options{
 				ADEPT: &workload.ADEPTOptions{Seed: 11, FitPairs: 1, HoldoutPairs: 1, RefLen: 48, QueryLen: 32},

@@ -23,7 +23,6 @@ func f64(v float64) *float64 { return &v }
 func startServer(t *testing.T) *client.Client {
 	t.Helper()
 	m, err := serve.Open(serve.Options{
-		SkipValidation: true,
 		Workloads: func(name string) (workload.Workload, error) {
 			return workload.ByNameWith(name, workload.Options{
 				ADEPT: &workload.ADEPTOptions{Seed: 11, FitPairs: 1, HoldoutPairs: 1, RefLen: 48, QueryLen: 32},
