@@ -222,17 +222,6 @@ type SubsetResult struct {
 	Valid bool
 }
 
-// Edits reconstructs the subset from the mask.
-func (s SubsetResult) Edits(set []core.Edit) []core.Edit {
-	var out []core.Edit
-	for i := range set {
-		if s.Mask&(1<<i) != 0 {
-			out = append(out, set[i])
-		}
-	}
-	return out
-}
-
 // MaxSubsetEdits bounds the exhaustive search (2^n evaluations); the paper
 // notes this approach "will not scale well beyond roughly twenty edits".
 const MaxSubsetEdits = 16

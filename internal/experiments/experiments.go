@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"gevo/internal/analysis"
@@ -578,9 +577,4 @@ func MinimizeDemo(sc Scale, junk int) (string, error) {
 		len(split.Independent), 100*split.IndepGain, len(split.Epistatic), 100*split.EpiGain)
 	sb.WriteString("paper: 1394 -> 17 edits; 5 independent (7%) + 12 epistatic (17%)\n")
 	return sb.String(), nil
-}
-
-// SortRunsBySpeedup orders Fig6 runs for reporting.
-func SortRunsBySpeedup(runs []Fig6Run) {
-	sort.Slice(runs, func(i, j int) bool { return runs[i].Speedup > runs[j].Speedup })
 }

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"gevo/internal/fault"
@@ -110,24 +112,44 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// writeJSON sends v as one line of compact JSON with its Content-Length.
+// The body is encoded before the status is committed, so a value that
+// cannot be encoded (a NaN or ±Inf float) answers 500 with an apiError
+// rather than the intended status with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		body.Reset()
+		_ = json.NewEncoder(&body).Encode(apiError{Error: fmt.Sprintf("encode response: %v", err)})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(body.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(body.Bytes())
 }
 
 func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// maxSpecBytes bounds a submitted JobSpec body. A real spec is a few
+// hundred bytes; the bound keeps a client from making the server allocate
+// whatever it sends.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("parse job spec: %w", err))
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("parse job spec: %w", err))
 		return
 	}
 	// The request span (middleware-started, traceparent-adopting) parents

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -227,5 +228,104 @@ func TestServerSynthJob(t *testing.T) {
 	bad.Workload = "synth:stencil2d:n=1000"
 	if _, err := c.Submit(ctx, bad); err == nil || !strings.Contains(err.Error(), "perfect square") {
 		t.Errorf("malformed synth spec error: %v", err)
+	}
+}
+
+// TestResponsesAreCompactAndSized: every JSON route answers one line of
+// compact JSON whose Content-Length is the body's length (so net/http never
+// chunks it), and the line decodes into the type the client reads.
+func TestResponsesAreCompactAndSized(t *testing.T) {
+	c := startServer(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	st, err := c.Submit(ctx, serve.JobSpec{
+		Workload: "adept-v0", Demes: 2, Pop: 4,
+		Generations: 2, MigrationInterval: 2,
+		MutationRate: f64(0.5), CrossoverRate: f64(0.8), Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.WaitDone(ctx, st.ID, nil); err != nil || final.State != serve.StateDone {
+		t.Fatalf("job: state %s err %v", final.State, err)
+	}
+
+	var (
+		list   []serve.JobStatus
+		status serve.JobStatus
+		result serve.JobResult
+		costs  serve.JobCosts
+		health serve.Health
+	)
+	for _, route := range []struct {
+		path string
+		out  any
+	}{
+		{"/jobs", &list},
+		{"/jobs/" + st.ID, &status},
+		{"/jobs/" + st.ID + "/result", &result},
+		{"/jobs/" + st.ID + "/costs", &costs},
+		{"/healthz", &health},
+	} {
+		resp, err := http.Get(c.Base + route.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d: %s", route.path, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("GET %s: Content-Length %d, transfer encoding %v, body %d bytes",
+				route.path, resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+		if n := strings.Count(string(body), "\n"); n != 1 || body[len(body)-1] != '\n' {
+			t.Errorf("GET %s: %d newlines, want one at the end:\n%s", route.path, n, body)
+		}
+		dec := json.NewDecoder(strings.NewReader(string(body)))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(route.out); err != nil {
+			t.Errorf("GET %s: decode: %v", route.path, err)
+		}
+	}
+	if len(list) != 1 || list[0].ID != st.ID || status.ID != st.ID ||
+		result.Costs == nil || costs.State != serve.StateDone || health.Status != "ok" {
+		t.Errorf("decoded documents: list %+v status %+v result costs %v costs %+v health %+v",
+			list, status, result.Costs, costs, health)
+	}
+}
+
+// TestSubmitBodyIsBounded: a submit body past the spec limit is refused
+// with 413 and an apiError as soon as the limit is read, not parsed in
+// full first.
+func TestSubmitBodyIsBounded(t *testing.T) {
+	m, err := serve.Open(serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	h := serve.NewServer(m)
+
+	const size = 16 << 20
+	body := strings.NewReader(`{"workload":"` + strings.Repeat("a", size) + `"}`)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", body))
+
+	var apiErr struct {
+		Error string `json:"error"`
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized submit: HTTP %d, want 413", rec.Code)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || apiErr.Error == "" {
+		t.Errorf("oversized submit body %q is not an apiError (%v)", rec.Body.Bytes(), err)
+	}
+	if read := body.Size() - int64(body.Len()); read >= size/2 {
+		t.Errorf("server read %d of a %d-byte body before refusing it", read, body.Size())
 	}
 }

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"gevo/internal/gpu"
 	"gevo/internal/ir"
@@ -23,14 +24,18 @@ type SIMCoV struct {
 	baseProg *gpu.Program // compiled base (Base() callers clone before editing)
 	// initFit and initLarge are the precomputed initial device images (RNG
 	// streams, virion point sources) of the two grid geometries.
-	initFit    *covInit
+	initFit   *covInit
+	bands     *simcov.Bands // fitness-length tolerance bands
+	longSteps int
+	largeP    simcov.Params
+	budget    int64
+
+	// heldOut builds what only Validate reads on its first call, so a
+	// caller that never validates never pays for it.
+	heldOut    sync.Once
 	initLarge  *covInit
-	bands      *simcov.Bands // fitness-length tolerance bands
 	longBands  *simcov.Bands // held-out longer-run bands
 	largeBands *simcov.Bands // held-out large-grid bands
-	longSteps  int
-	largeP     simcov.Params
-	budget     int64
 }
 
 // SIMCoVOptions configures the workload scale.
@@ -79,8 +84,9 @@ const (
 	bandReps  = 5
 )
 
-// NewSIMCoV builds the workload: base module, ground-truth tolerance bands
-// for fitness and held-out runs.
+// NewSIMCoV builds the workload: base module and the fitness run's
+// ground-truth tolerance bands. The held-out runs' bands and large-grid
+// image are built by the first Validate.
 func NewSIMCoV(opt SIMCoVOptions) (*SIMCoV, error) {
 	opt.fill()
 	p := simcov.DefaultParams(opt.W, opt.H)
@@ -99,10 +105,7 @@ func NewSIMCoV(opt SIMCoVOptions) (*SIMCoV, error) {
 	s.largeP.InitialInfections = 8
 
 	s.bands = simcov.ComputeBands(p, p.Steps, bandReps, bandSigma, bandFloor, bandMin)
-	s.longBands = simcov.ComputeBands(p, s.longSteps, bandReps, bandSigma, bandFloor, bandMin)
-	s.largeBands = simcov.ComputeBands(s.largeP, s.largeP.Steps, bandReps, bandSigma, bandFloor, bandMin)
 	s.initFit = buildCovInit(p, s.Padded)
-	s.initLarge = buildCovInit(s.largeP, s.Padded)
 	if prog, err := gpu.Prepare(s.base); err == nil {
 		s.baseProg = prog
 	}
@@ -179,6 +182,11 @@ func (s *SIMCoV) EvaluateProfiled(m *ir.Module, arch *gpu.Arch) (float64, map[st
 // Validate implements Workload: the longer run plus the near-capacity large
 // grid of Figure 10b.
 func (s *SIMCoV) Validate(m *ir.Module, arch *gpu.Arch) error {
+	s.heldOut.Do(func() {
+		s.longBands = simcov.ComputeBands(s.Params, s.longSteps, bandReps, bandSigma, bandFloor, bandMin)
+		s.largeBands = simcov.ComputeBands(s.largeP, s.largeP.Steps, bandReps, bandSigma, bandFloor, bandMin)
+		s.initLarge = buildCovInit(s.largeP, s.Padded)
+	})
 	pp := s.Params
 	pp.Steps = s.longSteps
 	if _, _, err := s.simulate(m, arch, pp, s.initFit, s.longSteps, s.longBands, 0, nil, nil); err != nil {

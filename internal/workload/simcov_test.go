@@ -2,6 +2,7 @@ package workload
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"gevo/internal/gpu"
@@ -68,6 +69,27 @@ func TestSIMCoVEvaluateValidate(t *testing.T) {
 	}
 	if err := s.Validate(s.Base(), gpu.P100); err != nil {
 		t.Fatalf("validate: %v", err)
+	}
+}
+
+// TestSIMCoVValidateConcurrently: the held-out bands are built by the first
+// Validate, and callers racing to be first all validate against them.
+func TestSIMCoVValidateConcurrently(t *testing.T) {
+	s := newTestSIMCoV(t, false)
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = s.Validate(s.Base(), gpu.P100)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("validate %d: %v", i, err)
+		}
 	}
 }
 
